@@ -42,13 +42,7 @@ from .modifier import (
     complex_sign,
     theoretical_bound,
 )
-from .network import (
-    IDENTITY,
-    SOFTPLUS,
-    ConvLayer,
-    ConvNet,
-    circulant_operator_norm,
-)
+from .network import IDENTITY, SOFTPLUS, ConvLayer, ConvNet, project_unit_ball
 
 _STEP_FLOOR = 1e-12
 
@@ -114,38 +108,13 @@ class RealifiedMap:
 # jacobians and operator norms
 
 
-def jacobian_fd(fn: Callable, point: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of a real vector map at ``point``.
-
-    ``fn`` maps 1-D real vectors to real arrays; the result has one column
-    per input coordinate.  Non-finite map values raise NonFiniteError.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    if point.ndim != 1:
-        raise ShapeError("jacobian_fd expects a 1-D point")
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
-    columns = []
-    for j in range(point.size):
-        hi = point.copy()
-        hi[j] += epsilon
-        lo = point.copy()
-        lo[j] -= epsilon
-        diff = np.asarray(fn(hi), dtype=np.float64) - np.asarray(fn(lo), dtype=np.float64)
-        columns.append(diff.reshape(-1) / (2.0 * epsilon))
-    jac = np.stack(columns, axis=1) if columns else np.zeros((0, 0))
-    if not np.all(np.isfinite(jac)):
-        raise NonFiniteError("jacobian contains non-finite entries")
-    return jac
-
-
 def modifier_jacobian(
     arch: ModifierArchitecture, values: np.ndarray, epsilon: float = 1e-5
 ) -> np.ndarray:
     """Realified Jacobian of a modifier at the complex point ``values``.
 
-    Equivalent to ``jacobian_fd`` on ``RealifiedMap.from_modifier`` but
-    evaluates all perturbed points in one batched forward pass.
+    Central differences of step ``epsilon`` in every realified coordinate,
+    with all perturbed points evaluated in one batched forward pass.
     """
     values = np.asarray(values, dtype=np.complex128)
     if epsilon <= 0.0:
@@ -166,44 +135,6 @@ def modifier_jacobian(
     return jac
 
 
-def operator_norm(
-    matrix: np.ndarray, method: str = "dense_svd", iterations: int = 200, seed: int = 0
-) -> float:
-    """Top singular value of a dense matrix.
-
-    ``dense_svd`` is exact; ``power`` runs alternating power iteration and
-    is a lower estimate that converges from below.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ShapeError("operator_norm expects a matrix")
-    if matrix.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(matrix)):
-        raise NonFiniteError("matrix contains non-finite entries")
-    if method == "dense_svd":
-        return float(np.linalg.svd(matrix, compute_uv=False)[0])
-    if method != "power":
-        raise DomainError(f"unknown method {method!r}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(matrix.shape[1])
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return 0.0
-    v /= norm
-    for _ in range(max(1, iterations)):
-        u = matrix @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        v = matrix.T @ (u / nu)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-    return float(np.linalg.norm(matrix @ v))
-
-
 def top_singular_triple(matrix: np.ndarray):
     """(sigma, u, v) for the top singular direction of a dense matrix."""
     u, s, vh = np.linalg.svd(np.asarray(matrix, dtype=np.float64), full_matrices=False)
@@ -218,12 +149,10 @@ def top_singular_triple(matrix: np.ndarray):
 class SearchConfig:
     """Knobs for the adversarial bound search.
 
-    ``gradient`` selects how ascent directions are obtained: ``backprop``
-    differentiates a two-point secant surrogate of the top singular value
-    through the modifier's backward pass (two forward and two backward
-    passes per step), ``fd`` takes central differences of the objective
-    itself (one Jacobian per coordinate per step, exact but far slower).
-    Both climb the same objective; ``fd`` exists as the cross-check.
+    Ascent directions differentiate a two-point secant surrogate of the top
+    singular value through the modifier's backward pass: two forward and
+    two backward passes per step, with secant and Jacobian step
+    ``fd_epsilon``.
     """
 
     restarts: int = 100
@@ -233,7 +162,6 @@ class SearchConfig:
     fd_epsilon: float = 1e-5
     input_scale: float = 1.0
     seed: int = 0
-    gradient: str = "backprop"
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 0:
@@ -242,8 +170,6 @@ class SearchConfig:
             raise DomainError("step_size, fd_epsilon and input_scale must be positive")
         if self.termination_threshold <= 0.0:
             raise DomainError("termination_threshold must be positive")
-        if self.gradient not in ("backprop", "fd"):
-            raise DomainError(f"gradient must be 'backprop' or 'fd', got {self.gradient!r}")
 
 
 @dataclass(frozen=True)
@@ -379,17 +305,7 @@ def conv2d_family(
     if constrained:
 
         def project(theta: np.ndarray) -> np.ndarray:
-            net = template.with_parameters(theta)
-            parts = []
-            for layer in net.layers:
-                norm = circulant_operator_norm(layer, spatial)
-                w = layer.weights
-                if norm > 1.0:
-                    w = w / (norm * (1.0 + 1e-12))
-                parts.append(w.reshape(-1))
-                if layer.bias is not None:
-                    parts.append(layer.bias)
-            return np.concatenate(parts)
+            return project_unit_ball(template.with_parameters(theta), spatial).flatten_parameters()
 
     certified = None
     if constrained and kind == "lipsam_se":
@@ -472,38 +388,26 @@ def _objective(family: ModifierFamily, theta: np.ndarray, z: np.ndarray, epsilon
     return sigma, u, v
 
 
-def _ascent_gradient(family, theta, z, u, v, sigma, config):
-    """Ascent direction on (z, theta), complex z part plus flat theta part."""
+def _ascent_gradient(family, theta, z, u, v, eps):
+    """Ascent direction on (z, theta), complex z part plus flat theta part.
+
+    Differentiates the secant surrogate Re<u, D(z + eps v) - D(z - eps v)>
+    / (2 eps) of the top singular value through the modifier's backward pass.
+    """
     shape = family.input_shape
-    if config.gradient == "backprop":
-        u_c = unrealify(u, shape)
-        v_c = unrealify(v, shape)
-        eps = config.fd_epsilon
-        grad_z = np.zeros(shape, dtype=np.complex128)
-        grad_t = np.zeros(family.parameter_count)
-        arch = family.build(theta)
-        for sign in (1.0, -1.0):
-            flat, gz = _scalar_vjp(arch, z + sign * eps * v_c, u_c)
-            grad_z += (sign / (2.0 * eps)) * gz
-            # a fixed family carries no search parameters even when the
-            # wrapped net itself has weights, so key off grad_t, not flat
-            if grad_t.size and flat.size:
-                grad_t += (sign / (2.0 * eps)) * flat
-        return grad_z, grad_t
-    # objective finite differences, one evaluation pair per coordinate
-    h = config.fd_epsilon
-    zr = realify(z)
-    grad_flat = np.zeros(zr.size + theta.size)
-    for j in range(grad_flat.size):
-        point = np.concatenate([zr, theta])
-        point[j] += h
-        hi, _, _ = _objective(family, point[zr.size :], unrealify(point[: zr.size], shape), h)
-        point[j] -= 2.0 * h
-        lo, _, _ = _objective(family, point[zr.size :], unrealify(point[: zr.size], shape), h)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            return None, None
-        grad_flat[j] = (hi - lo) / (2.0 * h)
-    return unrealify(grad_flat[: zr.size], shape), grad_flat[zr.size :]
+    u_c = unrealify(u, shape)
+    v_c = unrealify(v, shape)
+    grad_z = np.zeros(shape, dtype=np.complex128)
+    grad_t = np.zeros(family.parameter_count)
+    arch = family.build(theta)
+    for sign in (1.0, -1.0):
+        flat, gz = _scalar_vjp(arch, z + sign * eps * v_c, u_c)
+        grad_z += (sign / (2.0 * eps)) * gz
+        # a fixed family carries no search parameters even when the
+        # wrapped net itself has weights, so key off grad_t, not flat
+        if grad_t.size and flat.size:
+            grad_t += (sign / (2.0 * eps)) * flat
+    return grad_z, grad_t
 
 
 def _run_trial(family: ModifierFamily, config: SearchConfig, trial: int):
@@ -528,10 +432,8 @@ def _run_trial(family: ModifierFamily, config: SearchConfig, trial: int):
     step = config.step_size
     while not early and iterations < config.max_iterations:
         iterations += 1
-        grad_z, grad_t = _ascent_gradient(family, theta, z, u, v, sigma, config)
-        if grad_z is None or not (
-            np.all(np.isfinite(grad_z)) and np.all(np.isfinite(grad_t))
-        ):
+        grad_z, grad_t = _ascent_gradient(family, theta, z, u, v, config.fd_epsilon)
+        if not (np.all(np.isfinite(grad_z)) and np.all(np.isfinite(grad_t))):
             break
         norm = np.sqrt(np.sum(np.abs(grad_z) ** 2) + np.sum(grad_t**2))
         if norm == 0.0:
@@ -568,7 +470,7 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
     als stop early once the objective clears ``termination_threshold``: by
     then the family is already past every certificate of interest.
 
-    The gradient modes need a smooth inner map, so inner nets must avoid
+    The ascent gradient needs a smooth inner map, so inner nets must avoid
     leaky relu activations; certify those with ``pairwise_quotient_search``.
     """
     probe = family.build(family.sample_parameters(np.random.default_rng([config.seed, 0])))

@@ -305,69 +305,6 @@ def theoretical_bound(arch: ModifierArchitecture) -> float:
     return float(inner_bound + 1.0)
 
 
-@dataclass(frozen=True)
-class Assumption1Report:
-    """Outcome of sampling the two amplitude-map conditions.
-
-    cond2 is the elementwise sandwich 0 <= A(x)_n <= L2 * x_n; cond1_empirical_L
-    is a sampled lower bound on the Lipschitz constant of A (it can only
-    undershoot the true constant).
-    """
-
-    cond2_holds: bool
-    worst_ratio: float
-    cond1_empirical_L: float
-    witness: np.ndarray | None
-
-
-def check_assumption1(
-    arch: ModifierArchitecture,
-    L2: float,
-    sample_count: int = 200,
-    seed: int = 0,
-    shape: tuple = (16,),
-    scale: float = 3.0,
-) -> Assumption1Report:
-    """Sample magnitudes and test the sandwich condition against L2.
-
-    Samples include exact zeros, where the condition degenerates to
-    A(x)_n == 0; any positive output at a zero coordinate is an instant
-    failure with an infinite worst ratio.
-    """
-    if L2 < 0.0:
-        raise DomainError("L2 must be nonnegative")
-    rng = np.random.default_rng(seed)
-    worst_ratio = 0.0
-    witness = None
-    cond2 = True
-    empirical = 0.0
-    for _ in range(sample_count):
-        x = scale * np.abs(rng.standard_normal(shape))
-        x[rng.random(shape) < 0.2] = 0.0
-        a = amplitude_part(arch, x)
-        zero_mask = x == 0.0
-        if np.any(a[zero_mask] != 0.0):
-            return Assumption1Report(False, np.inf, empirical, x)
-        positive = ~zero_mask
-        if np.any(positive):
-            with np.errstate(divide="ignore"):
-                ratios = a[positive] / (L2 * x[positive]) if L2 > 0.0 else np.where(
-                    a[positive] > 0.0, np.inf, 0.0
-                )
-            local = float(np.max(ratios)) if ratios.size else 0.0
-            if local > worst_ratio:
-                worst_ratio = local
-                witness = x
-            if np.any(a < -0.0) or local > 1.0:
-                cond2 = False
-        y = scale * np.abs(rng.standard_normal(shape))
-        denom = float(np.linalg.norm(x - y))
-        if denom > 1e-12:
-            quotient = float(np.linalg.norm(amplitude_part(arch, x) - amplitude_part(arch, y)) / denom)
-            empirical = max(empirical, quotient)
-    return Assumption1Report(cond2, worst_ratio, empirical, witness)
-
-
 # ------------------------------------------------------------ configuration
 
 _ANALYTIC_BUILDERS = {

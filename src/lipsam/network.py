@@ -6,9 +6,10 @@ channels) or two (channels x height x width, used for small image-like
 inputs).  Every array op broadcasts over optional leading batch axes.
 
 The linear part of each layer can carry a norm certificate: an upper bound
-on its operator norm for a fixed input geometry, established by power
-iteration.  Certificates multiply through activations (all 1-Lipschitz here)
-and the output scale into a certified bound for the whole network.
+on its operator norm for a fixed input geometry, computed exactly from the
+layer's per-frequency transfer matrices (``circulant_operator_norm``).
+Certificates multiply through activations (all 1-Lipschitz here) and the
+output scale into a certified bound for the whole network.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class Activation:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown activation {self.kind!r}")
+        if not np.isfinite(self.slope):
+            raise NonFiniteError("activation slope must be finite")
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         if self.kind == "identity":
@@ -93,8 +96,11 @@ class ConvLayer:
             if not np.all(np.isfinite(bias)):
                 raise NonFiniteError("layer bias must be finite")
             object.__setattr__(self, "bias", bias)
-        if self.norm_certificate is not None and self.norm_certificate < 0.0:
-            raise ValueError("norm certificate must be nonnegative")
+        if self.norm_certificate is not None:
+            if not np.isfinite(self.norm_certificate):
+                raise NonFiniteError("norm certificate must be finite")
+            if self.norm_certificate < 0.0:
+                raise ValueError("norm certificate must be nonnegative")
 
     @property
     def is_2d(self) -> bool:
@@ -296,53 +302,13 @@ def _weight_gradient(weights: np.ndarray, x: np.ndarray, dz: np.ndarray) -> np.n
     return grad
 
 
-def layer_operator_norm(
-    layer: ConvLayer,
-    input_shape: tuple,
-    iterations: int = 200,
-    seed: int = 0,
-    tolerance: float = 0.0,
-) -> float:
-    """Estimate the operator norm of the layer's linear part by power iteration.
-
-    ``input_shape`` is the spatial geometry, (width,) or (height, width).
-    The estimate is a monotone nondecreasing function of the iteration count
-    (it is a Rayleigh quotient along the power sequence of W^T W), so more
-    iterations can only tighten it from below.
-    """
-    expected = 2 if layer.is_2d else 1
-    if len(input_shape) != expected:
-        raise ShapeError(f"input_shape must have {expected} spatial dims")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((layer.in_channels,) + tuple(input_shape))
-    norm_v = np.linalg.norm(v)
-    if norm_v == 0.0:
-        return 0.0
-    v /= norm_v
-    estimate = 0.0
-    for _ in range(max(1, iterations)):
-        u = _conv_linear(layer.weights, v)
-        new_estimate = float(np.linalg.norm(u))
-        v = _conv_linear_transpose(layer.weights, u)
-        norm_v = float(np.linalg.norm(v))
-        if norm_v == 0.0:
-            return 0.0
-        v /= norm_v
-        if tolerance > 0.0 and new_estimate - estimate <= tolerance * max(new_estimate, 1e-300):
-            estimate = new_estimate
-            break
-        estimate = new_estimate
-    return estimate
-
-
 def circulant_operator_norm(layer: ConvLayer, input_shape: tuple) -> float:
     """Exact operator norm of the layer's linear part on the given geometry.
 
     A circular convolution block-diagonalizes in the Fourier basis: for each
     spatial frequency the operator acts as the [out, in] matrix of kernel
     transforms at that frequency, so the overall norm is the maximum top
-    singular value across frequencies.  Exact up to FFT rounding, unlike the
-    power-iteration estimate.
+    singular value across frequencies.  Exact up to FFT rounding.
     """
     expected = 2 if layer.is_2d else 1
     if len(input_shape) != expected:
@@ -368,33 +334,26 @@ def circulant_operator_norm(layer: ConvLayer, input_shape: tuple) -> float:
     return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
 
 
-def spectral_normalize(
-    layer: ConvLayer,
-    input_shape: tuple,
-    target: float = 1.0,
-    iterations: int = 2000,
-    seed: int = 0,
-) -> ConvLayer:
-    """Rescale the layer so its certified operator norm equals ``target``.
+def project_unit_ball(net: ConvNet, input_shape: tuple) -> ConvNet:
+    """Scale every layer whose operator norm on ``input_shape`` exceeds 1
+    back onto the unit ball.
 
-    The measured norm gets a 1e-6 safety margin before rescaling, so the true
-    norm of the result sits just below the recorded certificate.  A zero
-    layer cannot be rescaled and is returned with a zero certificate.
+    Rescaled layers drop their certificates; a net with no layer above 1
+    comes back as the same object.
     """
-    if target <= 0.0:
-        raise ValueError("target norm must be positive")
-    measured = layer_operator_norm(
-        layer, input_shape, iterations=iterations, seed=seed, tolerance=1e-14
-    )
-    if measured == 0.0:
-        return replace(layer, norm_certificate=0.0)
-    guarded = measured + 1e-6
-    return ConvLayer(
-        layer.weights * (target / guarded),
-        bias=layer.bias,
-        activation=layer.activation,
-        norm_certificate=float(target),
-    )
+    layers = []
+    changed = False
+    for layer in net.layers:
+        norm = circulant_operator_norm(layer, input_shape)
+        if norm > 1.0:
+            w = layer.weights / (norm * (1.0 + 1e-12))
+            layers.append(ConvLayer(w, layer.bias, activation=layer.activation))
+            changed = True
+        else:
+            layers.append(layer)
+    if not changed:
+        return net
+    return ConvNet(tuple(layers), net.scale)
 
 
 def lipschitz_upper_bound(net: ConvNet) -> float:
@@ -532,6 +491,10 @@ def load_weights(data: bytes) -> ConvNet:
             raise FormatError(f"invalid layer rank {ndim}")
         if act_code not in _ACT_NAMES:
             raise FormatError(f"unknown activation code {act_code}")
+        if not np.isfinite(slope):
+            raise FormatError(f"non-finite activation slope {slope}")
+        if has_cert and not (np.isfinite(cert) and cert >= 0.0):
+            raise FormatError(f"invalid norm certificate {cert}")
         shape = reader.unpack(f"<{ndim}I")
         size = int(np.prod(shape))
         weights = np.frombuffer(reader.take(size * 8), dtype=np.float64).reshape(shape)

@@ -35,6 +35,7 @@ from .network import (
     ConvNet,
     adam_step,
     circulant_operator_norm,
+    project_unit_ball,
 )
 from .signal import Spectrogram, StftConfig, TimeSignal, istft, si_snr, snr, stft
 
@@ -309,25 +310,8 @@ def build_denoiser_net(config: TrainConfig) -> ConvNet:
         layers.append(ConvLayer(weights, np.zeros(cout), activation=act))
     net = ConvNet(tuple(layers))
     if config.lipschitz == "spectral":
-        net = _project_unit_ball(net, config.frames)
+        net = project_unit_ball(net, (config.frames,))
     return net
-
-
-def _project_unit_ball(net: ConvNet, frames: int) -> ConvNet:
-    """Scale any layer with operator norm above 1 back onto the unit ball."""
-    layers = []
-    changed = False
-    for layer in net.layers:
-        norm = circulant_operator_norm(layer, (frames,))
-        if norm > 1.0:
-            w = layer.weights / (norm * (1.0 + 1e-12))
-            layers.append(ConvLayer(w, layer.bias, activation=layer.activation))
-            changed = True
-        else:
-            layers.append(layer)
-    if not changed:
-        return net
-    return ConvNet(tuple(layers), net.scale)
 
 
 def certify_denoiser_net(net: ConvNet, frames: int) -> ConvNet:
@@ -427,15 +411,23 @@ def _validation_loss(net, kind, clean, noisy, config: TrainConfig, rate: int) ->
 
 
 def _corpus_segments(corpus: SynthCorpusConfig, needed: int) -> np.ndarray:
-    items = np.empty((corpus.item_count, needed))
+    """The first ``needed`` samples of every item, skipping silent segments.
+
+    A segment that falls wholly inside a silent gap has no defined SNR, so
+    it can serve neither as a training target nor as a validation reference.
+    """
+    items = []
     for i in range(corpus.item_count):
         samples = synth_speechlike(corpus, i).samples
         if samples.size < needed:
             raise ShapeError(
                 f"corpus items are {samples.size} samples but training needs {needed}"
             )
-        items[i] = samples[:needed]
-    return items
+        if np.any(samples[:needed]):
+            items.append(samples[:needed])
+    if len(items) < 2:
+        raise DomainError("training needs at least two corpus items with a non-silent segment")
+    return np.stack(items)
 
 
 def train_denoiser(
@@ -445,9 +437,10 @@ def train_denoiser(
 ) -> TrainResult:
     """Train an amplitude-modifier denoiser on the Gaussian denoising task.
 
-    10% of the corpus (at least one item) is held out with fixed validation
-    noise; the returned checkpoint minimizes validation loss over epoch 0
-    (untrained) and every completed epoch.  A non-finite loss or gradient
+    Items whose training segment is silent are skipped.  10% of the rest (at
+    least one item) is held out with fixed validation noise; the returned
+    checkpoint minimizes validation loss over epoch 0 (untrained) and every
+    completed epoch.  A non-finite loss or gradient
     aborts the run and returns the best checkpoint seen so far.  Identical
     configurations reproduce bitwise-identical results.
 
@@ -462,7 +455,7 @@ def train_denoiser(
     needed = train_config.segment_samples
     items = _corpus_segments(corpus_config, needed)
 
-    val_count = max(1, int(round(0.1 * corpus_config.item_count)))
+    val_count = max(1, int(round(0.1 * items.shape[0])))
     val_clean = items[:val_count]
     train_clean = items[val_count:]
 
@@ -519,7 +512,7 @@ def train_denoiser(
                 break
             net = net.with_parameters(np.concatenate([p.reshape(-1) for p in params]))
             if train_config.lipschitz == "spectral":
-                net = _project_unit_ball(net, train_config.frames)
+                net = project_unit_ball(net, (train_config.frames,))
                 params = net.parameters()
             epoch_losses.append(loss)
         if status == "aborted":

@@ -11,9 +11,10 @@ import pytest
 from lipsam.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_lambda_grid
 from lipsam.errors import ConfigError
 from lipsam.modifier import architecture_from_config
-from lipsam.network import IDENTITY, ConvLayer, ConvNet, load_net, save_net
+from lipsam.network import IDENTITY, ConvLayer, ConvNet, load_net, save_net, save_weights
 from lipsam.signal import TimeSignal, circular_convolve, add_noise_at_snr, write_wav
 from lipsam.trainer import SynthCorpusConfig, synth_rir, synth_speechlike
+from oracles import rewrite_first_layer_header
 
 RATE = 8000
 
@@ -371,6 +372,27 @@ def test_certify_catches_a_lying_certificate(workdir, capsys):
     ])
     assert code == EXIT_VIOLATION
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("certificate", [float("nan"), -1.0])
+def test_certify_rejects_a_corrupt_stored_certificate(workdir, capsys, certificate):
+    # A checksum-valid file whose certificate is NaN or negative must stop
+    # the run with a usage error, not print "no certified bound" or a traceback.
+    net = ConvNet((ConvLayer(np.ones((1, 1, 3)), activation=IDENTITY, norm_certificate=0.5),))
+    blob = rewrite_first_layer_header(save_weights(net), certificate=certificate)
+    (workdir / "corrupt.npz").write_bytes(blob)
+    denoiser = write_json(
+        workdir / "corrupt.json",
+        {"kind": "lipsam_se", "inner": {"variant": "net", "file": "corrupt.npz"}},
+    )
+    code = main([
+        "certify", "--modifier", denoiser, "--restarts", "1", "--shape", "1x4",
+        "--out-dir", str(workdir), "--out", "certify.csv", "--seed", "0",
+    ])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "certificate" in captured.err
+    assert "no certified bound" not in captured.out
 
 
 def test_certify_nonsmooth_net_uses_quotient_fallback(workdir, capsys):

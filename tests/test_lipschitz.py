@@ -14,9 +14,7 @@ from lipsam.lipschitz import (
     counterexample_permutation,
     estimate_B,
     fixed_modifier_family,
-    jacobian_fd,
     modifier_jacobian,
-    operator_norm,
     pairwise_quotient_search,
     realify,
     top_singular_triple,
@@ -35,8 +33,9 @@ from lipsam.network import (
     SOFTPLUS,
     ConvLayer,
     ConvNet,
-    spectral_normalize,
+    project_unit_ball,
 )
+from oracles import certify_layer, jacobian_fd, objective_fd_gradient
 
 # ---------------------------------------------------------------- realify
 
@@ -106,7 +105,7 @@ def _certified_net_2d(seed, scale=1.0):
     layers = []
     for c_in, c_out in ((1, 2), (2, 1)):
         raw = ConvLayer(rng.standard_normal((c_out, c_in, 3, 3)), activation=SOFTPLUS)
-        layers.append(spectral_normalize(raw, (4, 4), target=1.0))
+        layers.append(certify_layer(raw, (4, 4)))
     return ConvNet(tuple(layers), scale=scale)
 
 
@@ -132,35 +131,18 @@ def test_modifier_jacobian_bounded_by_certificate():
     for arch, bound in cases:
         for _ in range(10):
             z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            sigma = operator_norm(modifier_jacobian(arch, z))
+            sigma, _, _ = top_singular_triple(modifier_jacobian(arch, z))
             assert sigma <= bound + 1e-6
 
 
 # ---------------------------------------------------------------- operator norms
 
 
-def test_operator_norm_dense_on_diagonal():
-    assert operator_norm(np.diag([3.0, -7.0, 2.0])) == 7.0
-
-
-def test_operator_norm_power_matches_dense():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        m = rng.standard_normal((12, 9))
-        dense = operator_norm(m, method="dense_svd")
-        power = operator_norm(m, method="power", iterations=5000, seed=3)
-        assert abs(power - dense) <= 1e-6 * dense
-        assert power <= dense + 1e-12
-
-
-def test_operator_norm_validation():
-    with pytest.raises(DomainError):
-        operator_norm(np.eye(2), method="qr")
-    with pytest.raises(ShapeError):
-        operator_norm(np.zeros(3))
-    with pytest.raises(NonFiniteError):
-        operator_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-    assert operator_norm(np.zeros((0, 3))) == 0.0
+def test_top_singular_triple_on_diagonal():
+    sigma, u, v = top_singular_triple(np.diag([3.0, -7.0, 2.0]))
+    assert sigma == 7.0
+    assert np.array_equal(np.abs(u), [0.0, 1.0, 0.0])
+    assert np.array_equal(np.abs(v), [0.0, 1.0, 0.0])
 
 
 def test_top_singular_triple_consistent():
@@ -170,7 +152,7 @@ def test_top_singular_triple_consistent():
     assert abs(np.linalg.norm(u) - 1.0) < 1e-12
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     assert abs(u @ m @ v - sigma) < 1e-12
-    assert abs(sigma - operator_norm(m)) < 1e-12
+    assert abs(sigma - np.linalg.svd(m, compute_uv=False)[0]) < 1e-12
 
 
 # ---------------------------------------------------------------- config
@@ -181,8 +163,6 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(DomainError):
         SearchConfig(step_size=0.0)
-    with pytest.raises(DomainError):
-        SearchConfig(gradient="newton")
     with pytest.raises(DomainError):
         SearchConfig(termination_threshold=-1.0)
 
@@ -259,6 +239,16 @@ def test_conv2d_family_projection_contracts():
     assert np.array_equal(fam.project(projected), projected)
 
 
+def test_conv2d_family_projection_is_project_unit_ball():
+    fam = conv2d_family("lipsam_se", scale=1.0)
+    rng = np.random.default_rng(15)
+    for factor in (0.05, 1.0, 5.0):
+        theta = factor * fam.sample_parameters(rng)
+        net = fam.build(theta).inner.net
+        want = project_unit_ball(net, fam.input_shape).flatten_parameters()
+        assert fam.project(theta).tobytes() == want.tobytes()
+
+
 def test_conv2d_family_certified_bounds():
     assert abs(conv2d_family("lipsam_se", scale=2.0).certified_bound - np.sqrt(5.0)) < 1e-12
     assert abs(conv2d_family("lipsam_re", scale=0.5).certified_bound - 1.5) < 1e-12
@@ -328,7 +318,7 @@ def test_estimate_b_finds_unguarded_blowup():
     assert any(r.terminated_early for r in est.records)
     # the witness reproduces a Jacobian norm past the threshold
     arch = fam.build(est.witness_parameters)
-    sigma = operator_norm(modifier_jacobian(arch, est.witness_values))
+    sigma, _, _ = top_singular_triple(modifier_jacobian(arch, est.witness_values))
     assert abs(sigma - est.value) <= 1e-9 * est.value
 
 
@@ -360,25 +350,13 @@ def test_ascent_gradient_modes_agree():
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     sigma, u, v = _objective(fam, theta, z, 1e-5)
     assert sigma > 0.1
-    bp = SearchConfig(gradient="backprop", fd_epsilon=1e-5)
-    fd = SearchConfig(gradient="fd", fd_epsilon=1e-5)
-    gz_bp, gt_bp = _ascent_gradient(fam, theta, z, u, v, sigma, bp)
-    gz_fd, gt_fd = _ascent_gradient(fam, theta, z, u, v, sigma, fd)
+    gz_bp, gt_bp = _ascent_gradient(fam, theta, z, u, v, 1e-5)
+    gz_fd, gt_fd = objective_fd_gradient(fam, theta, z, 1e-5)
     g_bp = np.concatenate([realify(gz_bp), gt_bp])
     g_fd = np.concatenate([realify(gz_fd), gt_fd])
     assert np.linalg.norm(g_bp - g_fd) <= 1e-4 * np.linalg.norm(g_fd)
     cosine = g_bp @ g_fd / (np.linalg.norm(g_bp) * np.linalg.norm(g_fd))
     assert cosine > 1.0 - 1e-8
-
-
-def test_estimate_b_fd_mode_climbs():
-    fam = conv2d_family(
-        "lipsam_re", scale=1.0, hidden_channels=(1,), kernel_size=1, input_shape=(2, 2)
-    )
-    config = SearchConfig(restarts=2, max_iterations=8, seed=9, gradient="fd")
-    est = estimate_B(fam, config)
-    assert est.value <= 2.0 + 0.01
-    assert est.value > 0.5
 
 
 # ---------------------------------------------------------------- quotient search
@@ -416,7 +394,7 @@ def test_quotient_search_respects_leaky_relu_certificate():
     layers = []
     for c_in, c_out in ((1, 2), (2, 1)):
         raw = ConvLayer(rng.standard_normal((c_out, c_in, 3)), activation=LEAKY_RELU)
-        layers.append(spectral_normalize(raw, (6,), target=1.0))
+        layers.append(certify_layer(raw, (6,)))
     arch = ModifierArchitecture("lipsam_se", NetMap(ConvNet(tuple(layers))))
     mapping = RealifiedMap.from_modifier(arch, (1, 6))
     result = pairwise_quotient_search(

@@ -12,7 +12,6 @@ from lipsam.errors import (
 from lipsam.modifier import (
     KINDS,
     AmplitudeMap,
-    Assumption1Report,
     BiasAdd,
     IdentityMap,
     ModifierArchitecture,
@@ -27,7 +26,6 @@ from lipsam.modifier import (
     apply_to_values,
     architecture_from_config,
     architecture_to_config,
-    check_assumption1,
     complex_sign,
     theoretical_bound,
 )
@@ -37,9 +35,9 @@ from lipsam.network import (
     ConvLayer,
     ConvNet,
     save_net,
-    spectral_normalize,
 )
 from lipsam.signal import Spectrogram, StftConfig, TimeSignal, stft
+from oracles import certify_layer, check_assumption1
 
 
 def small_net(rng, width=6, channels=(4, 3, 4), scale=1.0, weight_scale=0.4, bias=True):
@@ -57,9 +55,7 @@ def small_net(rng, width=6, channels=(4, 3, 4), scale=1.0, weight_scale=0.4, bia
 
 def certified_net(rng, channels=(4, 3, 4), scale=1.0):
     layers = tuple(
-        spectral_normalize(
-            ConvLayer(rng.standard_normal((cout, cin, 3)), activation=SOFTPLUS), (6,)
-        )
+        certify_layer(ConvLayer(rng.standard_normal((cout, cin, 3)), activation=SOFTPLUS), (6,))
         for cin, cout in zip(channels[:-1], channels[1:])
     )
     return ConvNet(layers, scale)

@@ -14,14 +14,14 @@ from lipsam.network import (
     backward,
     circulant_operator_norm,
     forward,
-    layer_operator_norm,
     lipschitz_upper_bound,
     load_net,
     load_weights,
+    project_unit_ball,
     save_net,
     save_weights,
-    spectral_normalize,
 )
+from oracles import certify_layer, rewrite_first_layer_header
 
 # ---------------------------------------------------------------- oracles
 
@@ -249,25 +249,6 @@ def test_backward_rejects_stale_cache():
 # ---------------------------------------------------------------- norms
 
 
-@pytest.mark.parametrize("shape,width", [((2, 3, 3), 6), ((3, 2, 5), 8), ((1, 1, 3), 4)])
-def test_power_iteration_matches_dense_svd_1d(shape, width):
-    rng = np.random.default_rng(9)
-    layer = ConvLayer(rng.standard_normal(shape), activation=IDENTITY)
-    dense = materialize_1d(layer.weights, width)
-    want = np.linalg.svd(dense, compute_uv=False)[0]
-    got = layer_operator_norm(layer, (width,), iterations=5000, tolerance=1e-14)
-    assert abs(got - want) <= 1e-6 * want
-
-
-def test_power_iteration_matches_dense_svd_2d():
-    rng = np.random.default_rng(10)
-    layer = ConvLayer(rng.standard_normal((2, 2, 3, 3)), activation=IDENTITY)
-    dense = materialize_2d(layer.weights, 4, 4)
-    want = np.linalg.svd(dense, compute_uv=False)[0]
-    got = layer_operator_norm(layer, (4, 4), iterations=5000, tolerance=1e-14)
-    assert abs(got - want) <= 1e-6 * want
-
-
 @pytest.mark.parametrize("shape,width", [((2, 3, 3), 6), ((3, 2, 5), 8), ((1, 1, 7), 4)])
 def test_circulant_norm_matches_dense_svd_1d(shape, width):
     rng = np.random.default_rng(21)
@@ -294,52 +275,46 @@ def test_circulant_norm_rejects_wrong_geometry():
         circulant_operator_norm(layer, (4, 4))
 
 
-def test_power_iteration_monotone_in_iterations():
-    rng = np.random.default_rng(11)
-    layer = ConvLayer(rng.standard_normal((3, 3, 3)), activation=IDENTITY)
-    values = [
-        layer_operator_norm(layer, (8,), iterations=n, seed=5) for n in (1, 2, 5, 10, 50, 200)
-    ]
-    for lo, hi in zip(values, values[1:]):
-        assert hi >= lo - 1e-12
-
-
-def test_power_iteration_zero_layer():
+def test_circulant_norm_zero_layer():
     layer = ConvLayer(np.zeros((2, 2, 3)), activation=IDENTITY)
-    assert layer_operator_norm(layer, (6,)) == 0.0
+    assert circulant_operator_norm(layer, (6,)) == 0.0
 
 
-def test_spectral_normalize_sets_certificate_and_norm():
+def test_project_unit_ball_bounds_every_layer():
     rng = np.random.default_rng(12)
-    layer = ConvLayer(3.0 * rng.standard_normal((2, 2, 3)), activation=SOFTPLUS)
-    normalized = spectral_normalize(layer, (8,), target=1.0)
-    assert normalized.norm_certificate == 1.0
-    dense = materialize_1d(normalized.weights, 8)
-    top = np.linalg.svd(dense, compute_uv=False)[0]
-    assert top <= 1.0 + 1e-9
-    assert top > 1.0 - 1e-4
+    big = ConvLayer(3.0 * rng.standard_normal((2, 2, 3)), activation=SOFTPLUS)
+    small = ConvLayer(0.01 * rng.standard_normal((2, 2, 3)), activation=IDENTITY)
+    projected = project_unit_ball(ConvNet((big, small), scale=2.0), (8,))
+    assert projected.scale == 2.0
+    tops = [
+        np.linalg.svd(materialize_1d(layer.weights, 8), compute_uv=False)[0]
+        for layer in projected.layers
+    ]
+    assert all(top <= 1.0 for top in tops)
+    # the clipped layer lands on the sphere, the feasible one is untouched
+    assert tops[0] > 1.0 - 1e-9
+    assert projected.layers[1] is small
+    np.testing.assert_array_equal(projected.layers[0].bias, big.bias)
+    assert projected.layers[0].activation == big.activation
 
 
-def test_spectral_normalize_is_idempotent_within_margin():
+def test_project_unit_ball_returns_feasible_net_unchanged():
     rng = np.random.default_rng(13)
-    layer = ConvLayer(rng.standard_normal((2, 2, 3)), activation=IDENTITY)
-    once = spectral_normalize(layer, (8,), target=2.0)
-    twice = spectral_normalize(once, (8,), target=2.0)
-    rel = np.max(np.abs(twice.weights - once.weights)) / np.max(np.abs(once.weights))
-    assert rel < 1e-5
-
-
-def test_spectral_normalize_zero_layer_is_certified_noop():
-    layer = ConvLayer(np.zeros((2, 2, 3)), activation=IDENTITY)
-    normalized = spectral_normalize(layer, (8,))
-    assert normalized.norm_certificate == 0.0
-    np.testing.assert_array_equal(normalized.weights, layer.weights)
+    net = ConvNet(
+        (
+            ConvLayer(5.0 * rng.standard_normal((2, 2, 3, 3)), activation=SOFTPLUS),
+            ConvLayer(np.zeros((1, 2, 3, 3)), activation=IDENTITY),
+        )
+    )
+    once = project_unit_ball(net, (4, 4))
+    assert once is not net
+    assert project_unit_ball(once, (4, 4)) is once
 
 
 def test_lipschitz_upper_bound_product():
     rng = np.random.default_rng(14)
     layers = tuple(
-        spectral_normalize(
+        certify_layer(
             ConvLayer(rng.standard_normal((2, 2, 3)), activation=LEAKY_RELU), (8,), target=t
         )
         for t in (1.0, 2.0)
@@ -357,7 +332,7 @@ def test_lipschitz_upper_bound_requires_certificates():
 def test_certified_bound_is_sound_on_random_pairs():
     rng = np.random.default_rng(15)
     layers = tuple(
-        spectral_normalize(
+        certify_layer(
             ConvLayer(2.0 * rng.standard_normal((3, 3, 3)), activation=SOFTPLUS), (8,)
         )
         for _ in range(2)
@@ -434,7 +409,7 @@ def test_save_load_round_trip_bitwise():
 
 
 def test_save_load_preserves_certificates():
-    layer = spectral_normalize(ConvLayer(np.ones((1, 1, 3))), (8,), target=1.0)
+    layer = certify_layer(ConvLayer(np.ones((1, 1, 3))), (8,), target=1.0)
     net = ConvNet((layer,))
     loaded = load_weights(save_weights(net))
     assert loaded.layers[0].norm_certificate == 1.0
@@ -453,6 +428,38 @@ def test_load_rejects_corrupted_payload():
     blob[30] ^= 0xFF
     with pytest.raises(FormatError):
         load_weights(bytes(blob))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("certificate", float("nan")),
+    ("certificate", float("inf")),
+    ("certificate", -1.0),
+    ("slope", float("nan")),
+    ("slope", float("inf")),
+])
+def test_load_rejects_invalid_certificate_or_slope(field, value):
+    rng = np.random.default_rng(23)
+    blob = save_weights(make_net_1d(rng, activation=LEAKY_RELU))
+    with pytest.raises(FormatError):
+        load_weights(rewrite_first_layer_header(blob, **{field: value}))
+
+
+def test_load_accepts_rechecksummed_valid_header():
+    rng = np.random.default_rng(23)
+    blob = save_weights(make_net_1d(rng, activation=LEAKY_RELU))
+    loaded = load_weights(rewrite_first_layer_header(blob, slope=0.2, certificate=0.5))
+    assert loaded.layers[0].activation.slope == 0.2
+    assert loaded.layers[0].norm_certificate == 0.5
+
+
+def test_layer_rejects_non_finite_certificate_and_slope():
+    for certificate in (float("nan"), float("inf")):
+        with pytest.raises(NonFiniteError):
+            ConvLayer(np.ones((1, 1, 3)), norm_certificate=certificate)
+    with pytest.raises(ValueError):
+        ConvLayer(np.ones((1, 1, 3)), norm_certificate=-1.0)
+    with pytest.raises(NonFiniteError):
+        Activation("leaky_relu", float("nan"))
 
 
 def test_load_rejects_bad_magic_and_version():

@@ -395,6 +395,37 @@ def test_training_rejects_tiny_or_short_corpora():
         train_denoiser(small_train_config(), short)
 
 
+def test_training_skips_silent_segments():
+    # Item 37 of this corpus is silent over its first 128 samples, the
+    # training segment at frames=4 and hop 32; it used to abort the run with
+    # an undefined SNR.
+    config = small_train_config(
+        batch_size=8, frames=4, lipschitz="spectral", seed=997880702
+    )
+    corpus = SynthCorpusConfig(item_count=64, duration_seconds=0.128, seed=997880702)
+    assert not np.any(synth_speechlike(corpus, 37).samples[: config.segment_samples])
+    result = train_denoiser(config, corpus)
+    assert result.status == "completed"
+    assert all(np.isfinite(row["val_loss"]) for row in result.log)
+
+
+def test_training_rejects_corpora_with_fewer_than_two_voiced_segments(monkeypatch):
+    import lipsam.trainer as trainer_module
+
+    config = small_train_config(frames=4)
+    needed = config.segment_samples
+
+    def mostly_silent(corpus, index):
+        samples = np.full(2 * needed, 0.5)
+        if index > 0:
+            samples[:needed] = 0.0
+        return TimeSignal(samples, RATE)
+
+    monkeypatch.setattr(trainer_module, "synth_speechlike", mostly_silent)
+    with pytest.raises(DomainError):
+        train_denoiser(config, SynthCorpusConfig(item_count=4, seed=0))
+
+
 def test_warm_start_rejects_mismatched_nets():
     config = small_train_config()
     wrong_bins = TrainConfig(
