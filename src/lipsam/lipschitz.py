@@ -579,7 +579,7 @@ def pairwise_quotient_search(mapping: RealifiedMap, config: SearchConfig) -> Quo
         value=float(best_value),
         left=best_pair[0],
         right=best_pair[1],
-        trials=config.restarts,
+        trials=restart + 1,
         iterations=total_sweeps,
     )
 

@@ -3,7 +3,8 @@
 Layers convolve circularly with centered kernels, in one spatial dimension
 (channels x width, used for spectrogram magnitudes with frequency bins as
 channels) or two (channels x height x width, used for small image-like
-inputs).  Every array op broadcasts over optional leading batch axes.
+inputs), through one rank-generic code path for the forward map, its adjoint
+and the weight gradient.  Every array op broadcasts over leading batch axes.
 
 The linear part of each layer can carry a norm certificate: an upper bound
 on its operator norm for a fixed input geometry, computed exactly from the
@@ -15,6 +16,7 @@ output scale into a certified bound for the whole network.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -70,9 +72,10 @@ SOFTPLUS = Activation("softplus")
 class ConvLayer:
     """Circular convolution plus optional bias and an activation.
 
-    ``weights`` has shape [out_channels, in_channels, k] for 1-D layers or
-    [out_channels, in_channels, k, k] for 2-D layers, with odd k (centered,
-    same-size circular padding).
+    ``weights`` has shape [out_channels, in_channels, *kernel] with one
+    kernel dim for 1-D layers or two for 2-D layers; each kernel dim is odd
+    (centered, same-size circular padding) and may differ from the others
+    or exceed the input size.
     """
 
     weights: np.ndarray
@@ -83,8 +86,8 @@ class ConvLayer:
     def __post_init__(self) -> None:
         weights = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if weights.ndim not in (3, 4):
-            raise ShapeError("weights must be [out, in, k] or [out, in, k, k]")
-        if weights.shape[2] % 2 == 0 or (weights.ndim == 4 and weights.shape[3] % 2 == 0):
+            raise ShapeError("weights must be [out, in, k] or [out, in, k1, k2]")
+        if any(k % 2 == 0 for k in weights.shape[2:]):
             raise ShapeError("kernel sizes must be odd (centered circular padding)")
         if not np.all(np.isfinite(weights)):
             raise NonFiniteError("layer weights must be finite")
@@ -115,42 +118,42 @@ class ConvLayer:
         return self.weights.shape[0]
 
 
+def _shifted_inputs(x: np.ndarray, kernel_shape: tuple):
+    """Yield (offset, rows) for every kernel offset.
+
+    ``rows`` is a contiguous [batch * spatial, in_channels] matrix, so each
+    offset costs one matmul; its row for position p holds
+    ``x[..., :, p + offset - kernel_shape // 2]``, indexed circularly on each
+    trailing spatial axis.  All rows are cut from one wrap-padded,
+    channels-last copy of ``x``.
+    """
+    n = len(kernel_shape)
+    pad = [(0, 0)] * (x.ndim - n - 1) + [(k // 2, k // 2) for k in kernel_shape] + [(0, 0)]
+    padded = np.pad(np.moveaxis(x, -n - 1, -1), pad, mode="wrap")
+    for offset in np.ndindex(*kernel_shape):
+        window = tuple(slice(d, d + size) for d, size in zip(offset, x.shape[-n:]))
+        yield offset, padded[(..., *window, slice(None))].reshape(-1, x.shape[-n - 1])
+
+
 def _conv_linear(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply the linear part of a layer; x may carry leading batch axes."""
-    k = weights.shape[2]
-    c = k // 2
-    if weights.ndim == 3:
-        out = np.zeros(x.shape[:-2] + (weights.shape[0], x.shape[-1]))
-        for d in range(k):
-            out += np.einsum("oi,...iw->...ow", weights[:, :, d], np.roll(x, c - d, axis=-1))
-        return out
-    k2 = weights.shape[3]
-    c2 = k2 // 2
-    out = np.zeros(x.shape[:-3] + (weights.shape[0],) + x.shape[-2:])
-    for d in range(k):
-        for e in range(k2):
-            shifted = np.roll(x, (c - d, c2 - e), axis=(-2, -1))
-            out += np.einsum("oi,...ihw->...ohw", weights[:, :, d, e], shifted)
-    return out
+    n = weights.ndim - 2
+    out = sum(
+        rows @ weights[(..., *offset)].T
+        for offset, rows in _shifted_inputs(x, weights.shape[2:])
+    )
+    out = out.reshape(x.shape[: -n - 1] + x.shape[-n:] + (weights.shape[0],))
+    return np.moveaxis(out, -1, -n - 1)
 
 
 def _conv_linear_transpose(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_conv_linear` in the same geometry."""
-    k = weights.shape[2]
-    c = k // 2
-    if weights.ndim == 3:
-        out = np.zeros(g.shape[:-2] + (weights.shape[1], g.shape[-1]))
-        for d in range(k):
-            out += np.einsum("oi,...ow->...iw", weights[:, :, d], np.roll(g, d - c, axis=-1))
-        return out
-    k2 = weights.shape[3]
-    c2 = k2 // 2
-    out = np.zeros(g.shape[:-3] + (weights.shape[1],) + g.shape[-2:])
-    for d in range(k):
-        for e in range(k2):
-            shifted = np.roll(g, (d - c, e - c2), axis=(-2, -1))
-            out += np.einsum("oi,...ohw->...ihw", weights[:, :, d, e], shifted)
-    return out
+    """Adjoint of :func:`_conv_linear` in the same geometry.
+
+    Kernels are odd and centred, so the adjoint of the correlation is the
+    correlation with the spatially flipped, channel-swapped kernel.
+    """
+    spatial_axes = tuple(range(2, weights.ndim))
+    return _conv_linear(np.flip(weights, spatial_axes).swapaxes(0, 1), g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +241,7 @@ def forward(net: ConvNet, x: np.ndarray):
     number of leading batch axes allowed.
     """
     x = np.asarray(x, dtype=np.float64)
-    spatial = 3 if net.is_2d else 2
+    spatial = net.layers[0].weights.ndim - 1
     if x.ndim < spatial or x.shape[-spatial] != net.in_channels:
         raise ShapeError(
             f"input shape {x.shape} does not feed a net with {net.in_channels} input channels"
@@ -263,7 +266,7 @@ def backward(net: ConvNet, cache: ForwardCache, upstream: np.ndarray):
     """
     if cache.net is not net:
         raise ValueError("cache was produced by a different network instance")
-    spatial = 3 if net.is_2d else 2
+    spatial = net.layers[0].weights.ndim - 1
     g = np.asarray(upstream, dtype=np.float64) * net.scale
     grads = [None] * len(net.parameters())
     slot = len(grads)
@@ -282,23 +285,10 @@ def backward(net: ConvNet, cache: ForwardCache, upstream: np.ndarray):
 
 
 def _weight_gradient(weights: np.ndarray, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    k = weights.shape[2]
-    c = k // 2
-    grad = np.zeros_like(weights)
-    if weights.ndim == 3:
-        xb = x.reshape((-1,) + x.shape[-2:])
-        dzb = dz.reshape((-1,) + dz.shape[-2:])
-        for d in range(k):
-            grad[:, :, d] = np.einsum("bow,biw->oi", dzb, np.roll(xb, c - d, axis=-1))
-        return grad
-    k2 = weights.shape[3]
-    c2 = k2 // 2
-    xb = x.reshape((-1,) + x.shape[-3:])
-    dzb = dz.reshape((-1,) + dz.shape[-3:])
-    for d in range(k):
-        for e in range(k2):
-            shifted = np.roll(xb, (c - d, c2 - e), axis=(-2, -1))
-            grad[:, :, d, e] = np.einsum("bohw,bihw->oi", dzb, shifted)
+    dz_rows = np.moveaxis(dz, 1 - weights.ndim, -1).reshape(-1, weights.shape[0])
+    grad = np.empty_like(weights)
+    for offset, rows in _shifted_inputs(x, weights.shape[2:]):
+        grad[(..., *offset)] = dz_rows.T @ rows
     return grad
 
 
@@ -310,27 +300,16 @@ def circulant_operator_norm(layer: ConvLayer, input_shape: tuple) -> float:
     transforms at that frequency, so the overall norm is the maximum top
     singular value across frequencies.  Exact up to FFT rounding.
     """
-    expected = 2 if layer.is_2d else 1
-    if len(input_shape) != expected:
-        raise ShapeError(f"input_shape must have {expected} spatial dims")
     w = layer.weights
-    if layer.is_2d:
-        height, width = input_shape
-        k1, k2 = w.shape[2], w.shape[3]
-        kernel = np.zeros((w.shape[0], w.shape[1], height, width))
-        for d in range(k1):
-            for e in range(k2):
-                kernel[:, :, (d - k1 // 2) % height, (e - k2 // 2) % width] += w[:, :, d, e]
-        transfer = np.fft.fft2(kernel, axes=(-2, -1))
-        blocks = np.moveaxis(transfer, (0, 1), (2, 3)).reshape(-1, w.shape[0], w.shape[1])
-    else:
-        (width,) = input_shape
-        k = w.shape[2]
-        kernel = np.zeros((w.shape[0], w.shape[1], width))
-        for d in range(k):
-            kernel[:, :, (d - k // 2) % width] += w[:, :, d]
-        transfer = np.fft.fft(kernel, axis=-1)
-        blocks = np.moveaxis(transfer, (0, 1), (1, 2)).reshape(-1, w.shape[0], w.shape[1])
+    kernel_shape = w.shape[2:]
+    if len(input_shape) != len(kernel_shape):
+        raise ShapeError(f"input_shape must have {len(kernel_shape)} spatial dims")
+    kernel = np.zeros(w.shape[:2] + tuple(input_shape))
+    for offset in np.ndindex(*kernel_shape):
+        tap = tuple((d - k // 2) % size for d, k, size in zip(offset, kernel_shape, input_shape))
+        kernel[(..., *tap)] += w[(..., *offset)]
+    transfer = np.fft.fftn(kernel, axes=tuple(range(2, w.ndim)))
+    blocks = np.moveaxis(transfer, (0, 1), (-2, -1)).reshape(-1, w.shape[0], w.shape[1])
     return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
 
 
@@ -496,7 +475,7 @@ def load_weights(data: bytes) -> ConvNet:
         if has_cert and not (np.isfinite(cert) and cert >= 0.0):
             raise FormatError(f"invalid norm certificate {cert}")
         shape = reader.unpack(f"<{ndim}I")
-        size = int(np.prod(shape))
+        size = math.prod(shape)  # exact, so a crafted shape fails in take(), not reshape
         weights = np.frombuffer(reader.take(size * 8), dtype=np.float64).reshape(shape)
         bias = None
         if has_bias:

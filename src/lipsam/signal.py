@@ -125,8 +125,10 @@ class StftConfig:
             window = np.asarray(self.window, dtype=np.float64)
             if window.shape != (self.window_length,):
                 raise InvalidWindowError("window length does not match window_length")
+            if not np.all(np.isfinite(window)):
+                raise InvalidWindowError("window values must be finite")
         folded = window.reshape(-1, self.hop)
-        if np.max(np.abs(np.sum(folded * folded, axis=0) - 1.0)) > 1e-10:
+        if not np.max(np.abs(np.sum(folded * folded, axis=0) - 1.0)) <= 1e-10:
             raise InvalidWindowError("window is not tight: shifted squares must sum to 1")
         object.__setattr__(self, "window", window)
 

@@ -84,18 +84,21 @@ def certify_layer(layer: ConvLayer, input_shape: tuple, target: float = 1.0) -> 
     )
 
 
-def rewrite_first_layer_header(blob: bytes, slope=None, certificate=None) -> bytes:
+def rewrite_first_layer_header(blob: bytes, slope=None, certificate=None, shape=None) -> bytes:
     """A ``save_weights`` blob whose first layer stores a different activation
-    slope and/or norm certificate, re-checksummed so that only the value
-    checks in ``load_weights`` can reject it.
+    slope, norm certificate and/or weight shape (same rank), re-checksummed so
+    that only the value checks in ``load_weights`` can reject it.
     """
     # blob: magic (8) + version (4) | payload | crc32 (4); the payload opens
-    # with scale <d and layer count <I, then the first header <BBdBBd
+    # with scale <d and layer count <I, then the first header <BBdBBd and
+    # its shape, one <I per dim
     payload = bytearray(blob[12:-4])
     if slope is not None:
         struct.pack_into("<d", payload, 14, slope)
     if certificate is not None:
         struct.pack_into("<Bd", payload, 23, 1, certificate)
+    if shape is not None:
+        struct.pack_into(f"<{len(shape)}I", payload, 32, *shape)
     return blob[:12] + bytes(payload) + struct.pack("<I", zlib.crc32(payload))
 
 

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import lipsam
 from lipsam.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_lambda_grid
 from lipsam.errors import ConfigError
 from lipsam.modifier import architecture_from_config
@@ -441,10 +443,15 @@ def test_usage_errors_exit_1(workdir, capsys):
 
 
 def test_module_invocation_round_trip():
+    # the child must import the same package as this process, whatever
+    # PYTHONPATH the test runner was started with
+    src = os.path.dirname(os.path.dirname(lipsam.__file__))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     result = subprocess.run(
         [sys.executable, "-m", "lipsam.cli", "selfcheck"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
     )
     assert result.returncode == 0
     assert "check counterexamples: ok" in result.stdout

@@ -21,6 +21,7 @@ from lipsam.lipschitz import (
     unrealify,
 )
 from lipsam.modifier import (
+    BiasAdd,
     IdentityMap,
     ModifierArchitecture,
     NetMap,
@@ -401,6 +402,15 @@ def test_quotient_search_respects_leaky_relu_certificate():
         mapping, SearchConfig(restarts=2, max_iterations=15, seed=4)
     )
     assert result.value <= np.sqrt(2.0) + 1e-9
+
+
+def test_quotient_search_reports_restarts_run():
+    arch = ModifierArchitecture("am_se", BiasAdd(1.0))
+    mapping = RealifiedMap.from_modifier(arch, (3,))
+    config = SearchConfig(restarts=50, max_iterations=10, termination_threshold=2.0)
+    result = pairwise_quotient_search(mapping, config)
+    assert result.value > 2.0
+    assert result.trials == 1
 
 
 # ---------------------------------------------------------------- records

@@ -10,6 +10,9 @@ from lipsam.network import (
     AdamState,
     ConvLayer,
     ConvNet,
+    _conv_linear,
+    _conv_linear_transpose,
+    _weight_gradient,
     adam_step,
     backward,
     circulant_operator_norm,
@@ -82,6 +85,20 @@ def materialize_2d(weights, height, width):
     return np.stack(cols, axis=1)
 
 
+def loop_weight_gradient(weights, x, dz):
+    """d<dz, A_w x>/dw, one weight entry at a time through the loop oracles."""
+    loop_conv = loop_conv1d if weights.ndim == 3 else loop_conv2d
+    spatial = weights.ndim - 2
+    xs = x.reshape((-1,) + x.shape[-spatial - 1 :])
+    dzs = dz.reshape((-1,) + dz.shape[-spatial - 1 :])
+    grad = np.zeros_like(weights)
+    for idx in np.ndindex(weights.shape):
+        basis = np.zeros_like(weights)
+        basis[idx] = 1.0
+        grad[idx] = sum(np.sum(g * loop_conv(basis, None, item)) for item, g in zip(xs, dzs))
+    return grad
+
+
 def make_net_1d(rng, channels=(3, 4, 2), kernel=3, bias=True, activation=SOFTPLUS, scale=1.0):
     layers = []
     for cin, cout in zip(channels[:-1], channels[1:]):
@@ -125,6 +142,33 @@ def test_forward_matches_loop_oracle_2d_two_layers():
     hidden = np.logaddexp(0.0, loop_conv2d(w1, b1, x))
     expected = 1.5 * loop_conv2d(w2, None, hidden)
     np.testing.assert_allclose(out, expected, atol=1e-10)
+
+
+CONV_CASES = [
+    ((3, 2, 5), (2, 2, 3)),  # 1-D kernel wider than the input, one batch axis
+    ((2, 3, 5, 3), (2, 3, 3, 2)),  # 2-D kernel wider than the input
+    ((4, 3, 3, 3), (2, 2, 3, 4, 5)),  # two leading batch axes
+]
+
+
+@pytest.mark.parametrize("wshape,xshape", CONV_CASES)
+def test_conv_ops_match_loop_oracles(wshape, xshape):
+    rng = np.random.default_rng(9)
+    w = rng.standard_normal(wshape)
+    b = rng.standard_normal(wshape[0])
+    x = rng.standard_normal(xshape)
+    loop_conv = loop_conv1d if len(wshape) == 3 else loop_conv2d
+    spatial = len(wshape) - 2
+    out, _ = forward(ConvNet((ConvLayer(w, b, activation=IDENTITY),)), x)
+    items = x.reshape((-1,) + x.shape[-spatial - 1 :])
+    want = np.stack([loop_conv(w, b, item) for item in items]).reshape(out.shape)
+    np.testing.assert_allclose(out, want, atol=1e-10)
+    # adjoint identity <A x, g> = <x, A^T g>, to rounding of |<A x, g>|'s bound
+    g = rng.standard_normal(out.shape)
+    lhs = np.sum(_conv_linear(w, x) * g)
+    rhs = np.sum(x * _conv_linear_transpose(w, g))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(g) * np.abs(w).sum()
+    np.testing.assert_allclose(_weight_gradient(w, x, g), loop_weight_gradient(w, x, g), atol=1e-10)
 
 
 def test_forward_batched_matches_per_item():
@@ -259,7 +303,9 @@ def test_circulant_norm_matches_dense_svd_1d(shape, width):
     assert abs(got - want) <= 1e-10 * want
 
 
-@pytest.mark.parametrize("shape,spatial", [((2, 2, 3, 3), (4, 4)), ((3, 1, 3, 3), (4, 6))])
+@pytest.mark.parametrize(
+    "shape,spatial", [((2, 2, 3, 3), (4, 4)), ((3, 1, 3, 3), (4, 6)), ((2, 3, 5, 3), (3, 2))]
+)
 def test_circulant_norm_matches_dense_svd_2d(shape, spatial):
     rng = np.random.default_rng(22)
     layer = ConvLayer(rng.standard_normal(shape), activation=IDENTITY)
@@ -442,6 +488,14 @@ def test_load_rejects_invalid_certificate_or_slope(field, value):
     blob = save_weights(make_net_1d(rng, activation=LEAKY_RELU))
     with pytest.raises(FormatError):
         load_weights(rewrite_first_layer_header(blob, **{field: value}))
+
+
+def test_load_rejects_shape_beyond_stream():
+    # the element count of this shape wraps around in int64
+    rng = np.random.default_rng(23)
+    blob = save_weights(make_net_1d(rng, activation=LEAKY_RELU))
+    with pytest.raises(FormatError):
+        load_weights(rewrite_first_layer_header(blob, shape=(2**32 - 1, 2**32 - 1, 1)))
 
 
 def test_load_accepts_rechecksummed_valid_header():

@@ -65,6 +65,14 @@ def test_stft_config_rejects_untight_window():
         StftConfig(window_length=8, hop=4, window=np.ones(8))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_stft_config_rejects_non_finite_window(value):
+    window = make_tight_window(hann_window(8), hop=4)
+    window[3] = value
+    with pytest.raises(InvalidWindowError):
+        StftConfig(window_length=8, hop=4, window=window)
+
+
 # ---------------------------------------------------------------- STFT frame
 
 
