@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,11 @@ from .lipschitz import (
     fixed_modifier_family,
     pairwise_quotient_search,
 )
-from .modifier import KINDS, NetMap, architecture_from_config, theoretical_bound
-from .pnp import Observation, SolverConfig, lambda_sweep, precompute_inverse_filter, run
-from .signal import StftConfig, TimeSignal, istft, read_wav, stft, write_wav
+from .modifier import KINDS, ModifierArchitecture, NetMap, ZeroMap, architecture_from_config
+from .modifier import theoretical_bound
+from .pnp import AdmmState, Observation, SolverConfig, admm_iteration, admm_operators
+from .pnp import lambda_sweep, run
+from .signal import StftConfig, TimeSignal, circular_convolve, istft, read_wav, stft, write_wav
 from .trainer import SynthCorpusConfig, TrainConfig, train_denoiser
 from .errors import UnboundedModifierError, UncertifiedError
 from .network import load_net, save_net
@@ -491,33 +494,33 @@ def _check_stft_round_trip(fault: bool):
     return worst < 1e-10, f"max round-trip error {worst:.3e}"
 
 
+def _identity_iteration(y, h, u, xi1):
+    """State, operators and identity denoiser for one fused ADMM iteration
+    on y and h, with v = xi2 = 0."""
+    rate = 8000
+    small = StftConfig(window_length=16, hop=8)
+    observation = Observation(TimeSignal(y, rate), TimeSignal(h, rate))
+    ops = admm_operators(observation, small)
+    zero = np.zeros(y.size)
+    zero_spec = np.zeros((small.num_bins, y.size // small.hop), dtype=np.complex128)
+    state = AdmmState(x=zero, u=u, v=zero_spec, xi1=xi1, xi2=zero_spec)
+    return state, ops, ModifierArchitecture("lipsam_re", ZeroMap())
+
+
 def _check_prox_closed_form(fault: bool):
     import scipy.optimize
 
-    from .pnp import AdmmState, u_update
-    from .signal import circular_convolve
-
     rng = np.random.default_rng(1)
-    rate = 8000
-    small = StftConfig(window_length=16, hop=8)
-    y = TimeSignal(rng.standard_normal(32), rate)
-    h = TimeSignal(rng.standard_normal(4), rate)
-    observation = Observation(y, h)
-    zero_spec = stft(TimeSignal(np.zeros(32), rate), small)
-    state = AdmmState(
-        x=TimeSignal(rng.standard_normal(32), rate),
-        u=y,
-        v=zero_spec,
-        xi1=TimeSignal(rng.standard_normal(32), rate),
-        xi2=zero_spec,
-    )
+    y = rng.standard_normal(32)
+    h = rng.standard_normal(4)
+    state, ops, identity = _identity_iteration(y, h, y, rng.standard_normal(32))
     worst = 0.0
     for lam in (1e-3, 1.0, 1e2):
-        u = u_update(state, observation, lam).samples
+        result = admm_iteration(state, ops, identity, lam)
         w = (
-            circular_convolve(state.x, observation.h).samples
-            + state.xi1.samples
-            - y.samples
+            circular_convolve(TimeSignal(result.x), TimeSignal(h)).samples
+            + state.xi1
+            - y
         )
         lam_oracle = lam * 1.01 if fault else lam
 
@@ -528,22 +531,23 @@ def _check_prox_closed_form(fault: bool):
             method="BFGS",
             options={"gtol": 1e-14},
         )
-        worst = max(worst, float(np.max(np.abs((u - y.samples) - solution.x))))
+        worst = max(worst, float(np.max(np.abs((result.u - y) - solution.x))))
     return worst < 1e-8, f"max prox deviation {worst:.3e}"
 
 
 def _check_inverse_filter(fault: bool):
     rng = np.random.default_rng(2)
     h = rng.standard_normal(8)
-    filt = precompute_inverse_filter(TimeSignal(h, 8000), 48)
+    a = rng.standard_normal(48)
+    # with v = xi2 = 0 the x-update is (H^T H + I)^-1 H^T (u - xi1)
+    state, ops, identity = _identity_iteration(np.zeros(48), h, a, np.zeros(48))
     if fault:
-        filt = filt + 1e-3
-    r = rng.standard_normal(48)
-    fast = np.fft.ifft(np.fft.fft(r) * filt).real
+        ops = replace(ops, inverse_filter=ops.inverse_filter + 1e-3)
+    fast = admm_iteration(state, ops, identity, 1.0).x
     padded = np.zeros(48)
     padded[:8] = h
     dense_h = np.stack([np.roll(padded, k) for k in range(48)], axis=1)
-    dense = np.linalg.solve(dense_h.T @ dense_h + np.eye(48), r)
+    dense = np.linalg.solve(dense_h.T @ dense_h + np.eye(48), dense_h.T @ a)
     worst = float(np.max(np.abs(fast - dense)))
     return worst < 1e-8, f"max inverse-filter deviation {worst:.3e}"
 

@@ -10,12 +10,17 @@ gives the ADMM recursion
     xi <- xi + residuals
 
 where the v-proximity operator is replaced by an amplitude-modifier
-denoiser D.  Because the window is Parseval tight, G^H G = I and the
-x-update reduces to one FFT division; H^T H is diagonalized by the same
-FFT, so the inverse filter 1/(|FFT(h)|^2 + 1) is precomputed once.
+denoiser D.  Because the window is Parseval tight, G^H G = I, and H^T H is
+diagonalized by the FFT, so the x-update is one division by |FFT(h)|^2 + 1
+in the frequency domain.  One fused iteration forms the spectrum of x once
+and reads Hx off it, so it runs one STFT and one ISTFT: six FFTs in all.
+The iteration works on plain arrays; signal types appear only where a solve
+starts and ends.
 
-Divergence is contained, not fatal: the first non-finite value ends the
-run with a diverged status and the traces collected so far.
+Divergence is contained, not fatal: after each iteration one finiteness
+check on the new variables (and a non-finite denoiser output) ends the run
+with a diverged status; the estimate, the state and the traces are those of
+the last completed iteration.
 """
 
 from dataclasses import dataclass, field, replace
@@ -23,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ShapeError
-from .modifier import ModifierArchitecture, apply
-from .signal import Spectrogram, StftConfig, TimeSignal, circular_convolve, istft, si_snr, stft
+from .errors import DomainError, NonFiniteError, ShapeError, UndefinedMetricError
+from .modifier import ModifierArchitecture, apply_to_values
+from .signal import StftConfig, TimeSignal, analysis, si_snr_values, synthesis
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,102 +79,76 @@ class SolverConfig:
             raise DomainError("log_every must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AdmmState:
-    """The five ADMM variables plus the iteration counter and traces."""
+    """The five ADMM variables: x, u, xi1 of shape [samples]; v, xi2 of
+    shape [num_bins, num_frames]."""
 
-    x: TimeSignal
-    u: TimeSignal
-    v: Spectrogram
-    xi1: TimeSignal
-    xi2: Spectrogram
-    iteration: int = 0
-    delta_x_history: list = field(default_factory=list)
-    si_snr_history: Optional[list] = None
+    x: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    xi1: np.ndarray
+    xi2: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class AdmmOperators:
+    """What a solve holds fixed: y, the spectrum rfft(h) of the padded
+    impulse response, the x-update filter 1 / (|rfft(h)|^2 + 1) and the STFT.
+
+    The filter is real in (0, 1]; the +1 from the tight STFT branch keeps
+    its denominator away from zero, so no regularization knob is needed.
+    """
+
+    y: np.ndarray
+    h_spectrum: np.ndarray
+    inverse_filter: np.ndarray
+    stft: StftConfig
+
+
+def admm_operators(observation: Observation, stft_config: StftConfig) -> AdmmOperators:
+    """Precompute the fixed operators of a solve on ``observation``."""
+    h_spectrum = np.fft.rfft(observation.h.samples)
+    return AdmmOperators(
+        observation.y.samples, h_spectrum, 1.0 / (np.abs(h_spectrum) ** 2 + 1.0), stft_config
+    )
 
 
 def initial_state(observation: Observation, config: SolverConfig) -> AdmmState:
     """Warm start from the observation: x = 0, u = y, v = 0, duals = 0."""
-    rate = observation.y.sample_rate
-    zero = TimeSignal(np.zeros(observation.length), rate)
-    zero_spec = stft(zero, config.stft)
-    return AdmmState(
-        x=zero,
-        u=observation.y,
-        v=zero_spec,
-        xi1=zero,
-        xi2=Spectrogram(zero_spec.values.copy(), config.stft),
+    hop = config.stft.hop
+    if observation.length % hop or observation.length < config.stft.window_length:
+        raise ShapeError(
+            f"observation length {observation.length} must be a multiple of hop {hop} "
+            f"and cover one window of {config.stft.window_length}"
+        )
+    zero = np.zeros(observation.length)
+    zero_spec = np.zeros((config.stft.num_bins, observation.length // hop), dtype=np.complex128)
+    return AdmmState(x=zero, u=observation.y.samples, v=zero_spec, xi1=zero, xi2=zero_spec)
+
+
+def admm_iteration(
+    state: AdmmState, ops: AdmmOperators, denoiser: ModifierArchitecture, lam: float
+) -> AdmmState:
+    """One ADMM iteration: the x-, u-, v- and dual updates in order.
+
+    The u-update is the closed-form prox of (1/(2 lam))||. - y||^2 at
+    Hx + xi1, i.e. multiplication of the residual Hx + xi1 - y by
+    lam/(1+lam).  A denoiser that returns non-finite values raises
+    NonFiniteError.
+    """
+    n = ops.y.size
+    # H^T a is a multiplication by conj(rfft(h)) in the frequency domain.
+    rhs = np.fft.rfft(state.u - state.xi1) * np.conj(ops.h_spectrum) + np.fft.rfft(
+        synthesis(state.v - state.xi2, ops.stft)
     )
-
-
-def precompute_inverse_filter(h: TimeSignal, length: int) -> np.ndarray:
-    """The spectrum 1 / (|FFT(h)|^2 + 1) that inverts H^T H + I.
-
-    Real values in (0, 1]; the +1 from the tight STFT branch keeps the
-    denominator away from zero, so no regularization knob is needed.
-    """
-    if len(h) > length:
-        raise ShapeError("impulse response is longer than the target length")
-    padded = np.zeros(length)
-    padded[: len(h)] = h.samples
-    spectrum = np.fft.fft(padded)
-    return 1.0 / (np.abs(spectrum) ** 2 + 1.0)
-
-
-def _correlate(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # H^T a: circular cross-correlation, the exact adjoint of the circulant
-    return np.fft.ifft(np.fft.fft(values) * np.conj(np.fft.fft(kernel))).real
-
-
-def _solver_stft_config(state: AdmmState) -> StftConfig:
-    config = state.v.config
-    if config is None:
-        raise ShapeError("solver state spectrograms must carry their StftConfig")
-    return config
-
-
-def x_update(
-    state: AdmmState, observation: Observation, inverse_filter: np.ndarray
-) -> TimeSignal:
-    """Quadratic-term minimizer: one filtered FFT inversion."""
-    config = _solver_stft_config(state)
-    rate = observation.y.sample_rate
-    from_time = _correlate(state.u.samples - state.xi1.samples, observation.h.samples)
-    residual_spec = Spectrogram(state.v.values - state.xi2.values, config)
-    from_spec = istft(residual_spec, config, rate).samples
-    r = from_time + from_spec
-    x = np.fft.ifft(np.fft.fft(r) * inverse_filter).real
-    return TimeSignal(x, rate)
-
-
-def u_update(state: AdmmState, observation: Observation, lam: float) -> TimeSignal:
-    """Proximity operator of the data term, in closed form.
-
-    prox of (1/(2 lam))||.||^2 is multiplication by lam/(1+lam), applied to
-    the residual Hx + xi1 - y and shifted back by y.
-    """
-    hx = circular_convolve(state.x, observation.h).samples
-    w = hx + state.xi1.samples - observation.y.samples
-    u = (lam / (1.0 + lam)) * w + observation.y.samples
-    return TimeSignal(u, observation.y.sample_rate)
-
-
-def v_update(state: AdmmState, denoiser: ModifierArchitecture) -> Spectrogram:
-    """Plug-and-play step: denoise the shifted analysis coefficients."""
-    config = _solver_stft_config(state)
-    noisy = Spectrogram(stft(state.x, config).values + state.xi2.values, config)
-    return apply(denoiser, noisy)
-
-
-def dual_update(state: AdmmState, observation: Observation):
-    """Multiplier ascent on both splitting constraints."""
-    config = _solver_stft_config(state)
-    rate = observation.y.sample_rate
-    hx = circular_convolve(state.x, observation.h).samples
-    xi1 = TimeSignal(state.xi1.samples + hx - state.u.samples, rate)
-    gx = stft(state.x, config).values
-    xi2 = Spectrogram(state.xi2.values + gx - state.v.values, config)
-    return xi1, xi2
+    x_spectrum = rhs * ops.inverse_filter
+    x = np.fft.irfft(x_spectrum, n=n)
+    hx = np.fft.irfft(x_spectrum * ops.h_spectrum, n=n)
+    gx = analysis(x, ops.stft)
+    u = (lam / (1.0 + lam)) * (hx + state.xi1 - ops.y) + ops.y
+    v = apply_to_values(denoiser, gx + state.xi2)
+    return AdmmState(x=x, u=u, v=v, xi1=state.xi1 + hx - u, xi2=state.xi2 + gx - v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,44 +184,53 @@ def run(
 
     Records ||x_k - x_{k-1}|| each iteration, and SI-SNR against
     ``reference`` when one is supplied (purely observational, the iteration
-    never sees it).  The first non-finite value anywhere in an iteration
-    stops the run with status ``diverged`` at that iteration; traces cover
-    exactly the completed iterations.
+    never sees it).  The reference must match the observation's length and
+    sample rate and must not be all zero; it is checked before the first
+    iteration.  The first iteration that produces a non-finite value stops
+    the run with status ``diverged`` at that iteration.  ``x_hat``, ``state``
+    and the traces then hold the last completed iteration, whichever update
+    failed.
     """
-    inverse_filter = precompute_inverse_filter(observation.h, observation.length)
-    state = initial_state(observation, config)
+    rate = observation.y.sample_rate
     if reference is not None:
-        state.si_snr_history = []
+        if len(reference) != observation.length:
+            raise ShapeError("reference and observation lengths differ")
+        if reference.sample_rate != rate:
+            raise ShapeError("reference and observation sample rates differ")
+        if not np.any(reference.samples):
+            raise UndefinedMetricError("reference signal is identically zero")
+    ops = admm_operators(observation, config.stft)
+    state = initial_state(observation, config)
+    delta_x, si_snr_trace = [], []
     status = "completed"
     diverged_at = None
-    for k in range(1, config.max_iterations + 1):
-        try:
-            with np.errstate(all="ignore"):
-                x_new = x_update(state, observation, inverse_filter)
-                delta = float(np.linalg.norm(x_new.samples - state.x.samples))
-                state.x = x_new
-                state.u = u_update(state, observation, config.lam)
-                state.v = v_update(state, denoiser)
-                state.xi1, state.xi2 = dual_update(state, observation)
-        except (DomainError, NonFiniteError, FloatingPointError, OverflowError):
-            status = "diverged"
-            diverged_at = k
-            break
-        state.iteration = k
-        state.delta_x_history.append(delta)
-        if state.si_snr_history is not None:
-            state.si_snr_history.append(si_snr(state.x, reference))
-        if config.log_every and k % config.log_every == 0:
-            print(f"iteration {k}: delta_x {delta:.6e}")
+    with np.errstate(all="ignore"):
+        for k in range(1, config.max_iterations + 1):
+            try:
+                new = admm_iteration(state, ops, denoiser, config.lam)
+            except NonFiniteError:
+                new = None
+            # Each dual sums the other values of its iteration (Hx and u, Gx and
+            # v), and a non-finite x reaches every bin of Gx, so finite duals
+            # mean a finite iteration.
+            if new is None or not (np.all(np.isfinite(new.xi1)) and np.all(np.isfinite(new.xi2))):
+                status = "diverged"
+                diverged_at = k
+                break
+            delta = float(np.linalg.norm(new.x - state.x))
+            state = new
+            delta_x.append(delta)
+            if reference is not None:
+                si_snr_trace.append(si_snr_values(state.x, reference.samples))
+            if config.log_every and k % config.log_every == 0:
+                print(f"iteration {k}: delta_x {delta:.6e}")
     return SolveResult(
-        x_hat=state.x,
-        delta_x=np.asarray(state.delta_x_history),
-        si_snr_trace=(
-            None if state.si_snr_history is None else np.asarray(state.si_snr_history)
-        ),
+        x_hat=TimeSignal(state.x, rate),
+        delta_x=np.asarray(delta_x),
+        si_snr_trace=None if reference is None else np.asarray(si_snr_trace),
         status=status,
         diverged_at=diverged_at,
-        iterations=state.iteration,
+        iterations=len(delta_x),
         state=state,
     )
 

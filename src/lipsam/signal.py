@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.io.wavfile
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DomainError,
@@ -46,10 +47,11 @@ class TimeSignal:
             raise ShapeError("signal must contain at least one sample")
         if not np.all(np.isfinite(samples)):
             raise DomainError("signal samples must be finite")
-        if int(self.sample_rate) <= 0:
-            raise DomainError("sample rate must be positive")
+        rate = float(self.sample_rate)
+        if not (np.isfinite(rate) and rate.is_integer() and rate > 0):
+            raise DomainError(f"sample rate must be a positive integer, got {self.sample_rate!r}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", int(rate))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -185,12 +187,39 @@ def _bin_weights(config: StftConfig) -> np.ndarray:
     return weights
 
 
-def _gather_frames(x: np.ndarray, config: StftConfig) -> np.ndarray:
-    """Stack circularly wrapped frames, shape [num_frames, window_length]."""
+def analysis(x: np.ndarray, config: StftConfig) -> np.ndarray:
+    """Tight-frame analysis of [..., samples] to [..., num_bins, num_frames].
+
+    The sample count must be a multiple of the hop and cover one window.
+    Frame j starts at sample j*hop and wraps around the end, so the frames
+    are one strided view of the signal extended by its first samples.
+    """
     hop = config.hop
-    strips = x.reshape(-1, hop)
-    blocks = [np.roll(strips, -j, axis=0) for j in range(config.window_length // hop)]
-    return np.concatenate(blocks, axis=1)
+    extended = np.concatenate([x, x[..., : config.window_length - hop]], axis=-1)
+    frames = sliding_window_view(extended, config.window_length, axis=-1)[..., ::hop, :]
+    spectrum = np.fft.rfft(frames * config.window, n=config.fft_length, axis=-1)
+    weights = _bin_weights(config) / np.sqrt(config.fft_length)
+    return np.ascontiguousarray(np.swapaxes(spectrum * weights, -1, -2))
+
+
+def synthesis(values: np.ndarray, config: StftConfig) -> np.ndarray:
+    """The exact adjoint of :func:`analysis`: [..., num_bins, num_frames] to
+    [..., num_frames * hop]."""
+    # Adjoint of the weighted one-sided DFT. Imaginary parts at DC and
+    # Nyquist do not couple to real signals, so the adjoint drops them.
+    scaled = np.swapaxes(values, -1, -2) * (np.sqrt(config.fft_length) / _bin_weights(config))
+    scaled[..., 0] = scaled[..., 0].real
+    scaled[..., -1] = scaled[..., -1].real
+    frames = np.fft.irfft(scaled, n=config.fft_length, axis=-1) * config.window
+    hop = config.hop
+    count = frames.shape[-2]
+    blocks = frames.reshape(frames.shape[:-1] + (config.window_length // hop, hop))
+    # Block j of frame i lands on strip (i + j) mod count.
+    out = np.zeros(frames.shape[:-2] + (count, hop))
+    for j in range(blocks.shape[-2]):
+        out[..., j:, :] += blocks[..., : count - j, j, :]
+        out[..., :j, :] += blocks[..., count - j :, j, :]
+    return out.reshape(out.shape[:-2] + (count * hop,))
 
 
 def stft(signal: TimeSignal, config: StftConfig) -> Spectrogram:
@@ -213,10 +242,7 @@ def stft(signal: TimeSignal, config: StftConfig) -> Spectrogram:
         raise ShapeError(
             f"signal length {x.size} is shorter than the window {config.window_length}"
         )
-    frames = _gather_frames(x, config) * config.window
-    spectrum = np.fft.rfft(frames, n=config.fft_length, axis=1)
-    weights = _bin_weights(config) / np.sqrt(config.fft_length)
-    return Spectrogram((spectrum * weights).T, config)
+    return Spectrogram(analysis(x, config), config)
 
 
 def istft(spec: Spectrogram, config: StftConfig, sample_rate: int = 8000) -> TimeSignal:
@@ -233,20 +259,9 @@ def istft(spec: Spectrogram, config: StftConfig, sample_rate: int = 8000) -> Tim
         raise ShapeError(
             f"expected {config.num_bins} frequency bins, got {values.shape[0]}"
         )
-    length = values.shape[1] * config.hop
-    if length < config.window_length:
+    if values.shape[1] * config.hop < config.window_length:
         raise ShapeError("too few frames to cover one window")
-    # Adjoint of the weighted one-sided DFT. Imaginary parts at DC and
-    # Nyquist do not couple to real signals, so the adjoint drops them.
-    scaled = (values.T * (np.sqrt(config.fft_length) / _bin_weights(config))).copy()
-    scaled[:, 0] = scaled[:, 0].real
-    scaled[:, -1] = scaled[:, -1].real
-    frames = np.fft.irfft(scaled, n=config.fft_length, axis=1) * config.window
-    hop = config.hop
-    out = np.zeros((length // hop, hop))
-    for j in range(config.window_length // hop):
-        out += np.roll(frames[:, j * hop : (j + 1) * hop], j, axis=0)
-    return TimeSignal(out.reshape(-1), sample_rate)
+    return TimeSignal(synthesis(values, config), sample_rate)
 
 
 def circular_convolve(x: TimeSignal, h: TimeSignal) -> TimeSignal:
@@ -292,8 +307,11 @@ def si_snr(estimate: TimeSignal, reference: TimeSignal) -> float:
     """
     if len(estimate) != len(reference):
         raise ShapeError("signals must have equal length")
-    ref = reference.samples
-    est = estimate.samples
+    return si_snr_values(estimate.samples, reference.samples)
+
+
+def si_snr_values(est: np.ndarray, ref: np.ndarray) -> float:
+    """:func:`si_snr` on two sample vectors of equal length."""
     ref_power = float(np.dot(ref, ref))
     if ref_power == 0.0:
         raise UndefinedMetricError("reference signal is identically zero")

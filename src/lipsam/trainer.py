@@ -37,7 +37,8 @@ from .network import (
     circulant_operator_norm,
     project_unit_ball,
 )
-from .signal import Spectrogram, StftConfig, TimeSignal, istft, si_snr, snr, stft
+from .signal import Spectrogram, StftConfig, TimeSignal, analysis, istft, si_snr, snr, stft
+from .signal import synthesis
 
 LOSS_EPSILON = 1e-12
 
@@ -215,8 +216,10 @@ def neg_snr_loss(estimate: TimeSignal, reference: TimeSignal):
         raise ShapeError("estimate and reference must have equal length")
     if estimate.sample_rate != reference.sample_rate:
         raise ShapeError("estimate and reference sample rates differ")
-    ref = reference.samples
-    est = estimate.samples
+    return _neg_snr_loss(estimate.samples, reference.samples)
+
+
+def _neg_snr_loss(est: np.ndarray, ref: np.ndarray):
     ref_power = float(np.dot(ref, ref))
     if ref_power == 0.0:
         raise UndefinedMetricError("negative-SNR loss is undefined for a zero reference")
@@ -363,15 +366,7 @@ def _added_noise(clean: np.ndarray, snr_db: float, noise: np.ndarray) -> np.ndar
     return clean + noise * (scale / float(np.linalg.norm(noise)))
 
 
-def _analyze_batch(batch: np.ndarray, config: StftConfig, rate: int) -> np.ndarray:
-    return np.stack([stft(TimeSignal(row, rate), config).values for row in batch])
-
-
-def _synthesize_batch(values: np.ndarray, config: StftConfig, rate: int) -> np.ndarray:
-    return np.stack([istft(Spectrogram(v, config), config, rate).samples for v in values])
-
-
-def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig, rate: int):
+def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
     """Mean negative-SNR loss over a batch and its parameter gradients.
 
     The chain is stft -> modifier -> istft -> loss.  Synthesis is the exact
@@ -380,33 +375,27 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig, rate: in
     the flow to the amplitude path.
     """
     arch = ModifierArchitecture(kind, NetMap(net))
-    z = _analyze_batch(noisy, config.stft, rate)
+    z = analysis(noisy, config.stft)
     magnitude = np.abs(z)
     sign = complex_sign(z)
     amplitude, cache = _amplitude_with_cache(arch, magnitude)
-    estimates = _synthesize_batch(amplitude * sign, config.stft, rate)
+    estimates = synthesis(amplitude * sign, config.stft)
 
     batch = clean.shape[0]
     losses = np.empty(batch)
     grad_time = np.empty_like(estimates)
     for b in range(batch):
-        losses[b], grad_time[b] = neg_snr_loss(
-            TimeSignal(estimates[b], rate), TimeSignal(clean[b], rate)
-        )
-    grad_values = _analyze_batch(grad_time / batch, config.stft, rate)
+        losses[b], grad_time[b] = _neg_snr_loss(estimates[b], clean[b])
+    grad_values = analysis(grad_time / batch, config.stft)
     grad_amplitude = np.real(np.conj(sign) * grad_values)
     param_grads, _ = amplitude_backward(arch, cache, grad_amplitude)
     return float(np.mean(losses)), param_grads
 
 
-def _validation_loss(net, kind, clean, noisy, config: TrainConfig, rate: int) -> float:
+def _validation_loss(net, kind, clean, noisy, config: TrainConfig) -> float:
     arch = ModifierArchitecture(kind, NetMap(net))
-    z = _analyze_batch(noisy, config.stft, rate)
-    estimates = _synthesize_batch(apply_to_values(arch, z), config.stft, rate)
-    losses = [
-        neg_snr_loss(TimeSignal(est, rate), TimeSignal(ref, rate))[0]
-        for est, ref in zip(estimates, clean)
-    ]
+    estimates = synthesis(apply_to_values(arch, analysis(noisy, config.stft)), config.stft)
+    losses = [_neg_snr_loss(est, ref)[0] for est, ref in zip(estimates, clean)]
     return float(np.mean(losses))
 
 
@@ -451,7 +440,6 @@ def train_denoiser(
         corpus_config = SynthCorpusConfig(seed=train_config.seed)
     if corpus_config.item_count < 2:
         raise DomainError("training needs at least two corpus items (one is held out)")
-    rate = corpus_config.sample_rate
     needed = train_config.segment_samples
     items = _corpus_segments(corpus_config, needed)
 
@@ -478,7 +466,7 @@ def train_denoiser(
     params = net.parameters()
     state = AdamState.init(params, learning_rate=train_config.learning_rate)
 
-    val0 = _validation_loss(net, kind, val_clean, val_noisy, train_config, rate)
+    val0 = _validation_loss(net, kind, val_clean, val_noisy, train_config)
     log = [{"epoch": 0, "train_loss": float("nan"), "val_loss": val0}]
     best_net, best_epoch, best_val = net, 0, val0
     status = "completed"
@@ -497,12 +485,10 @@ def train_denoiser(
                 [_added_noise(c, s, n) for c, s, n in zip(clean, snrs, noise)]
             )
             try:
-                # Blow-ups surface as exceptions from the finiteness checks
-                # in TimeSignal/Spectrogram/adam_step, not as numpy warnings.
+                # Blow-ups surface as exceptions from the loss check below
+                # and from adam_step's gradient check, not as numpy warnings.
                 with np.errstate(all="ignore"):
-                    loss, grads = _batch_loss_and_grads(
-                        net, kind, clean, noisy, train_config, rate
-                    )
+                    loss, grads = _batch_loss_and_grads(net, kind, clean, noisy, train_config)
                     if not np.isfinite(loss):
                         raise NonFiniteError("training loss is not finite")
                     params, state = adam_step(params, grads, state)
@@ -517,7 +503,7 @@ def train_denoiser(
             epoch_losses.append(loss)
         if status == "aborted":
             break
-        val = _validation_loss(net, kind, val_clean, val_noisy, train_config, rate)
+        val = _validation_loss(net, kind, val_clean, val_noisy, train_config)
         log.append(
             {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)), "val_loss": val}
         )

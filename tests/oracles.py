@@ -65,6 +65,35 @@ def objective_fd_gradient(family, theta: np.ndarray, z: np.ndarray, h: float):
     return unrealify(grad_flat[: zr.size], shape), grad_flat[zr.size :]
 
 
+def roll_stft(x: np.ndarray, config) -> np.ndarray:
+    """Analysis of one signal with the frames gathered by ``np.roll``:
+    [samples] to [num_bins, num_frames]."""
+    hop = config.hop
+    strips = x.reshape(-1, hop)
+    blocks = [np.roll(strips, -j, axis=0) for j in range(config.window_length // hop)]
+    frames = np.concatenate(blocks, axis=1) * config.window
+    spectrum = np.fft.rfft(frames, n=config.fft_length, axis=1)
+    weights = np.full(config.num_bins, np.sqrt(2.0))
+    weights[0] = weights[-1] = 1.0
+    return (spectrum * (weights / np.sqrt(config.fft_length))).T
+
+
+def roll_istft(values: np.ndarray, config) -> np.ndarray:
+    """Synthesis of one coefficient matrix, overlap-adding each window block
+    with ``np.roll``: [num_bins, num_frames] to [samples]."""
+    weights = np.full(config.num_bins, np.sqrt(2.0))
+    weights[0] = weights[-1] = 1.0
+    scaled = (values.T * (np.sqrt(config.fft_length) / weights)).copy()
+    scaled[:, 0] = scaled[:, 0].real
+    scaled[:, -1] = scaled[:, -1].real
+    frames = np.fft.irfft(scaled, n=config.fft_length, axis=1) * config.window
+    hop = config.hop
+    out = np.zeros((values.shape[1], hop))
+    for j in range(config.window_length // hop):
+        out += np.roll(frames[:, j * hop : (j + 1) * hop], j, axis=0)
+    return out.reshape(-1)
+
+
 def certify_layer(layer: ConvLayer, input_shape: tuple, target: float = 1.0) -> ConvLayer:
     """Rescale ``layer`` to operator norm ``target`` on ``input_shape`` and
     stamp ``target`` as its certificate.

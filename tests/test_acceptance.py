@@ -45,18 +45,14 @@ from lipsam.network import (
     save_weights,
 )
 from lipsam.pnp import (
+    AdmmState,
     Observation,
     SolverConfig,
-    dual_update,
-    precompute_inverse_filter,
+    admm_iteration,
+    admm_operators,
     run,
-    u_update,
-    v_update,
-    x_update,
 )
-from lipsam.pnp import AdmmState
 from lipsam.signal import (
-    Spectrogram,
     StftConfig,
     TimeSignal,
     add_noise_at_snr,
@@ -322,27 +318,22 @@ def test_criterion_07_dense_admm_oracle(report):
     spec_shape = (stft_config.num_bins, length // stft_config.hop)
 
     def random_spec():
-        c = rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)
-        return Spectrogram(c, stft_config)
+        return rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)
 
     state = AdmmState(
-        x=TimeSignal(rng.standard_normal(length), RATE),
-        u=TimeSignal(rng.standard_normal(length), RATE),
+        x=rng.standard_normal(length),
+        u=rng.standard_normal(length),
         v=random_spec(),
-        xi1=TimeSignal(rng.standard_normal(length), RATE),
+        xi1=rng.standard_normal(length),
         xi2=random_spec(),
     )
 
     H = np.stack([np.roll(observation.h.samples, j) for j in range(length)], axis=1)
     G = _dense_analysis(stft_config, length)
-    u0, v0 = state.u.samples.copy(), state.v.values.copy()
-    xi10, xi20 = state.xi1.samples.copy(), state.xi2.values.copy()
+    u0, v0, xi10, xi20 = state.u, state.v, state.xi1, state.xi2
 
-    inverse_filter = precompute_inverse_filter(observation.h, length)
-    state.x = x_update(state, observation, inverse_filter)
-    state.u = u_update(state, observation, lam)
-    state.v = v_update(state, denoiser)
-    state.xi1, state.xi2 = dual_update(state, observation)
+    operators = admm_operators(observation, stft_config)
+    state = admm_iteration(state, operators, denoiser, lam)
 
     rhs = H.T @ (u0 - xi10) + G.T @ realify(v0 - xi20)
     x_d = np.linalg.solve(H.T @ H + np.eye(length), rhs)
@@ -353,15 +344,15 @@ def test_criterion_07_dense_admm_oracle(report):
     xi2_d = xi20 + gx - v_d
 
     errors = {
-        "x": float(np.max(np.abs(state.x.samples - x_d))),
-        "u": float(np.max(np.abs(state.u.samples - u_d))),
-        "v": float(np.max(np.abs(state.v.values - v_d))),
-        "xi1": float(np.max(np.abs(state.xi1.samples - xi1_d))),
-        "xi2": float(np.max(np.abs(state.xi2.values - xi2_d))),
+        "x": float(np.max(np.abs(state.x - x_d))),
+        "u": float(np.max(np.abs(state.u - u_d))),
+        "v": float(np.max(np.abs(state.v - v_d))),
+        "xi1": float(np.max(np.abs(state.xi1 - xi1_d))),
+        "xi2": float(np.max(np.abs(state.xi2 - xi2_d))),
     }
 
     r = rng.standard_normal(length)
-    fast_solve = np.fft.ifft(np.fft.fft(r) * inverse_filter).real
+    fast_solve = np.fft.irfft(np.fft.rfft(r) * operators.inverse_filter, n=length)
     dense_solve = np.linalg.solve(H.T @ H + np.eye(length), r)
     errors["filter"] = float(np.max(np.abs(fast_solve - dense_solve)))
 
@@ -382,20 +373,25 @@ def test_criterion_08_prox_matches_numeric_minimizer(report):
     rng = np.random.default_rng(80)
     y = TimeSignal(rng.standard_normal(length), RATE)
     observation = Observation(y, TimeSignal(rng.standard_normal(4), RATE))
-    zero_spec = stft(TimeSignal(np.zeros(length), RATE), stft_config)
+    # the x-update runs first, from u = 0 and v = xi2 = 0; the prox then
+    # acts at w = Hx + xi1 - y with that x
+    zero_spec = np.zeros((stft_config.num_bins, length // stft_config.hop), dtype=np.complex128)
     state = AdmmState(
-        x=TimeSignal(rng.standard_normal(length), RATE),
-        u=TimeSignal(np.zeros(length), RATE),
+        x=np.zeros(length),
+        u=np.zeros(length),
         v=zero_spec,
-        xi1=TimeSignal(rng.standard_normal(length), RATE),
+        xi1=rng.standard_normal(length),
         xi2=zero_spec,
     )
-    hx = circular_convolve(state.x, observation.h).samples
-    w = hx + state.xi1.samples - y.samples
+    operators = admm_operators(observation, stft_config)
+    denoiser = ModifierArchitecture("lipsam_se", IdentityMap())
 
     worst = 0.0
     for lam in (1e-3, 1.0, 1e2):
-        fast = u_update(state, observation, lam).samples - y.samples
+        new = admm_iteration(state, operators, denoiser, lam)
+        hx = circular_convolve(TimeSignal(new.x, RATE), observation.h).samples
+        w = hx + state.xi1 - y.samples
+        fast = new.u - y.samples
 
         def objective(p):
             return 0.5 / lam * np.sum(p**2) + 0.5 * np.sum((p - w) ** 2)
@@ -595,13 +591,13 @@ def test_criterion_11_gradients_match_finite_differences(report):
         if margin <= 1e-4:
             continue  # too close to a relu or min kink for clean differences
         accepted += 1
-        _, grads = _batch_loss_and_grads(net, kind, clean, noisy, config, RATE)
+        _, grads = _batch_loss_and_grads(net, kind, clean, noisy, config)
         flat = net.flatten_parameters()
         grad_flat = np.concatenate([g.reshape(-1) for g in grads])
 
         def loss_at(vector):
             value, _ = _batch_loss_and_grads(
-                net.with_parameters(vector), kind, clean, noisy, config, RATE
+                net.with_parameters(vector), kind, clean, noisy, config
             )
             return value
 

@@ -14,7 +14,7 @@ from lipsam.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main,
 from lipsam.errors import ConfigError
 from lipsam.modifier import architecture_from_config
 from lipsam.network import IDENTITY, ConvLayer, ConvNet, load_net, save_net, save_weights
-from lipsam.signal import TimeSignal, circular_convolve, add_noise_at_snr, write_wav
+from lipsam.signal import TimeSignal, circular_convolve, add_noise_at_snr, read_wav, write_wav
 from lipsam.trainer import SynthCorpusConfig, synth_rir, synth_speechlike
 from oracles import rewrite_first_layer_header
 
@@ -241,6 +241,26 @@ def test_dereverb_writes_wav_and_trace(workdir, capsys):
     assert len(rows) == 41
     assert [row[0] for row in rows[1:4]] == ["1", "2", "3"]
     assert all(np.isfinite(float(row[1])) for row in rows[1:])
+
+
+def test_dereverb_rejects_reference_at_another_rate(workdir, capsys):
+    paths = make_wav_fixtures(workdir)
+    clean = read_wav(paths["clean"])
+    write_wav(workdir / "clean_16k.wav", TimeSignal(clean.samples, 2 * RATE))
+    solver = write_json(workdir / "solver.json", SOLVER_KEYS)
+    denoiser = write_json(
+        workdir / "soft.json",
+        {"kind": "lipsam_re", "inner": {"variant": "soft_thresh", "tau": 0.05}},
+    )
+    code = main([
+        "dereverb", "--input", paths["observed"], "--rir", paths["rir"],
+        "--denoiser", denoiser, "--iters", "5", "--out", "dereverbed.wav",
+        "--reference", str(workdir / "clean_16k.wav"), "--config", solver,
+        "--out-dir", str(workdir),
+    ])
+    assert code == EXIT_USAGE
+    assert "sample rates differ" in capsys.readouterr().err
+    assert not (workdir / "dereverbed.wav").exists()
 
 
 def test_dereverb_without_reference_omits_si_snr_column(workdir):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
 
-from lipsam.errors import DomainError, ShapeError
+from lipsam.errors import DomainError, ShapeError, UndefinedMetricError
 from lipsam.lipschitz import realify, unrealify
 from lipsam.modifier import (
     AmplitudeMap,
@@ -15,18 +17,14 @@ from lipsam.pnp import (
     AdmmState,
     Observation,
     SolverConfig,
+    admm_iteration,
+    admm_operators,
     default_lambda_grid,
-    dual_update,
     initial_state,
     lambda_sweep,
-    precompute_inverse_filter,
     run,
-    u_update,
-    v_update,
-    x_update,
 )
 from lipsam.signal import (
-    Spectrogram,
     StftConfig,
     TimeSignal,
     add_noise_at_snr,
@@ -66,16 +64,25 @@ def random_state(seed, observation, config=SMALL):
     spec_shape = (config.num_bins, length // config.hop)
 
     def spec():
-        c = rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)
-        return Spectrogram(c, config)
+        return rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)
 
     return AdmmState(
-        x=TimeSignal(rng.standard_normal(length), RATE),
-        u=TimeSignal(rng.standard_normal(length), RATE),
+        x=rng.standard_normal(length),
+        u=rng.standard_normal(length),
         v=spec(),
-        xi1=TimeSignal(rng.standard_normal(length), RATE),
+        xi1=rng.standard_normal(length),
         xi2=spec(),
     )
+
+
+def iterate(state, obs, denoiser=None, lam=1.0, config=SMALL):
+    """One fused ADMM iteration on ``obs`` from ``state``."""
+    ops = admm_operators(obs, config)
+    return admm_iteration(state, ops, denoiser or identity_denoiser(), lam)
+
+
+def convolve(x, h):
+    return circular_convolve(TimeSignal(x, RATE), h).samples
 
 
 def dense_analysis_matrix(config, length):
@@ -140,33 +147,43 @@ def test_solver_config_validation():
 def test_initial_state_is_warm_start():
     obs = random_observation(1)
     state = initial_state(obs, SolverConfig(lam=1.0, stft=SMALL))
-    assert np.all(state.x.samples == 0.0)
-    assert np.array_equal(state.u.samples, obs.y.samples)
-    assert np.all(state.v.values == 0.0)
-    assert np.all(state.xi1.samples == 0.0)
-    assert np.all(state.xi2.values == 0.0)
+    assert np.all(state.x == 0.0)
+    assert np.array_equal(state.u, obs.y.samples)
+    assert state.v.shape == (SMALL.num_bins, 8) and np.all(state.v == 0.0)
+    assert np.all(state.xi1 == 0.0)
+    assert np.all(state.xi2 == 0.0)
+
+
+def test_initial_state_rejects_lengths_off_the_frame_grid():
+    rng = np.random.default_rng(1)
+    for length in (60, 8):
+        obs = Observation(TimeSignal(rng.standard_normal(length), RATE), delta_signal(1))
+        with pytest.raises(ShapeError):
+            initial_state(obs, SolverConfig(lam=1.0, stft=SMALL))
 
 
 # ---------------------------------------------------------------- inverse filter
 
 
 def test_inverse_filter_delta_is_half():
-    filt = precompute_inverse_filter(delta_signal(4), 64)
+    obs = Observation(TimeSignal(np.ones(64), RATE), delta_signal(4))
+    filt = admm_operators(obs, SMALL).inverse_filter
     assert np.allclose(filt, 0.5, atol=1e-15)
 
 
 def test_inverse_filter_zero_kernel_is_one():
-    filt = precompute_inverse_filter(TimeSignal(np.zeros(4), RATE), 16)
+    # an all-zero kernel is not an Observation; one whose square underflows
+    # to zero gives the same filter
+    obs = Observation(TimeSignal(np.ones(16), RATE), delta_signal(4, gain=1e-200))
+    filt = admm_operators(obs, SMALL).inverse_filter
     assert np.allclose(filt, 1.0, atol=1e-15)
 
 
 def test_inverse_filter_range_and_length():
     obs = random_observation(2)
-    filt = precompute_inverse_filter(obs.h, obs.length)
-    assert filt.shape == (64,)
+    filt = admm_operators(obs, SMALL).inverse_filter
+    assert filt.shape == (33,)
     assert np.all(filt > 0.0) and np.all(filt <= 1.0)
-    with pytest.raises(ShapeError):
-        precompute_inverse_filter(obs.h, 32)
 
 
 # ---------------------------------------------------------------- x update
@@ -175,34 +192,28 @@ def test_inverse_filter_range_and_length():
 def test_x_update_delta_channel_example():
     obs = Observation(TimeSignal(np.zeros(64) + 1e-12, RATE), delta_signal(1))
     state = initial_state(obs, SolverConfig(lam=1.0, stft=SMALL))
-    state.u = delta_signal(64, gain=2.0)
-    filt = precompute_inverse_filter(obs.h, 64)
-    x = x_update(state, obs, filt)
+    state = replace(state, u=delta_signal(64, gain=2.0).samples)
     want = np.zeros(64)
     want[0] = 1.0
-    assert np.allclose(x.samples, want, atol=1e-12)
+    assert np.allclose(iterate(state, obs).x, want, atol=1e-12)
 
 
 def test_x_update_zero_state_is_zero():
     obs = random_observation(3)
     state = initial_state(obs, SolverConfig(lam=1.0, stft=SMALL))
-    state.u = TimeSignal(np.zeros(64), RATE)
-    filt = precompute_inverse_filter(obs.h, 64)
-    assert np.allclose(x_update(state, obs, filt).samples, 0.0, atol=1e-15)
+    state = replace(state, u=np.zeros(64))
+    assert np.allclose(iterate(state, obs).x, 0.0, atol=1e-15)
 
 
 def test_x_update_matches_dense_solve():
     obs = random_observation(4)
     state = random_state(5, obs)
-    filt = precompute_inverse_filter(obs.h, obs.length)
-    fast = x_update(state, obs, filt).samples
+    fast = iterate(state, obs).x
 
     H = dense_circulant(obs.h.samples)
     G = dense_analysis_matrix(SMALL, obs.length)
     assert np.allclose(G.T @ G, np.eye(obs.length), atol=1e-9)
-    rhs = H.T @ (state.u.samples - state.xi1.samples) + G.T @ realify(
-        state.v.values - state.xi2.values
-    )
+    rhs = H.T @ (state.u - state.xi1) + G.T @ realify(state.v - state.xi2)
     dense = np.linalg.solve(H.T @ H + np.eye(obs.length), rhs)
     assert np.allclose(fast, dense, atol=1e-8)
 
@@ -214,9 +225,9 @@ def test_u_update_closed_form_and_prox_oracle():
     obs = random_observation(6)
     state = random_state(7, obs)
     for lam in (1e-3, 1.0, 1e2):
-        u = u_update(state, obs, lam).samples
-        w = circular_convolve(state.x, obs.h).samples + state.xi1.samples - obs.y.samples
-        assert np.allclose(u, (lam / (1.0 + lam)) * w + obs.y.samples, atol=1e-12)
+        new = iterate(state, obs, lam=lam)
+        w = convolve(new.x, obs.h) + state.xi1 - obs.y.samples
+        assert np.allclose(new.u, (lam / (1.0 + lam)) * w + obs.y.samples, atol=1e-12)
 
         # independent numeric minimization of the prox objective
         target = w[:6]
@@ -236,19 +247,21 @@ def test_u_update_closed_form_and_prox_oracle():
 def test_u_update_large_lambda_is_identity():
     obs = random_observation(8)
     state = random_state(9, obs)
-    u = u_update(state, obs, 1e9).samples
-    hx_xi = circular_convolve(state.x, obs.h).samples + state.xi1.samples
-    assert np.allclose(u, hx_xi, atol=1e-7)
+    new = iterate(state, obs, lam=1e9)
+    hx_xi = convolve(new.x, obs.h) + state.xi1
+    assert np.allclose(new.u, hx_xi, atol=1e-7)
 
 
 def test_u_update_fixed_point_returns_y():
     obs = random_observation(10)
     state = random_state(11, obs)
-    # arrange Hx + xi1 = y exactly: zero x makes Hx bitwise zero
-    state.x = TimeSignal(np.zeros(obs.length), RATE)
-    state.xi1 = obs.y
+    # arrange Hx + xi1 = y exactly: u = xi1 and v = xi2 make x, and so Hx,
+    # bitwise zero
+    state = replace(state, u=obs.y.samples, xi1=obs.y.samples, v=state.xi2)
     for lam in (1e-3, 1.0, 37.0):
-        assert np.array_equal(u_update(state, obs, lam).samples, obs.y.samples)
+        new = iterate(state, obs, lam=lam)
+        assert np.all(new.x == 0.0)
+        assert np.array_equal(new.u, obs.y.samples)
 
 
 # ---------------------------------------------------------------- v update
@@ -257,60 +270,72 @@ def test_u_update_fixed_point_returns_y():
 def test_v_update_identity_denoiser_passthrough():
     obs = random_observation(12)
     state = random_state(13, obs)
-    v = v_update(state, identity_denoiser())
-    want = stft(state.x, SMALL).values + state.xi2.values
-    assert np.allclose(v.values, want, atol=1e-15)
+    new = iterate(state, obs, identity_denoiser())
+    want = stft(TimeSignal(new.x, RATE), SMALL).values + state.xi2
+    assert np.allclose(new.v, want, atol=1e-15)
 
 
 def test_v_update_matches_scalar_soft_threshold():
     obs = random_observation(14)
     state = random_state(15, obs)
     tau = 0.1
-    v = v_update(state, soft_thresh_denoiser(tau))
-    z = stft(state.x, SMALL).values + state.xi2.values
+    new = iterate(state, obs, soft_thresh_denoiser(tau))
+    z = stft(TimeSignal(new.x, RATE), SMALL).values + state.xi2
     mags = np.abs(z)
     want = np.where(mags > 0, np.maximum(mags - tau, 0.0) * np.divide(z, np.where(mags > 0, mags, 1.0)), 0.0)
-    assert np.allclose(v.values, want, atol=1e-12)
+    assert np.allclose(new.v, want, atol=1e-12)
 
 
 def test_v_update_huge_threshold_zeroes_everything():
     obs = random_observation(16)
     state = random_state(17, obs)
-    v = v_update(state, soft_thresh_denoiser(1e6))
-    assert np.all(v.values == 0.0)
+    new = iterate(state, obs, soft_thresh_denoiser(1e6))
+    assert np.all(new.v == 0.0)
 
 
 # ---------------------------------------------------------------- dual update
 
 
 def test_dual_update_fixed_point_unchanged():
-    obs = random_observation(18)
-    state = random_state(19, obs)
-    state.u = circular_convolve(state.x, obs.h)
-    state.v = Spectrogram(stft(state.x, SMALL).values, SMALL)
-    xi1, xi2 = dual_update(state, obs)
-    assert np.allclose(xi1.samples, state.xi1.samples, atol=1e-12)
-    assert np.allclose(xi2.values, state.xi2.values, atol=1e-12)
+    # y = Hx with zero duals, u = Hx and v = Gx is a fixed point of the whole
+    # iteration under the identity denoiser
+    rng = np.random.default_rng(18)
+    h = TimeSignal(rng.standard_normal(16), RATE)
+    x = rng.standard_normal(64)
+    hx = convolve(x, h)
+    obs = Observation(TimeSignal(hx, RATE), h)
+    gx = stft(TimeSignal(x, RATE), SMALL).values
+    zero_spec = np.zeros_like(gx)
+    state = AdmmState(x=x, u=hx, v=gx, xi1=np.zeros(64), xi2=zero_spec)
+    new = iterate(state, obs, lam=rng.uniform(0.1, 10.0))
+    assert np.allclose(new.xi1, 0.0, atol=1e-12)
+    assert np.allclose(new.xi2, 0.0, atol=1e-12)
+    for name in ("x", "u", "v"):
+        assert np.allclose(getattr(new, name), getattr(state, name), atol=1e-12), name
 
 
 def test_dual_update_from_warm_start():
     obs = random_observation(20)
-    state = initial_state(obs, SolverConfig(lam=1.0, stft=SMALL))
-    xi1, xi2 = dual_update(state, obs)
-    assert np.allclose(xi1.samples, -obs.y.samples, atol=1e-15)
-    assert np.all(xi2.values == 0.0)
+    lam = 0.5
+    state = initial_state(obs, SolverConfig(lam=lam, stft=SMALL))
+    new = iterate(state, obs, soft_thresh_denoiser(0.1), lam=lam)
+    # from u = y and xi1 = 0, the first dual is the scaled data residual
+    residual = convolve(new.x, obs.h) - obs.y.samples
+    assert np.allclose(new.xi1, residual / (1.0 + lam), atol=1e-12)
+    gx = stft(TimeSignal(new.x, RATE), SMALL).values
+    assert np.allclose(new.xi2, gx - new.v, atol=1e-12)
 
 
 def test_dual_update_matches_dense_operators():
     obs = random_observation(21)
     state = random_state(22, obs)
-    xi1, xi2 = dual_update(state, obs)
+    new = iterate(state, obs, soft_thresh_denoiser(0.05), lam=0.7)
     H = dense_circulant(obs.h.samples)
     G = dense_analysis_matrix(SMALL, obs.length)
-    want1 = state.xi1.samples + H @ state.x.samples - state.u.samples
-    want2 = state.xi2.values + unrealify(G @ state.x.samples, state.v.values.shape) - state.v.values
-    assert np.allclose(xi1.samples, want1, atol=1e-10)
-    assert np.allclose(xi2.values, want2, atol=1e-10)
+    want1 = state.xi1 + H @ new.x - new.u
+    want2 = state.xi2 + unrealify(G @ new.x, state.v.shape) - new.v
+    assert np.allclose(new.xi1, want1, atol=1e-10)
+    assert np.allclose(new.xi2, want2, atol=1e-10)
 
 
 # ---------------------------------------------------------------- full iteration oracle
@@ -320,8 +345,8 @@ def test_one_iteration_matches_dense_reference():
     obs = random_observation(23)
     lam = 0.7
     denoiser = soft_thresh_denoiser(0.05)
-    config = SolverConfig(lam=lam, max_iterations=1, stft=SMALL)
-    result = run(obs, denoiser, config)
+    state = initial_state(obs, SolverConfig(lam=lam, stft=SMALL))
+    new = iterate(state, obs, denoiser, lam=lam)
 
     T = obs.length
     H = dense_circulant(obs.h.samples)
@@ -330,16 +355,16 @@ def test_one_iteration_matches_dense_reference():
     # warm start: x = 0, u = y, v = 0, duals = 0
     x_d = np.linalg.solve(H.T @ H + np.eye(T), H.T @ y)
     u_d = (lam / (1.0 + lam)) * (H @ x_d - y) + y
-    gx = unrealify(G @ x_d, result.state.v.values.shape)
+    gx = unrealify(G @ x_d, state.v.shape)
     v_d = apply_to_values(denoiser, gx)
     xi1_d = H @ x_d - u_d
     xi2_d = gx - v_d
 
-    assert np.allclose(result.state.x.samples, x_d, atol=1e-8)
-    assert np.allclose(result.state.u.samples, u_d, atol=1e-8)
-    assert np.allclose(result.state.v.values, v_d, atol=1e-8)
-    assert np.allclose(result.state.xi1.samples, xi1_d, atol=1e-8)
-    assert np.allclose(result.state.xi2.values, xi2_d, atol=1e-8)
+    assert np.allclose(new.x, x_d, atol=1e-8)
+    assert np.allclose(new.u, u_d, atol=1e-8)
+    assert np.allclose(new.v, v_d, atol=1e-8)
+    assert np.allclose(new.xi1, xi1_d, atol=1e-8)
+    assert np.allclose(new.xi2, xi2_d, atol=1e-8)
 
 
 # ---------------------------------------------------------------- run
@@ -396,6 +421,27 @@ def test_run_contains_denoiser_nan():
     assert result.delta_x.shape == (4,)
     assert result.si_snr_trace.shape == (4,)
     assert np.all(np.isfinite(result.delta_x))
+    # the estimate and the state are those of the last completed iteration
+    fresh = ModifierArchitecture("am_se", _PoisonAfter(healthy_calls=4))
+    completed = run(obs, fresh, replace(config, max_iterations=4), reference=obs.y)
+    assert completed.status == "completed"
+    assert result.x_hat.samples.tobytes() == completed.x_hat.samples.tobytes()
+    for name in ("x", "u", "v", "xi1", "xi2"):
+        assert getattr(result.state, name).tobytes() == getattr(completed.state, name).tobytes()
+
+
+def test_run_checks_the_reference_before_iterating():
+    obs = random_observation(28)
+    config = SolverConfig(lam=1.0, max_iterations=3, stft=SMALL)
+    denoiser = ModifierArchitecture("am_se", _PoisonAfter(healthy_calls=5))
+    with pytest.raises(ShapeError):
+        run(obs, denoiser, config, reference=TimeSignal(obs.y.samples[:56], RATE))
+    with pytest.raises(ShapeError):
+        run(obs, denoiser, config, reference=TimeSignal(obs.y.samples, RATE * 2))
+    with pytest.raises(UndefinedMetricError):
+        run(obs, denoiser, config, reference=TimeSignal(np.zeros(obs.length), RATE))
+    # no iteration ran: the denoiser was never called
+    assert denoiser.inner.healthy_calls == 5
 
 
 # ---------------------------------------------------------------- lambda sweep

@@ -15,6 +15,7 @@ from lipsam.signal import (
     StftConfig,
     TimeSignal,
     add_noise_at_snr,
+    analysis,
     circular_convolve,
     hann_window,
     istft,
@@ -23,8 +24,10 @@ from lipsam.signal import (
     si_snr,
     snr,
     stft,
+    synthesis,
     write_wav,
 )
+from oracles import roll_istft, roll_stft
 
 
 def random_signal(rng, length, sample_rate=8000):
@@ -174,6 +177,43 @@ def test_stft_synthesis_then_analysis_is_projection():
     np.testing.assert_allclose(twice, once, atol=1e-10)
 
 
+def assert_core_matches(got, want, config):
+    """Bitwise at 50% overlap; within 1e-15 relative at higher overlap."""
+    if config.window_length == 2 * config.hop:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("geometry", [(64, 32), (16, 8), (512, 256), (16, 4), (64, 16)])
+@pytest.mark.parametrize("batch_shape", [(3,), (2, 3)])
+def test_stft_core_matches_roll_oracles_and_per_row_calls(geometry, batch_shape):
+    window_length, hop = geometry
+    config = StftConfig(window_length=window_length, hop=hop)
+    rng = np.random.default_rng(window_length + hop + len(batch_shape))
+    frames = window_length // hop + 3
+    x = rng.standard_normal(batch_shape + (frames * hop,))
+    shape = batch_shape + (config.num_bins, frames)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values = analysis(x, config)
+    back = synthesis(v, config)
+    assert values.shape == shape and back.shape == x.shape
+    for index in np.ndindex(batch_shape):
+        assert_core_matches(values[index], roll_stft(x[index], config), config)
+        assert_core_matches(values[index], stft(TimeSignal(x[index]), config).values, config)
+        assert_core_matches(back[index], roll_istft(v[index], config), config)
+        assert_core_matches(back[index], istft(Spectrogram(v[index]), config).samples, config)
+
+
+def test_stft_pad_path_matches_roll_oracle_and_core():
+    config = StftConfig(window_length=16, hop=8, pad=True)
+    x = np.random.default_rng(4).standard_normal(30)
+    padded = np.concatenate([x, np.zeros(2)])
+    values = stft(TimeSignal(x), config).values
+    assert values.tobytes() == roll_stft(padded, config).tobytes()
+    assert values.tobytes() == analysis(padded[None], config)[0].tobytes()
+
+
 def test_stft_rejects_bad_length_without_pad():
     config = StftConfig(window_length=16, hop=8)
     with pytest.raises(ShapeError):
@@ -319,6 +359,12 @@ def test_time_signal_rejects_bad_inputs():
         TimeSignal(np.array([1.0, np.nan]))
     with pytest.raises(DomainError):
         TimeSignal(np.ones(4), sample_rate=0)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 8000.5, 0])
+def test_time_signal_rejects_bad_sample_rate(rate):
+    with pytest.raises(DomainError):
+        TimeSignal(np.ones(4), sample_rate=rate)
 
 
 def test_spectrogram_rejects_non_finite():

@@ -477,8 +477,8 @@ def test_wrapper_first_step_gradients_match_for_re_pair():
     residual = NetMap(net)(x)
     net = _shift_final_bias(net, max(0.0, 1e-3 - float(np.min(residual))))
     assert float(np.min(NetMap(net)(x))) > 0.0
-    loss_plain, grads_plain = _batch_loss_and_grads(net, "am_re", batch, batch, config, RATE)
-    loss_safe, grads_safe = _batch_loss_and_grads(net, "lipsam_re", batch, batch, config, RATE)
+    loss_plain, grads_plain = _batch_loss_and_grads(net, "am_re", batch, batch, config)
+    loss_safe, grads_safe = _batch_loss_and_grads(net, "lipsam_re", batch, batch, config)
     assert loss_plain == loss_safe
     assert all(np.array_equal(a, b) for a, b in zip(grads_plain, grads_safe))
 
@@ -493,8 +493,8 @@ def test_wrapper_first_step_gradients_match_for_se_pair():
     estimate = NetMap(net)(x)
     net = _shift_final_bias(net, -(float(np.max(estimate - x)) + 1e-3))
     assert float(np.max(NetMap(net)(x) - x)) < 0.0
-    loss_plain, grads_plain = _batch_loss_and_grads(net, "am_se", batch, batch, config, RATE)
-    loss_safe, grads_safe = _batch_loss_and_grads(net, "lipsam_se", batch, batch, config, RATE)
+    loss_plain, grads_plain = _batch_loss_and_grads(net, "am_se", batch, batch, config)
+    loss_safe, grads_safe = _batch_loss_and_grads(net, "lipsam_se", batch, batch, config)
     assert loss_plain == loss_safe
     assert all(np.array_equal(a, b) for a, b in zip(grads_plain, grads_safe))
 
@@ -511,13 +511,13 @@ def test_end_to_end_gradient_matches_finite_differences():
     _, cache = forward(net, magnitudes)
     assert min(float(np.min(np.abs(p))) for p in cache.preactivations) > 1e-4
 
-    _, grads = _batch_loss_and_grads(net, "am_se", clean, noisy, config, RATE)
+    _, grads = _batch_loss_and_grads(net, "am_se", clean, noisy, config)
     flat = net.flatten_parameters()
     grad_flat = np.concatenate([g.reshape(-1) for g in grads])
 
     def loss_at(vector):
         value, _ = _batch_loss_and_grads(
-            net.with_parameters(vector), "am_se", clean, noisy, config, RATE
+            net.with_parameters(vector), "am_se", clean, noisy, config
         )
         return value
 
