@@ -37,12 +37,11 @@ from .lipschitz import (
     pairwise_quotient_search,
 )
 from .modifier import KINDS, ModifierArchitecture, NetMap, ZeroMap, architecture_from_config
-from .modifier import theoretical_bound
+from .modifier import architecture_to_config
 from .pnp import AdmmState, Observation, SolverConfig, admm_iteration, admm_operators
 from .pnp import lambda_sweep, run
 from .signal import StftConfig, TimeSignal, circular_convolve, istft, read_wav, stft, write_wav
 from .trainer import SynthCorpusConfig, TrainConfig, train_denoiser
-from .errors import UnboundedModifierError, UncertifiedError
 from .network import load_net, save_net
 
 EXIT_OK = 0
@@ -164,7 +163,7 @@ def _bounds_task(task):
         )
         for record in estimate.records
     ]
-    violated = bound is not None and estimate.value > bound + BOUND_TOLERANCE
+    violated = estimate.violates_bound(BOUND_TOLERANCE)
     return rows, (kind, constrained, scale, estimate.value, bound, violated)
 
 
@@ -283,10 +282,9 @@ def cmd_train(args) -> int:
     # trained kind is deliberately not emitted here: wrapping it is a choice
     # the user should make knowing it carries no certified bound.
     deploy_path = weights_path.with_name(weights_path.stem + ".deploy.json")
-    deploy_document = {
-        "kind": "lipsam_" + result.arch,
-        "inner": {"variant": "net", "file": weights_path.name},
-    }
+    deploy_document = architecture_to_config(
+        ModifierArchitecture("lipsam_" + result.arch, NetMap(result.net)), weights_path.name
+    )
     with open(deploy_path, "w", encoding="utf-8") as handle:
         json.dump(deploy_document, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -437,14 +435,12 @@ def cmd_certify(args) -> int:
     restarts = int(_pick(args.restarts, config, "restarts", 8))
     iterations = int(_pick(None, config, "max_iterations", 40))
     scale = arch.inner.net.scale if isinstance(arch.inner, NetMap) else float("nan")
-    try:
-        bound = theoretical_bound(arch)
-    except (UnboundedModifierError, UncertifiedError):
-        bound = float("nan")
+    family = fixed_modifier_family(arch, shape)
+    bound = float("nan") if family.certified_bound is None else family.certified_bound
 
     search = SearchConfig(restarts=restarts, max_iterations=iterations, seed=args.seed)
     try:
-        estimate = estimate_B(fixed_modifier_family(arch, shape), search)
+        estimate = estimate_B(family, search)
         best = estimate.value
         rows = [
             (record.trial, arch.kind, scale, record.value, bound,

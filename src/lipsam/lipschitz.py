@@ -36,10 +36,10 @@ from .modifier import (
     ModifierArchitecture,
     NetMap,
     PermutationMap,
-    _amplitude_with_cache,
-    amplitude_backward,
     apply_to_values,
-    complex_sign,
+    modifier_backward,
+    modifier_forward,
+    safeguard_bound,
     theoretical_bound,
 )
 from .network import IDENTITY, SOFTPLUS, ConvLayer, ConvNet, project_unit_ball
@@ -166,10 +166,12 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 0:
             raise DomainError("restarts must be >= 1 and max_iterations >= 0")
-        if self.step_size <= 0.0 or self.fd_epsilon <= 0.0 or self.input_scale <= 0.0:
-            raise DomainError("step_size, fd_epsilon and input_scale must be positive")
-        if self.termination_threshold <= 0.0:
-            raise DomainError("termination_threshold must be positive")
+        knobs = (self.step_size, self.fd_epsilon, self.input_scale, self.termination_threshold)
+        if not all(0.0 < knob < np.inf for knob in knobs):
+            raise DomainError(
+                "step_size, fd_epsilon, input_scale and termination_threshold "
+                "must be positive and finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -307,11 +309,7 @@ def conv2d_family(
         def project(theta: np.ndarray) -> np.ndarray:
             return project_unit_ball(template.with_parameters(theta), spatial).flatten_parameters()
 
-    certified = None
-    if constrained and kind == "lipsam_se":
-        certified = float(np.sqrt(scale * scale + 1.0))
-    elif constrained and kind == "lipsam_re":
-        certified = float(scale + 1.0)
+    certified = safeguard_bound(kind, scale) if constrained and kind in SAFEGUARDED_KINDS else None
 
     return ModifierFamily(
         kind=kind,
@@ -349,33 +347,6 @@ def fixed_modifier_family(
 # gradient machinery
 
 
-def _scalar_vjp(arch: ModifierArchitecture, z: np.ndarray, u: np.ndarray):
-    """Gradients of Re<u, D(z)> with respect to net parameters and z.
-
-    The modifier splits into amplitude times phase, D(z) = A(|z|) * sign(z),
-    so with c = Re(conj(u) * sign(z)) the objective is sum(c * A(|z|)).  The
-    amplitude path backpropagates through the architecture; the phase path
-    contributes a * (u - c * sign(z)) / |z| on nonzero coordinates, and the
-    zero subgradient is used at z = 0 where sign is flat.
-
-    Returns (flat parameter gradient, complex z gradient) where the complex
-    array packs d/dRe as the real part and d/dIm as the imaginary part.
-    """
-    x = np.abs(z)
-    s = complex_sign(z)
-    a, cache = _amplitude_with_cache(arch, x)
-    c = np.real(np.conj(u) * s)
-    param_grads, grad_x = amplitude_backward(arch, cache, c)
-    grad_z = grad_x * s
-    nonzero = x > 0.0
-    grad_z[nonzero] += a[nonzero] * (u[nonzero] - c[nonzero] * s[nonzero]) / x[nonzero]
-    if param_grads is None:
-        flat = np.zeros(0)
-    else:
-        flat = np.concatenate([g.reshape(-1) for g in param_grads])
-    return flat, grad_z
-
-
 def _objective(family: ModifierFamily, theta: np.ndarray, z: np.ndarray, epsilon: float):
     """(sigma, u, v) of the modifier Jacobian, or (nan, None, None) if sick."""
     try:
@@ -401,12 +372,13 @@ def _ascent_gradient(family, theta, z, u, v, eps):
     grad_t = np.zeros(family.parameter_count)
     arch = family.build(theta)
     for sign in (1.0, -1.0):
-        flat, gz = _scalar_vjp(arch, z + sign * eps * v_c, u_c)
+        _, cache = modifier_forward(arch, z + sign * eps * v_c)
+        param_grads, gz = modifier_backward(cache, u_c)
         grad_z += (sign / (2.0 * eps)) * gz
         # a fixed family carries no search parameters even when the
-        # wrapped net itself has weights, so key off grad_t, not flat
-        if grad_t.size and flat.size:
-            grad_t += (sign / (2.0 * eps)) * flat
+        # wrapped net itself has weights, so key off grad_t, not param_grads
+        if grad_t.size and param_grads is not None:
+            grad_t += (sign / (2.0 * eps)) * np.concatenate([g.reshape(-1) for g in param_grads])
     return grad_z, grad_t
 
 
@@ -474,13 +446,12 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
     leaky relu activations; certify those with ``pairwise_quotient_search``.
     """
     probe = family.build(family.sample_parameters(np.random.default_rng([config.seed, 0])))
-    if isinstance(probe.inner, NetMap):
-        for layer in probe.inner.net.layers:
-            if layer.activation.kind == "leaky_relu":
-                raise DomainError(
-                    "estimate_B differentiates the inner net and needs smooth "
-                    "activations; use pairwise_quotient_search for leaky relu"
-                )
+    layers = probe.inner.net.layers if isinstance(probe.inner, NetMap) else ()
+    if any(layer.activation.kind == "leaky_relu" for layer in layers):
+        raise DomainError(
+            "estimate_B differentiates the inner net and needs smooth "
+            "activations; use pairwise_quotient_search for leaky relu"
+        )
 
     records = []
     best = None

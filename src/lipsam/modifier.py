@@ -13,14 +13,22 @@ map (a network or an analytic rule) in one of four ways:
 The safeguarded forms force 0 <= A(x) <= x elementwise, which is what turns
 an inner Lipschitz certificate into a certificate for the whole modifier:
 sqrt(c^2 + 1) for the safeguarded spectral form and c + 1 for the
-safeguarded residual form, where c bounds the inner map.  The unguarded
-forms admit no finite bound at all; see the counterexamples in
+safeguarded residual form, where c bounds the inner map (``safeguard_bound``).
+The unguarded forms admit no finite bound at all; see the counterexamples in
 :mod:`lipsam.lipschitz`.
+
+Every inner map owns its rules: ``forward`` returns its output and a cache,
+``backward`` turns an output gradient into (parameter gradients, input
+gradient), and ``variant`` names its JSON form, whose fields are the map's
+dataclass fields.  ``modifier_forward`` and ``modifier_backward`` are the one
+forward/backward pair of D itself; training and the adversarial bound search
+both differentiate through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -32,37 +40,67 @@ from .errors import (
     UncertifiedError,
 )
 from .network import ConvNet, backward as net_backward, forward as net_forward
-from .network import lipschitz_upper_bound
+from .network import lipschitz_upper_bound, load_net
 from .signal import Spectrogram
 
 KINDS = ("am_se", "am_re", "lipsam_se", "lipsam_re")
-SPECTRAL_KINDS = ("am_se", "lipsam_se")
 SAFEGUARDED_KINDS = ("lipsam_se", "lipsam_re")
 
 
 class AmplitudeMap:
-    """Interface: maps a nonnegative magnitude array to a real array."""
+    """Interface: maps a nonnegative magnitude array to a real array.
+
+    Subclasses implement ``__call__``.  A differentiable map overrides
+    ``forward``/``backward``; a serializable one sets ``variant``.
+    """
 
     lipschitz_bound: float | None = None
+    variant: str | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def forward(self, x):
+        """(output, cache for ``backward``)."""
+        return self(x), None
+
+    def backward(self, cache, grad):
+        """(parameter gradients or None, input gradient) from the output gradient."""
+        raise ShapeError(f"no gradient rule for inner map {type(self).__name__}")
+
+    def to_config(self, net_file: str | None = None) -> dict:
+        if self.variant is None:
+            raise ValueError(f"cannot serialize inner map {type(self).__name__}")
+        values = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+        return {"variant": self.variant, **values}
+
+    @classmethod
+    def from_config(cls, config: dict, base_dir) -> "AmplitudeMap":
+        return cls(**{f.name: config[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
 class IdentityMap(AmplitudeMap):
     lipschitz_bound = 1.0
+    variant = "identity"
 
     def __call__(self, x):
         return x
+
+    def backward(self, cache, grad):
+        return None, grad
 
 
 @dataclass(frozen=True)
 class ZeroMap(AmplitudeMap):
     lipschitz_bound = 0.0
+    variant = "zero"
 
     def __call__(self, x):
         return np.zeros_like(x)
+
+    def backward(self, cache, grad):
+        return None, np.zeros_like(grad)
 
 
 @dataclass(frozen=True)
@@ -71,9 +109,19 @@ class BiasAdd(AmplitudeMap):
 
     b: float = 1.0
     lipschitz_bound = 1.0
+    variant = "bias_add"
+
+    def __post_init__(self):
+        b = float(self.b)
+        if not np.isfinite(b):
+            raise DomainError("bias must be finite")
+        object.__setattr__(self, "b", b)
 
     def __call__(self, x):
         return x + self.b
+
+    def backward(self, cache, grad):
+        return None, grad
 
 
 @dataclass(frozen=True)
@@ -83,13 +131,19 @@ class SoftThreshConstant(AmplitudeMap):
 
     tau: float = 0.1
     lipschitz_bound = 0.0
+    variant = "soft_thresh"
 
     def __post_init__(self):
-        if self.tau < 0.0 or not np.isfinite(self.tau):
+        tau = float(self.tau)
+        if not 0.0 <= tau < np.inf:
             raise DomainError("threshold must be finite and nonnegative")
+        object.__setattr__(self, "tau", tau)
 
     def __call__(self, x):
         return np.full_like(x, self.tau)
+
+    def backward(self, cache, grad):
+        return None, np.zeros_like(grad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +152,14 @@ class PermutationMap(AmplitudeMap):
 
     perm: np.ndarray = None
     lipschitz_bound = 1.0
+    variant = "permutation"
 
     def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.int64)
-        if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(perm.size)):
+        perm = np.asarray(self.perm)
+        integral = perm.dtype.kind in "iu" and perm.ndim == 1 and perm.size > 0
+        if not (integral and np.array_equal(np.sort(perm), np.arange(perm.size))):
             raise DomainError("perm must be a bijection on 0..n-1")
-        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "perm", perm.astype(np.int64))
 
     def __call__(self, x):
         n = self.perm.size
@@ -112,17 +168,25 @@ class PermutationMap(AmplitudeMap):
         flat = x.reshape(-1, n)
         return flat[:, self.perm].reshape(x.shape)
 
+    def backward(self, cache, grad):
+        flat = grad.reshape(-1, self.perm.size)
+        out = np.zeros_like(flat)
+        out[:, self.perm] = flat
+        return None, out.reshape(grad.shape)
+
 
 @dataclass(frozen=True, eq=False)
 class NetMap(AmplitudeMap):
     """A convolutional network as the inner amplitude map.
 
     1-D nets consume the magnitude matrix directly (frequency bins are the
-    channel axis).  2-D nets see a single-channel image, so ``__call__``
-    inserts and removes the channel axis around the network.
+    channel axis).  2-D nets see a single-channel image, so ``forward``
+    inserts and removes the channel axis around the network.  In JSON the
+    net goes by file reference.
     """
 
     net: ConvNet = None
+    variant = "net"
 
     def __post_init__(self):
         if not isinstance(self.net, ConvNet):
@@ -138,21 +202,34 @@ class NetMap(AmplitudeMap):
             return None
 
     def __call__(self, x):
-        out, _ = self._forward(x)
-        return out
+        return self.forward(x)[0]
 
-    def _forward(self, x):
+    def forward(self, x):
         if self.net.is_2d:
             out, cache = net_forward(self.net, np.expand_dims(x, -3))
             return np.squeeze(out, -3), cache
-        out, cache = net_forward(self.net, x)
-        return out, cache
+        return net_forward(self.net, x)
 
-    def _backward(self, cache, grad):
+    def backward(self, cache, grad):
         if self.net.is_2d:
             grads, gx = net_backward(self.net, cache, np.expand_dims(grad, -3))
             return grads, np.squeeze(gx, -3)
         return net_backward(self.net, cache, grad)
+
+    def to_config(self, net_file: str | None = None) -> dict:
+        if net_file is None:
+            raise ValueError("serializing a net-backed modifier needs a net_file path")
+        return {"variant": self.variant, "file": str(net_file)}
+
+    @classmethod
+    def from_config(cls, config: dict, base_dir) -> "NetMap":
+        return cls(load_net(Path(base_dir) / config["file"]))
+
+
+_VARIANTS = {
+    cls.variant: cls
+    for cls in (IdentityMap, ZeroMap, BiasAdd, SoftThreshConstant, PermutationMap, NetMap)
+}
 
 
 @dataclass(frozen=True)
@@ -183,31 +260,24 @@ def complex_sign(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def amplitude_part(arch: ModifierArchitecture, x: np.ndarray) -> np.ndarray:
-    """The effective amplitude map A(x) of the architecture on magnitudes x."""
-    a, _ = _amplitude_with_cache(arch, x)
-    return a
-
-
 @dataclass
-class ApplyCache:
-    """Everything the amplitude backward pass needs."""
+class ModifierCache:
+    """What the backward passes need; ``modifier_forward`` adds ``sign``."""
 
     arch: ModifierArchitecture
     x: np.ndarray
     inner_out: np.ndarray
-    net_cache: object
+    inner_cache: object
+    a: np.ndarray
+    sign: np.ndarray | None = None
 
 
-def _amplitude_with_cache(arch: ModifierArchitecture, x: np.ndarray):
+def amplitude_forward(arch: ModifierArchitecture, x: np.ndarray):
+    """The effective amplitude map A(x) on magnitudes x, plus its cache."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0.0):
         raise DomainError("amplitude maps are defined on nonnegative inputs")
-    inner = arch.inner
-    if isinstance(inner, NetMap):
-        inner_out, net_cache = inner._forward(x)
-    else:
-        inner_out, net_cache = inner(x), None
+    inner_out, inner_cache = arch.inner.forward(x)
     if arch.kind == "am_se":
         a = np.maximum(inner_out, 0.0)
     elif arch.kind == "lipsam_se":
@@ -216,69 +286,85 @@ def _amplitude_with_cache(arch: ModifierArchitecture, x: np.ndarray):
         a = np.maximum(x - inner_out, 0.0)
     else:  # lipsam_re
         a = np.maximum(x - np.maximum(inner_out, 0.0), 0.0)
-    return a, ApplyCache(arch, x, inner_out, net_cache)
+    return a, ModifierCache(arch, x, inner_out, inner_cache, a)
 
 
-def _inner_input_vjp(inner: AmplitudeMap, grad: np.ndarray, cache: ApplyCache):
-    """Gradient through the inner map: returns (net param grads or None, dx)."""
-    if isinstance(inner, NetMap):
-        return inner._backward(cache.net_cache, grad)
-    if isinstance(inner, (IdentityMap, BiasAdd)):
-        return None, grad
-    if isinstance(inner, (ZeroMap, SoftThreshConstant)):
-        return None, np.zeros_like(grad)
-    if isinstance(inner, PermutationMap):
-        n = inner.perm.size
-        flat = grad.reshape(-1, n)
-        out = np.zeros_like(flat)
-        out[:, inner.perm] = flat
-        return None, out.reshape(grad.shape)
-    raise ShapeError(f"no gradient rule for inner map {type(inner).__name__}")
-
-
-def amplitude_backward(arch: ModifierArchitecture, cache: ApplyCache, grad_a: np.ndarray):
+def amplitude_backward(cache: ModifierCache, grad_a: np.ndarray):
     """Backpropagate through the amplitude path A.
 
-    Given d(loss)/dA, returns (inner-net parameter gradients or None,
+    Given d(loss)/dA, returns (inner-map parameter gradients or None,
     d(loss)/dx) where x is the magnitude input.  Kinks (relu and the
     safeguard min) use the zero subgradient on their inactive side and route
     ties to the safeguard branch, matching the forward tie-breaking of
     np.minimum/np.maximum.
     """
+    kind, inner = cache.arch.kind, cache.arch.inner
     x, inner_out = cache.x, cache.inner_out
-    if arch.kind == "am_se":
+    if kind == "am_se":
         mask = (inner_out > 0.0).astype(np.float64)
-        param_grads, dx_inner = _inner_input_vjp(arch.inner, grad_a * mask, cache)
-        return param_grads, dx_inner
-    if arch.kind == "lipsam_se":
+        return inner.backward(cache.inner_cache, grad_a * mask)
+    if kind == "lipsam_se":
         clipped = np.minimum(inner_out, x)
         relu_mask = (clipped > 0.0).astype(np.float64)
         take_inner = (inner_out < x).astype(np.float64)
         g = grad_a * relu_mask
-        param_grads, dx_inner = _inner_input_vjp(arch.inner, g * take_inner, cache)
+        param_grads, dx_inner = inner.backward(cache.inner_cache, g * take_inner)
         return param_grads, dx_inner + g * (1.0 - take_inner)
-    if arch.kind == "am_re":
+    if kind == "am_re":
         mask = ((x - inner_out) > 0.0).astype(np.float64)
         g = grad_a * mask
-        param_grads, dx_inner = _inner_input_vjp(arch.inner, -g, cache)
+        param_grads, dx_inner = inner.backward(cache.inner_cache, -g)
         return param_grads, g + dx_inner
     # lipsam_re
     rect = np.maximum(inner_out, 0.0)
     mask = ((x - rect) > 0.0).astype(np.float64)
     inner_mask = (inner_out > 0.0).astype(np.float64)
     g = grad_a * mask
-    param_grads, dx_inner = _inner_input_vjp(arch.inner, -g * inner_mask, cache)
+    param_grads, dx_inner = inner.backward(cache.inner_cache, -g * inner_mask)
     return param_grads, g + dx_inner
+
+
+def modifier_forward(arch: ModifierArchitecture, z: np.ndarray):
+    """D(z) = A(|z|) * sign(z) on a complex array of any shape, plus its cache.
+    Unlike ``apply_to_values`` it does not check that A is finite."""
+    z = np.asarray(z, dtype=np.complex128)
+    x = np.abs(z)
+    s = complex_sign(z)
+    a, cache = amplitude_forward(arch, x)
+    cache.sign = s
+    return a * s, cache
+
+
+def modifier_backward(cache: ModifierCache, u: np.ndarray):
+    """Gradients of Re<u, D(z)> with respect to the inner map's parameters and z.
+
+    The modifier splits into amplitude times phase, D(z) = A(|z|) * sign(z),
+    so with c = Re(conj(u) * sign(z)) the objective is sum(c * A(|z|)).  The
+    amplitude path backpropagates through the architecture; the phase path
+    contributes a * (u - c * sign(z)) / |z| on nonzero coordinates, and the
+    zero subgradient is used at z = 0 where sign is flat.  The phase factor
+    does not depend on the parameters, so their gradient is the amplitude
+    path's alone.
+
+    Returns (parameter gradients or None, complex z gradient) where the
+    complex array packs d/dRe as the real part and d/dIm as the imaginary part.
+    """
+    x, a, s = cache.x, cache.a, cache.sign
+    c = np.real(np.conj(u) * s)
+    param_grads, grad_x = amplitude_backward(cache, c)
+    grad_z = grad_x * s
+    nonzero = x > 0.0
+    phase = np.divide(a * (u - c * s), x, out=np.zeros_like(grad_z), where=nonzero)
+    np.add(grad_z, phase, out=grad_z, where=nonzero)
+    return param_grads, grad_z
 
 
 def apply_to_values(arch: ModifierArchitecture, values: np.ndarray) -> np.ndarray:
     """Apply the modifier to a complex coefficient array of any shape."""
-    values = np.asarray(values, dtype=np.complex128)
-    magnitude = np.abs(values)
-    amplitude = amplitude_part(arch, magnitude)
-    if not np.all(np.isfinite(amplitude)):
+    out, cache = modifier_forward(arch, values)
+    if not np.all(np.isfinite(cache.a)):
         raise NonFiniteError("inner amplitude map produced non-finite values")
-    return amplitude * complex_sign(values)
+    return out
 
 
 def apply(arch: ModifierArchitecture, spec: Spectrogram) -> Spectrogram:
@@ -286,13 +372,17 @@ def apply(arch: ModifierArchitecture, spec: Spectrogram) -> Spectrogram:
     return Spectrogram(apply_to_values(arch, spec.values), spec.config)
 
 
-def theoretical_bound(arch: ModifierArchitecture) -> float:
-    """Certified Lipschitz bound of a safeguarded modifier.
+def safeguard_bound(kind: str, inner_bound: float) -> float:
+    """Lipschitz bound of a safeguarded kind around a c-Lipschitz inner map:
+    sqrt(c^2 + 1) for lipsam_se and c + 1 for lipsam_re."""
+    if kind == "lipsam_se":
+        return float(np.sqrt(inner_bound**2 + 1.0))
+    return float(inner_bound + 1.0)
 
-    sqrt(c^2 + 1) for lipsam_se and c + 1 for lipsam_re, where c is the
-    inner map's certified bound.  Unguarded architectures have no finite
-    bound and raise UnboundedModifierError.
-    """
+
+def theoretical_bound(arch: ModifierArchitecture) -> float:
+    """Certified Lipschitz bound of a safeguarded modifier: ``safeguard_bound``
+    of the inner certificate.  Unguarded kinds raise UnboundedModifierError."""
     if not arch.is_safeguarded:
         raise UnboundedModifierError(
             f"{arch.kind} admits no finite Lipschitz bound; use a safeguarded kind"
@@ -300,58 +390,26 @@ def theoretical_bound(arch: ModifierArchitecture) -> float:
     inner_bound = arch.inner.lipschitz_bound
     if inner_bound is None:
         raise UncertifiedError("inner map carries no Lipschitz certificate")
-    if arch.kind == "lipsam_se":
-        return float(np.sqrt(inner_bound**2 + 1.0))
-    return float(inner_bound + 1.0)
+    return safeguard_bound(arch.kind, inner_bound)
 
 
 # ------------------------------------------------------------ configuration
 
-_ANALYTIC_BUILDERS = {
-    "identity": lambda cfg: IdentityMap(),
-    "zero": lambda cfg: ZeroMap(),
-    "bias_add": lambda cfg: BiasAdd(float(cfg["b"])),
-    "soft_thresh": lambda cfg: SoftThreshConstant(float(cfg["tau"])),
-    "permutation": lambda cfg: PermutationMap(np.asarray(cfg["perm"], dtype=np.int64)),
-}
-
 
 def architecture_to_config(arch: ModifierArchitecture, net_file: str | None = None) -> dict:
     """JSON-ready description of an architecture; nets go by file reference."""
-    inner = arch.inner
-    if isinstance(inner, NetMap):
-        if net_file is None:
-            raise ValueError("serializing a net-backed modifier needs a net_file path")
-        inner_cfg = {"variant": "net", "file": str(net_file)}
-    elif isinstance(inner, SoftThreshConstant):
-        inner_cfg = {"variant": "soft_thresh", "tau": inner.tau}
-    elif isinstance(inner, BiasAdd):
-        inner_cfg = {"variant": "bias_add", "b": inner.b}
-    elif isinstance(inner, PermutationMap):
-        inner_cfg = {"variant": "permutation", "perm": inner.perm.tolist()}
-    elif isinstance(inner, IdentityMap):
-        inner_cfg = {"variant": "identity"}
-    elif isinstance(inner, ZeroMap):
-        inner_cfg = {"variant": "zero"}
-    else:
-        raise ValueError(f"cannot serialize inner map {type(inner).__name__}")
-    return {"kind": arch.kind, "inner": inner_cfg}
+    return {"kind": arch.kind, "inner": arch.inner.to_config(net_file)}
 
 
 def architecture_from_config(config: dict, base_dir=".") -> ModifierArchitecture:
-    """Rebuild an architecture from :func:`architecture_to_config` output."""
-    from pathlib import Path
-
-    from .network import load_net
-
-    kind = config.get("kind")
+    """Rebuild an architecture from :func:`architecture_to_config` output; a
+    missing field raises KeyError and any other malformed one DomainError."""
     inner_cfg = config.get("inner", {})
-    variant = inner_cfg.get("variant")
-    if variant == "net":
-        net_path = Path(base_dir) / inner_cfg["file"]
-        inner = NetMap(load_net(net_path))
-    elif variant in _ANALYTIC_BUILDERS:
-        inner = _ANALYTIC_BUILDERS[variant](inner_cfg)
-    else:
+    variant = inner_cfg.get("variant") if isinstance(inner_cfg, dict) else None
+    if not isinstance(variant, str) or variant not in _VARIANTS:
         raise DomainError(f"unknown inner map variant {variant!r}")
-    return ModifierArchitecture(kind, inner)
+    try:
+        inner = _VARIANTS[variant].from_config(inner_cfg, base_dir)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {variant} inner map: {exc}") from exc
+    return ModifierArchitecture(config.get("kind"), inner)

@@ -235,11 +235,6 @@ def run(
     )
 
 
-def default_lambda_grid() -> np.ndarray:
-    """26 logarithmically spaced weights from 1e-3 to 1e2."""
-    return np.logspace(-3.0, 2.0, 26)
-
-
 def lambda_sweep(
     observation: Observation,
     denoiser: ModifierArchitecture,

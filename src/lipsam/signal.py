@@ -142,10 +142,6 @@ class StftConfig:
     def num_bins(self) -> int:
         return self.window_length // 2 + 1
 
-    @classmethod
-    def tight_hann(cls, window_length: int = 512, hop: int = 256, pad: bool = False) -> "StftConfig":
-        return cls(window_length=window_length, hop=hop, pad=pad)
-
     def matches(self, other: "StftConfig") -> bool:
         return (
             self.window_length == other.window_length

@@ -7,10 +7,11 @@ runs the Gaussian denoising task: add white noise at a random SNR, analyze,
 run an amplitude-modifier architecture, synthesize, and minimize negative
 time-domain SNR against the clean signal.
 
-Gradients flow through the amplitude path only.  The phase term sign(z) is
-held constant per sample, synthesis is the exact adjoint of analysis, and
-relu/min kinks use the zero subgradient on their inactive side.  The plain
-AM wrappers are the trained objects; the safeguarded variants reuse the same
+Gradients come from ``modifier_forward``/``modifier_backward``, the pair the
+bound search also uses; sign(z) does not depend on the weights, so they flow
+through the amplitude path.  Synthesis is the exact adjoint of analysis, and
+relu/min kinks use the zero subgradient on their inactive side.  The plain AM
+wrappers are the trained objects; the safeguarded variants reuse the same
 weights post hoc.
 """
 
@@ -22,10 +23,9 @@ from .errors import DomainError, NonFiniteError, ShapeError, UndefinedMetricErro
 from .modifier import (
     ModifierArchitecture,
     NetMap,
-    _amplitude_with_cache,
-    amplitude_backward,
     apply_to_values,
-    complex_sign,
+    modifier_backward,
+    modifier_forward,
 )
 from .network import (
     IDENTITY,
@@ -73,8 +73,8 @@ class SynthCorpusConfig:
     def __post_init__(self) -> None:
         if self.item_count <= 0:
             raise DomainError("item_count must be positive")
-        if self.duration_seconds <= 0.0 or self.sample_rate <= 0:
-            raise DomainError("duration and sample rate must be positive")
+        if not 0.0 < self.duration_seconds < np.inf or self.sample_rate <= 0:
+            raise DomainError("duration must be positive and finite, sample rate positive")
         low, high = self.harmonic_range
         if not (1 <= low <= high):
             raise DomainError("harmonic_range must satisfy 1 <= low <= high")
@@ -280,20 +280,6 @@ class TrainConfig:
     def modifier_kind(self) -> str:
         return "am_" + self.arch
 
-    @property
-    def safeguarded_kind(self) -> str:
-        return "lipsam_" + self.arch
-
-
-def denoiser_architecture(
-    net: ConvNet, arch: str, safeguarded: bool = False
-) -> ModifierArchitecture:
-    """Wrap a net as an amplitude-modifier architecture of the given family."""
-    if arch not in ("se", "re"):
-        raise DomainError("arch must be 'se' or 're'")
-    kind = ("lipsam_" if safeguarded else "am_") + arch
-    return ModifierArchitecture(kind, NetMap(net))
-
 
 def build_denoiser_net(config: TrainConfig) -> ConvNet:
     """Initialize the amplitude network: bins -> width -> width -> bins.
@@ -371,15 +357,13 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
 
     The chain is stft -> modifier -> istft -> loss.  Synthesis is the exact
     adjoint of analysis, so the coefficient gradient is the stft of the
-    time-domain gradient; sign(z) is constant per sample, which restricts
-    the flow to the amplitude path.
+    time-domain gradient, and ``modifier_backward`` carries it to the
+    parameters.  The input gradient it also returns is not needed: the
+    noisy coefficients are data.
     """
     arch = ModifierArchitecture(kind, NetMap(net))
-    z = analysis(noisy, config.stft)
-    magnitude = np.abs(z)
-    sign = complex_sign(z)
-    amplitude, cache = _amplitude_with_cache(arch, magnitude)
-    estimates = synthesis(amplitude * sign, config.stft)
+    values, cache = modifier_forward(arch, analysis(noisy, config.stft))
+    estimates = synthesis(values, config.stft)
 
     batch = clean.shape[0]
     losses = np.empty(batch)
@@ -387,8 +371,7 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
     for b in range(batch):
         losses[b], grad_time[b] = _neg_snr_loss(estimates[b], clean[b])
     grad_values = analysis(grad_time / batch, config.stft)
-    grad_amplitude = np.real(np.conj(sign) * grad_values)
-    param_grads, _ = amplitude_backward(arch, cache, grad_amplitude)
+    param_grads, _ = modifier_backward(cache, grad_values)
     return float(np.mean(losses)), param_grads
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from lipsam.errors import DomainError, NonFiniteError, ShapeError
 from lipsam.lipschitz import _objective, realify, unrealify
-from lipsam.modifier import ModifierArchitecture, amplitude_part
+from lipsam.modifier import ModifierArchitecture, amplitude_forward
 from lipsam.network import ConvLayer, circulant_operator_norm
 
 
@@ -170,7 +170,7 @@ def check_assumption1(
     for _ in range(sample_count):
         x = scale * np.abs(rng.standard_normal(shape))
         x[rng.random(shape) < 0.2] = 0.0
-        a = amplitude_part(arch, x)
+        a = amplitude_forward(arch, x)[0]
         zero_mask = x == 0.0
         if np.any(a[zero_mask] != 0.0):
             return Assumption1Report(False, np.inf, empirical, x)
@@ -189,6 +189,7 @@ def check_assumption1(
         y = scale * np.abs(rng.standard_normal(shape))
         denom = float(np.linalg.norm(x - y))
         if denom > 1e-12:
-            quotient = float(np.linalg.norm(amplitude_part(arch, x) - amplitude_part(arch, y)) / denom)
+            gap = amplitude_forward(arch, x)[0] - amplitude_forward(arch, y)[0]
+            quotient = float(np.linalg.norm(gap) / denom)
             empirical = max(empirical, quotient)
     return Assumption1Report(cond2, worst_ratio, empirical, witness)

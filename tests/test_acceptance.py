@@ -30,7 +30,7 @@ from lipsam.modifier import (
     ModifierArchitecture,
     NetMap,
     SoftThreshConstant,
-    amplitude_part,
+    amplitude_forward,
     apply_to_values,
 )
 from lipsam.network import (
@@ -204,8 +204,8 @@ def test_criterion_04_polar_expansion_identity(report):
         z = x * np.exp(1j * phi)
         w = y * np.exp(1j * psi)
         lhs = float(np.sum(np.abs(apply_to_values(arch, z) - apply_to_values(arch, w)) ** 2))
-        ax = amplitude_part(arch, x)
-        ay = amplitude_part(arch, y)
+        ax = amplitude_forward(arch, x)[0]
+        ay = amplitude_forward(arch, y)[0]
         rhs = float(
             np.sum((ax - ay) ** 2) + 2.0 * np.sum(ax * ay * (1.0 - np.cos(phi - psi)))
         )
@@ -257,7 +257,7 @@ def test_criterion_05_safeguard_never_exceeds_input(report):
         for inner in _adversarial_inners():
             arch = ModifierArchitecture(kind, inner)
             x = rng.uniform(0.0, 3.0, size=(1000, 4, 8))
-            a = amplitude_part(arch, x)
+            a = amplitude_forward(arch, x)[0]
             ok = ok and bool(np.all(a <= x))
             checked += x.shape[0]
     report(5, f"safeguard property on {checked} inputs", ok, "exact inequality")

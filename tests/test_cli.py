@@ -139,6 +139,17 @@ def test_validate_bounds_threads_do_not_change_output(workdir):
     )
 
 
+def test_validate_bounds_rejects_a_non_finite_step_size(workdir, capsys):
+    config = write_json(
+        workdir / "vb.json",
+        {"restarts": 2, "max_iterations": 20, "scales": [4.0], "step_size": float("nan")},
+    )
+    assert main(["validate-bounds", "--config", config,
+                 "--out-dir", str(workdir)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not (workdir / "validate_bounds.csv").exists()
+
+
 def test_unknown_config_keys_are_a_usage_error(workdir, capsys):
     config = write_json(workdir / "bad.json", {"restarts": 2, "bogus": 1})
     assert main(["validate-bounds", "--config", config,
@@ -167,6 +178,12 @@ TRAIN_CONFIG = {
     "item_count": 8,
     "duration_seconds": 0.128,
 }
+
+
+def test_train_rejects_a_non_finite_duration(workdir, capsys):
+    config = write_json(workdir / "train.json", {"epochs": 1, "duration_seconds": float("nan")})
+    assert main(["train", "--config", config, "--out-dir", str(workdir)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
 
 
 def test_train_writes_weights_and_log(workdir, capsys):
@@ -376,6 +393,17 @@ def test_certify_analytic_modifier_passes(workdir, capsys):
         assert row[1] == "lipsam_re"
         assert float(row[4]) == 1.0
         assert float(row[3]) <= 1.0 + 0.01
+
+
+@pytest.mark.parametrize("b", ["x", float("nan")])
+def test_certify_rejects_a_malformed_bias(workdir, capsys, b):
+    denoiser = write_json(
+        workdir / "bias.json", {"kind": "am_se", "inner": {"variant": "bias_add", "b": b}}
+    )
+    code = main(["certify", "--modifier", denoiser, "--restarts", "2",
+                 "--out-dir", str(workdir)])
+    assert code == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
 
 
 def test_certify_catches_a_lying_certificate(workdir, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from lipsam.errors import (
     DomainError,
     NonFiniteError,
+    ShapeError,
     UnboundedModifierError,
     UncertifiedError,
 )
@@ -20,13 +23,14 @@ from lipsam.modifier import (
     SoftThreshConstant,
     ZeroMap,
     amplitude_backward,
-    amplitude_part,
-    _amplitude_with_cache,
+    amplitude_forward,
     apply,
     apply_to_values,
     architecture_from_config,
     architecture_to_config,
     complex_sign,
+    modifier_backward,
+    modifier_forward,
     theoretical_bound,
 )
 from lipsam.network import (
@@ -155,7 +159,7 @@ def test_amplitudes_are_nonnegative(kind):
     rng = np.random.default_rng(3)
     arch = ModifierArchitecture(kind, NetMap(small_net(rng, weight_scale=1.5)))
     x = np.abs(rng.standard_normal((4, 6)))
-    assert np.min(amplitude_part(arch, x)) >= 0.0
+    assert np.min(amplitude_forward(arch, x)[0]) >= 0.0
 
 
 @pytest.mark.parametrize("kind", ["lipsam_se", "lipsam_re"])
@@ -165,14 +169,14 @@ def test_safeguard_never_amplifies_magnitudes(kind):
         net = small_net(rng, weight_scale=2.0)  # includes biases, adversarial
         arch = ModifierArchitecture(kind, NetMap(net))
         x = np.abs(rng.standard_normal((4, 6))) * 10.0 ** rng.integers(-3, 3)
-        a = amplitude_part(arch, x)
+        a = amplitude_forward(arch, x)[0]
         assert np.all(a <= x)
 
 
 def test_amplitude_part_rejects_negative_input():
     arch = ModifierArchitecture("am_se", IdentityMap())
     with pytest.raises(DomainError):
-        amplitude_part(arch, np.array([-1.0, 2.0]))
+        amplitude_forward(arch, np.array([-1.0, 2.0]))
 
 
 def test_apply_poisoned_inner_output_raises():
@@ -231,8 +235,8 @@ def test_polar_decomposition_identity_random_maps():
                 arch = ModifierArchitecture(kind, inner)
                 z = polar(rng, (4, 6))
                 w = polar(rng, (4, 6))
-                ax = amplitude_part(arch, np.abs(z))
-                ay = amplitude_part(arch, np.abs(w))
+                ax = amplitude_forward(arch, np.abs(z))[0]
+                ay = amplitude_forward(arch, np.abs(w))[0]
                 lhs = float(np.sum(np.abs(apply_to_values(arch, z) - apply_to_values(arch, w)) ** 2))
                 coupling = 2.0 * float(
                     np.sum(ax * ay * (1.0 - np.cos(np.angle(z) - np.angle(w))))
@@ -305,7 +309,7 @@ def test_theoretical_bound_requires_certificate():
 
 
 def margins(arch, x):
-    _, cache = _amplitude_with_cache(arch, x)
+    _, cache = amplitude_forward(arch, x)
     inner_out = cache.inner_out
     out = [np.min(np.abs(inner_out))]
     if arch.kind in ("lipsam_se",):
@@ -331,8 +335,8 @@ def test_amplitude_backward_matches_fd(kind):
             break
     assert x is not None, "could not find a kink-free sample"
     probe = rng.standard_normal((4, 6))
-    a, cache = _amplitude_with_cache(arch, x)
-    param_grads, dx = amplitude_backward(arch, cache, probe)
+    a, cache = amplitude_forward(arch, x)
+    param_grads, dx = amplitude_backward(cache, probe)
     flat = np.concatenate([g.reshape(-1) for g in param_grads])
 
     theta = net.flatten_parameters()
@@ -340,7 +344,7 @@ def test_amplitude_backward_matches_fd(kind):
 
     def loss_at(vec, xs):
         shifted = ModifierArchitecture(kind, NetMap(net.with_parameters(vec)))
-        return float(np.sum(amplitude_part(shifted, xs) * probe))
+        return float(np.sum(amplitude_forward(shifted, xs)[0] * probe))
 
     fd = np.zeros_like(theta)
     for j in range(theta.size):
@@ -364,25 +368,66 @@ def test_amplitude_backward_matches_fd(kind):
 # ---------------------------------------------------------------- configs
 
 
-def test_architecture_config_round_trip_analytic():
-    arch = ModifierArchitecture("lipsam_re", SoftThreshConstant(0.25))
-    cfg = architecture_to_config(arch)
-    rebuilt = architecture_from_config(cfg)
-    assert rebuilt.kind == "lipsam_re"
-    assert rebuilt.inner.tau == 0.25
-
-
-def test_architecture_config_round_trip_net(tmp_path):
+@pytest.mark.parametrize(
+    "variant", ["identity", "zero", "bias_add", "soft_thresh", "permutation", "net"]
+)
+def test_architecture_config_round_trip(tmp_path, variant):
     rng = np.random.default_rng(12)
     net = small_net(rng)
     save_net(tmp_path / "denoiser.bin", net)
-    arch = ModifierArchitecture("lipsam_se", NetMap(net))
-    cfg = architecture_to_config(arch, net_file="denoiser.bin")
-    rebuilt = architecture_from_config(cfg, base_dir=tmp_path)
+    inner = {
+        "identity": IdentityMap(),
+        "zero": ZeroMap(),
+        "bias_add": BiasAdd(0.25),
+        "soft_thresh": SoftThreshConstant(0.25),
+        "permutation": PermutationMap(np.asarray(rng.permutation(24))),
+        "net": NetMap(net),
+    }[variant]
     z = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    np.testing.assert_array_equal(
-        apply_to_values(arch, z), apply_to_values(rebuilt, z)
-    )
+    for kind in KINDS:
+        arch = ModifierArchitecture(kind, inner)
+        cfg = json.loads(json.dumps(architecture_to_config(arch, net_file="denoiser.bin")))
+        assert cfg["inner"]["variant"] == variant
+        rebuilt = architecture_from_config(cfg, base_dir=tmp_path)
+        assert rebuilt.kind == kind and type(rebuilt.inner) is type(inner)
+        assert apply_to_values(rebuilt, z).tobytes() == apply_to_values(arch, z).tobytes()
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [
+        {"variant": "bias_add", "b": "x"},
+        {"variant": "bias_add", "b": float("nan")},
+        {"variant": "bias_add", "b": float("inf")},
+        {"variant": "soft_thresh", "tau": [0.1]},
+        {"variant": "soft_thresh", "tau": float("nan")},
+        {"variant": "soft_thresh", "tau": -0.1},
+        {"variant": "permutation", "perm": [0.5, 1.5]},
+        {"variant": "permutation", "perm": [[0, 1], [1]]},
+        {"variant": "permutation", "perm": []},
+        {"variant": "net", "file": 5},
+        {"variant": ["zero"]},
+        "identity",
+    ],
+    ids=["b-text", "b-nan", "b-inf", "tau-list", "tau-nan", "tau-negative", "perm-float",
+         "perm-ragged", "perm-empty", "file-number", "variant-list", "inner-text"],
+)
+def test_architecture_from_config_rejects_malformed_inner_maps(inner):
+    with pytest.raises(DomainError):
+        architecture_from_config({"kind": "lipsam_re", "inner": inner})
+
+
+def test_map_without_gradient_rule_raises_on_backward():
+    class CallOnly(AmplitudeMap):
+        def __call__(self, x):
+            return 2.0 * x
+
+    arch = ModifierArchitecture("am_re", CallOnly())
+    z = np.array([1.0 + 1.0j, 2.0 - 0.5j])
+    out, cache = modifier_forward(arch, z)
+    np.testing.assert_allclose(out, apply_to_values(arch, z))
+    with pytest.raises(ShapeError, match="no gradient rule"):
+        modifier_backward(cache, np.ones_like(z))
 
 
 def test_architecture_rejects_unknown_kind():

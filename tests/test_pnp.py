@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 
 from lipsam.errors import DomainError, ShapeError, UndefinedMetricError
+from lipsam.cli import parse_lambda_grid
 from lipsam.lipschitz import realify, unrealify
 from lipsam.modifier import (
     AmplitudeMap,
@@ -19,7 +20,6 @@ from lipsam.pnp import (
     SolverConfig,
     admm_iteration,
     admm_operators,
-    default_lambda_grid,
     initial_state,
     lambda_sweep,
     run,
@@ -448,7 +448,7 @@ def test_run_checks_the_reference_before_iterating():
 
 
 def test_default_lambda_grid_shape():
-    grid = default_lambda_grid()
+    grid = parse_lambda_grid("1e-3:1e2:26log")
     assert grid.shape == (26,)
     assert abs(grid[0] - 1e-3) < 1e-12
     assert abs(grid[-1] - 1e2) < 1e-10

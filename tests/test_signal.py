@@ -127,7 +127,7 @@ def test_stft_round_trip_identity(seed, frames, geometry):
 
 def test_stft_round_trip_default_speech_config():
     rng = np.random.default_rng(7)
-    config = StftConfig.tight_hann()
+    config = StftConfig()
     sig = random_signal(rng, 8192)
     back = istft(stft(sig, config), config)
     assert np.max(np.abs(back.samples - sig.samples)) < 1e-10

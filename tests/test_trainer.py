@@ -15,7 +15,6 @@ from lipsam.trainer import (
     _batch_loss_and_grads,
     build_denoiser_net,
     certify_denoiser_net,
-    denoiser_architecture,
     evaluate_denoiser,
     neg_snr_loss,
     synth_rir,
@@ -130,6 +129,9 @@ def test_corpus_config_validation():
         SynthCorpusConfig(attack_seconds=0.0)
     with pytest.raises(DomainError):
         SynthCorpusConfig(duration_seconds=0.0)
+    for duration in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            SynthCorpusConfig(duration_seconds=duration)
 
 
 def test_rir_energy_normalized_and_deterministic():
@@ -247,7 +249,6 @@ def test_train_config_properties():
     config = small_train_config()
     assert config.segment_samples == 32 * 32
     assert config.modifier_kind == "am_re"
-    assert config.safeguarded_kind == "lipsam_re"
     assert small_train_config(arch="se").modifier_kind == "am_se"
 
 
@@ -286,12 +287,14 @@ def test_build_denoiser_net_spectral_mode_starts_feasible():
 
 def test_denoiser_architecture_kind_mapping():
     net = build_denoiser_net(small_train_config())
-    assert denoiser_architecture(net, "se").kind == "am_se"
-    assert denoiser_architecture(net, "re").kind == "am_re"
-    assert denoiser_architecture(net, "se", safeguarded=True).kind == "lipsam_se"
-    assert denoiser_architecture(net, "re", safeguarded=True).kind == "lipsam_re"
+    for arch in ("se", "re"):
+        trained = ModifierArchitecture(small_train_config(arch=arch).modifier_kind, NetMap(net))
+        assert trained.kind == "am_" + arch and not trained.is_safeguarded
+        assert ModifierArchitecture("lipsam_" + arch, NetMap(net)).is_safeguarded
     with pytest.raises(DomainError):
-        denoiser_architecture(net, "cnn")
+        small_train_config(arch="cnn")
+    with pytest.raises(DomainError):
+        ModifierArchitecture("am_cnn", NetMap(net))
 
 
 def test_certify_denoiser_net_stamps_exact_norms():
@@ -582,6 +585,6 @@ def test_trained_denoiser_improves_noisy_speech():
     result = train_denoiser(small_train_config(batch_size=8), corpus)
     fresh = SynthCorpusConfig(item_count=50, duration_seconds=0.128, seed=1234)
     test_items = [synth_speechlike(fresh, i) for i in range(50)]
-    arch = denoiser_architecture(result.net, "re")
+    arch = ModifierArchitecture("am_re", NetMap(result.net))
     rows = evaluate_denoiser(arch, test_items, [20.0], stft_config=SMALL_STFT, seed=7)
     assert rows[0]["mean_snr_db"] >= 20.0
