@@ -4,7 +4,12 @@ The headline tool is ``estimate_B``: a multi-restart projected gradient
 ascent that searches input coefficients (and, for parametric families, the
 inner-network weights) for large Jacobian operator norms.  The resulting
 maximum is a lower bound on the true Lipschitz constant, to be compared
-against the certified upper bound of safeguarded architectures.
+against the certified upper bound of safeguarded architectures.  The
+restarts of one search advance in lockstep as one batch: each round takes
+one stacked ascent gradient for the trials that just climbed and one
+stacked projection, Jacobian and SVD for every trial that awaits the
+verdict on a start or a step, and every trial still follows exactly the
+path it would follow alone.
 
 Modifiers act on complex arrays but are not holomorphic, so all Jacobians
 are taken of the realified map: complex coefficients are interleaved into
@@ -61,12 +66,13 @@ def realify(values: np.ndarray) -> np.ndarray:
 
 
 def unrealify(vector: np.ndarray, shape: tuple) -> np.ndarray:
-    """Inverse of ``realify`` for the given complex shape."""
+    """Inverse of ``realify`` for the given complex shape; leading axes of
+    ``vector`` stay in front of ``shape``."""
     vector = np.asarray(vector, dtype=np.float64)
     size = 2 * int(np.prod(shape, dtype=np.int64))
-    if vector.shape != (size,):
+    if vector.shape[-1:] != (size,):
         raise ShapeError(f"expected a real vector of length {size}, got {vector.shape}")
-    return (vector[0::2] + 1j * vector[1::2]).reshape(shape)
+    return (vector[..., 0::2] + 1j * vector[..., 1::2]).reshape(vector.shape[:-1] + tuple(shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,26 +125,45 @@ def modifier_jacobian(
     values = np.asarray(values, dtype=np.complex128)
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
-    shape = values.shape
-    n = 2 * values.size
-    base = realify(values)
-    shifts = epsilon * np.eye(n)
-    points = np.concatenate([base[None, :] + shifts, base[None, :] - shifts])
-    batch = (points[:, 0::2] + 1j * points[:, 1::2]).reshape((2 * n,) + shape)
-    out = apply_to_values(arch, batch).reshape(2 * n, -1)
-    flat = np.empty((2 * n, n))
-    flat[:, 0::2] = out.real
-    flat[:, 1::2] = out.imag
-    jac = (flat[:n] - flat[n:]).T / (2.0 * epsilon)
-    if not np.all(np.isfinite(jac)):
+    jac, finite = _stacked_jacobians(arch, values[None], epsilon)
+    if not finite[0]:
         raise NonFiniteError("jacobian contains non-finite entries")
-    return jac
+    return jac[0]
+
+
+def _stacked_jacobians(arch: ModifierArchitecture, values: np.ndarray, epsilon: float):
+    """Realified Jacobians at a stack of complex points [trials, *shape].
+
+    The 2n perturbed points of every trial go through one forward pass;
+    ``arch`` is either shared by the trials or stacked over them.  Returns
+    the [trials, n, n] Jacobians and a [trials] mask of those whose
+    amplitudes and entries are all finite.
+    """
+    trials, shape = values.shape[0], values.shape[1:]
+    n = 2 * int(np.prod(shape, dtype=np.int64))
+    flat_values = values.reshape(trials, 1, -1)
+    base = np.empty((trials, 1, n))
+    base[..., 0::2] = flat_values.real
+    base[..., 1::2] = flat_values.imag
+    shifts = epsilon * np.eye(n)
+    points = np.concatenate([base + shifts, base - shifts], axis=1)
+    batch = (points[..., 0::2] + 1j * points[..., 1::2]).reshape((trials, 2 * n) + shape)
+    out, cache = modifier_forward(arch, batch)
+    out = out.reshape(trials, 2 * n, -1)
+    flat = np.empty((trials, 2 * n, n))
+    flat[..., 0::2] = out.real
+    flat[..., 1::2] = out.imag
+    jac = np.swapaxes(flat[:, :n] - flat[:, n:], 1, 2) / (2.0 * epsilon)
+    finite = np.all(np.isfinite(cache.a.reshape(trials, -1)), axis=1)
+    finite &= np.all(np.isfinite(jac.reshape(trials, -1)), axis=1)
+    return jac, finite
 
 
 def top_singular_triple(matrix: np.ndarray):
-    """(sigma, u, v) for the top singular direction of a dense matrix."""
+    """(sigma, u, v) for the top singular direction of a dense matrix, or
+    arrays of them for a stack of matrices, from one (stacked) SVD."""
     u, s, vh = np.linalg.svd(np.asarray(matrix, dtype=np.float64), full_matrices=False)
-    return float(s[0]), u[:, 0], vh[0]
+    return s[..., 0], u[..., :, 0], vh[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +201,22 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One restart of ``estimate_B``.
+
+    ``iterations`` counts ascent steps (the last one may find no better
+    point), ``evaluations`` every objective evaluation, start redraws
+    included, and ``backtracks`` the step candidates that were rejected.
+    The restarts of a search run as one batch, so ``wall_time`` is the
+    seconds from the start of the search until this trial settled.
+    """
+
     trial: int
     value: float
     iterations: int
     terminated_early: bool
     wall_time: float
+    evaluations: int = 0
+    backtracks: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +263,13 @@ class ModifierFamily:
     back onto the feasible set after each ascent step; constrained families
     use it to keep every inner layer inside the unit operator-norm ball so
     that ``certified_bound`` stays valid throughout the search.
+
+    ``build`` and ``project`` also take a [trials, P] stack of parameter
+    vectors, which is how ``estimate_B`` advances its restarts together:
+    ``project`` then maps each row, and ``build`` returns one architecture
+    that applies trial r's modifier to slice r of inputs with a leading
+    trial axis, either through a stacked inner net or because the family
+    has one modifier for all trials.
     """
 
     kind: str
@@ -301,6 +344,7 @@ def conv2d_family(
         return np.concatenate(parts)
 
     def build(theta: np.ndarray) -> ModifierArchitecture:
+        # a [trials, P] stack builds one stacked net
         return ModifierArchitecture(kind, NetMap(template.with_parameters(theta)))
 
     project = None
@@ -326,7 +370,8 @@ def conv2d_family(
 def fixed_modifier_family(
     arch: ModifierArchitecture, input_shape: tuple, label: str = ""
 ) -> ModifierFamily:
-    """Wrap one concrete modifier so the search optimizes inputs only."""
+    """Wrap one concrete modifier so the search optimizes inputs only; its
+    trials share the modifier, so only their inputs are stacked."""
     try:
         bound = theoretical_bound(arch)
     except (UnboundedModifierError, UncertifiedError):
@@ -344,103 +389,102 @@ def fixed_modifier_family(
 
 
 # ---------------------------------------------------------------------------
-# gradient machinery
+# the lockstep search
 
 
-def _objective(family: ModifierFamily, theta: np.ndarray, z: np.ndarray, epsilon: float):
-    """(sigma, u, v) of the modifier Jacobian, or (nan, None, None) if sick."""
-    try:
-        jac = modifier_jacobian(family.build(theta), z, epsilon)
-        sigma, u, v = top_singular_triple(jac)
-    except (NonFiniteError, np.linalg.LinAlgError):
-        return float("nan"), None, None
-    if not np.isfinite(sigma):
-        return float("nan"), None, None
+def _objective(family: ModifierFamily, thetas: np.ndarray, z: np.ndarray, epsilon: float):
+    """Top singular triples of the modifier Jacobians at a stack of trials.
+
+    ``thetas`` is [trials, P] and ``z`` is [trials, *input_shape].  Returns
+    (sigma [trials], u [trials, n], v [trials, n]); sigma is nan for every
+    trial whose parameters, Jacobian or SVD is not finite.
+    """
+    trials = z.shape[0]
+    n = 2 * z[0].size
+    sigma = np.full(trials, np.nan)
+    u = np.zeros((trials, n))
+    v = np.zeros((trials, n))
+    rows = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
+    if rows.size:
+        jac, finite = _stacked_jacobians(family.build(thetas[rows]), z[rows], epsilon)
+        rows, jac = rows[finite], jac[finite]
+    if rows.size:
+        try:
+            top, top_u, top_v = top_singular_triple(jac)
+        except np.linalg.LinAlgError:
+            # a matrix LAPACK cannot decompose costs only its own trial
+            top = np.full(rows.size, np.nan)
+            top_u, top_v = np.zeros((2, rows.size, n))
+            for k, matrix in enumerate(jac):
+                try:
+                    top[k], top_u[k], top_v[k] = top_singular_triple(matrix)
+                except np.linalg.LinAlgError:
+                    pass
+        keep = np.isfinite(top)
+        rows = rows[keep]
+        sigma[rows], u[rows], v[rows] = top[keep], top_u[keep], top_v[keep]
     return sigma, u, v
 
 
-def _ascent_gradient(family, theta, z, u, v, eps):
-    """Ascent direction on (z, theta), complex z part plus flat theta part.
+def _ascent_gradient(family, thetas, z, u, v, eps):
+    """Ascent directions at a stack of trials: the complex z parts
+    [trials, *input_shape] and the flat theta parts [trials, P].
 
     Differentiates the secant surrogate Re<u, D(z + eps v) - D(z - eps v)>
-    / (2 eps) of the top singular value through the modifier's backward pass.
+    / (2 eps) of each top singular value through the modifier's backward
+    pass, with both secant points of every trial in one stacked pass.
     """
-    shape = family.input_shape
+    trials, shape = z.shape[0], z.shape[1:]
     u_c = unrealify(u, shape)
     v_c = unrealify(v, shape)
-    grad_z = np.zeros(shape, dtype=np.complex128)
-    grad_t = np.zeros(family.parameter_count)
-    arch = family.build(theta)
-    for sign in (1.0, -1.0):
-        _, cache = modifier_forward(arch, z + sign * eps * v_c)
-        param_grads, gz = modifier_backward(cache, u_c)
-        grad_z += (sign / (2.0 * eps)) * gz
-        # a fixed family carries no search parameters even when the
-        # wrapped net itself has weights, so key off grad_t, not param_grads
-        if grad_t.size and param_grads is not None:
-            grad_t += (sign / (2.0 * eps)) * np.concatenate([g.reshape(-1) for g in param_grads])
+    signs = (1.0, -1.0)
+    points = np.stack([z + sign * eps * v_c for sign in signs], axis=1)
+    # rows 2r and 2r + 1 hold trial r's secant points, each with its own copy
+    # of the trial's parameters, so that no parameter gradient mixes them
+    arch = family.build(np.repeat(thetas, 2, axis=0))
+    _, cache = modifier_forward(arch, points.reshape((2 * trials,) + shape))
+    param_grads, gz = modifier_backward(cache, np.repeat(u_c, 2, axis=0))
+    gz = gz.reshape((trials, 2) + shape)
+    grad_z = np.zeros(z.shape, dtype=np.complex128)
+    grad_t = np.zeros(thetas.shape)
+    # a fixed family carries no search parameters even when the wrapped net
+    # itself has weights, so key off grad_t, not param_grads
+    with_t = grad_t.size and param_grads is not None
+    if with_t:
+        gt = np.concatenate([g.reshape(2 * trials, -1) for g in param_grads], axis=1)
+        gt = gt.reshape(trials, 2, -1)
+    for k, sign in enumerate(signs):
+        grad_z += (sign / (2.0 * eps)) * gz[:, k]
+        if with_t:
+            grad_t += (sign / (2.0 * eps)) * gt[:, k]
     return grad_z, grad_t
 
 
-def _run_trial(family: ModifierFamily, config: SearchConfig, trial: int):
-    start = time.perf_counter()
-    rng = np.random.default_rng([config.seed, trial])
-    shape = family.input_shape
-    # Redraw dead starts: a start whose amplitude vanishes on the whole patch
-    # has an exactly zero Jacobian and no ascent direction.
-    for _ in range(20):
-        theta = family.sample_parameters(rng)
-        if family.project is not None:
-            theta = family.project(theta)
-        z = config.input_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        sigma, u, v = _objective(family, theta, z, config.fd_epsilon)
-        if np.isfinite(sigma) and sigma > 1e-9:
-            break
-    if not np.isfinite(sigma):
-        record = TrialRecord(trial, float("nan"), 0, False, time.perf_counter() - start)
-        return record, z, theta
-    iterations = 0
-    early = sigma > config.termination_threshold
-    step = config.step_size
-    while not early and iterations < config.max_iterations:
-        iterations += 1
-        grad_z, grad_t = _ascent_gradient(family, theta, z, u, v, config.fd_epsilon)
-        if not (np.all(np.isfinite(grad_z)) and np.all(np.isfinite(grad_t))):
-            break
-        norm = np.sqrt(np.sum(np.abs(grad_z) ** 2) + np.sum(grad_t**2))
-        if norm == 0.0:
-            break
-        # normalized direction with an adaptive trust region: double the step
-        # after a success, backtrack while the objective refuses to climb
-        accepted = False
-        while step >= _STEP_FLOOR:
-            z_new = z + (step / norm) * grad_z
-            theta_new = theta + (step / norm) * grad_t
-            if family.project is not None:
-                theta_new = family.project(theta_new)
-            sigma_new, u_new, v_new = _objective(family, theta_new, z_new, config.fd_epsilon)
-            if np.isfinite(sigma_new) and sigma_new > sigma:
-                z, theta, sigma, u, v = z_new, theta_new, sigma_new, u_new, v_new
-                accepted = True
-                step *= 2.0
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        if sigma > config.termination_threshold:
-            early = True
-    record = TrialRecord(trial, float(sigma), iterations, early, time.perf_counter() - start)
-    return record, z, theta
+# what a trial waits for in the next round of the lockstep search
+_DRAW, _CLIMB, _TRY, _SETTLED = range(4)
+_START_DRAWS = 20
 
 
 def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimate:
     """Adversarial lower bound on the Lipschitz constant of a modifier family.
 
-    Runs ``config.restarts`` independent trials of projected gradient ascent
-    on the top singular value of the realified Jacobian, each seeded from
-    ``(config.seed, trial)`` so results are reproducible bit for bit.  Tri-
-    als stop early once the objective clears ``termination_threshold``: by
-    then the family is already past every certificate of interest.
+    Runs ``config.restarts`` trials of projected gradient ascent on the top
+    singular value of the realified Jacobian, each seeded from
+    ``(config.seed, trial)`` so results are reproducible bit for bit.  A
+    trial redraws a start whose Jacobian vanishes, up to 20 times, then
+    steps along its normalized ascent direction with an adaptive trust
+    region: the step doubles after a success and halves while the objective
+    refuses to climb.  Trials stop early once the objective clears
+    ``termination_threshold``: by then the family is already past every
+    certificate of interest.
+
+    The trials advance in lockstep as one batch.  Each round draws the
+    pending starts, takes one stacked ascent gradient for the trials that
+    just climbed, and projects and evaluates every pending start or step
+    candidate in one stacked pass; per-trial phases tell which trials need
+    a gradient, which are backtracking and which have settled.  Every
+    stacked operation computes each trial's slice exactly as it would for
+    that trial alone, so each trial follows its own sequential path.
 
     The ascent gradient needs a smooth inner map, so inner nets must avoid
     leaky relu activations; certify those with ``pairwise_quotient_search``.
@@ -453,23 +497,103 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
             "activations; use pairwise_quotient_search for leaky relu"
         )
 
-    records = []
-    best = None
-    for trial in range(config.restarts):
-        record, z, theta = _run_trial(family, config, trial)
-        records.append(record)
-        if np.isfinite(record.value) and (best is None or record.value > best[0]):
-            best = (record.value, z, theta, trial)
-    if best is None:
+    start = time.perf_counter()
+    trials, shape, eps = config.restarts, family.input_shape, config.fd_epsilon
+    rngs = [np.random.default_rng([config.seed, trial]) for trial in range(trials)]
+    z = np.zeros((trials,) + shape, dtype=np.complex128)
+    theta = np.zeros((trials, family.parameter_count))
+    sigma = np.full(trials, np.nan)
+    u = np.zeros((trials, 2 * z[0].size))
+    v = np.zeros_like(u)
+    new_z, new_theta, grad_z, grad_t = z.copy(), theta.copy(), z.copy(), theta.copy()
+    norm = np.ones(trials)
+    step = np.full(trials, config.step_size)
+    phase = np.full(trials, _DRAW)
+    early = np.zeros(trials, dtype=bool)
+    iterations, draws, evaluations, backtracks = np.zeros((4, trials), dtype=np.int64)
+    wall_time = np.zeros(trials)
+
+    def settle(index):
+        phase[index] = _SETTLED
+        wall_time[index] = time.perf_counter() - start
+
+    while True:
+        # a start whose amplitude vanishes on the whole patch has an exactly
+        # zero Jacobian and no ascent direction, so it is drawn again
+        for r in np.flatnonzero(phase == _DRAW):
+            new_theta[r] = family.sample_parameters(rngs[r])
+            noise = rngs[r].standard_normal(shape) + 1j * rngs[r].standard_normal(shape)
+            new_z[r] = config.input_scale * noise
+
+        climbing = np.flatnonzero(phase == _CLIMB)
+        if climbing.size:
+            iterations[climbing] += 1
+            gz, gt = _ascent_gradient(
+                family, theta[climbing], z[climbing], u[climbing], v[climbing], eps
+            )
+            axes = tuple(range(1, gz.ndim))
+            size = np.sqrt(np.sum(np.abs(gz) ** 2, axis=axes) + np.sum(gt**2, axis=1))
+            finite = np.all(np.isfinite(gz), axis=axes) & np.all(np.isfinite(gt), axis=1)
+            moving = finite & (size != 0.0) & (step[climbing] >= _STEP_FLOOR)
+            go = climbing[moving]
+            grad_z[go], grad_t[go], norm[go] = gz[moving], gt[moving], size[moving]
+            phase[go] = _TRY
+            settle(climbing[~moving])
+
+        # normalized direction with an adaptive trust region
+        trying = phase == _TRY
+        ratio = step[trying] / norm[trying]
+        new_z[trying] = z[trying] + ratio.reshape((-1,) + (1,) * len(shape)) * grad_z[trying]
+        new_theta[trying] = theta[trying] + ratio[:, None] * grad_t[trying]
+
+        pending = np.flatnonzero((phase == _DRAW) | trying)
+        if not pending.size:
+            break
+        if family.project is not None:
+            new_theta[pending] = family.project(new_theta[pending])
+        new_sigma, new_u, new_v = _objective(family, new_theta[pending], new_z[pending], eps)
+        evaluations[pending] += 1
+
+        drew = phase[pending] == _DRAW
+        draws[pending[drew]] += 1
+        started = drew & ((new_sigma > 1e-9) | (draws[pending] == _START_DRAWS))
+        accepted = ~drew & (new_sigma > sigma[pending])
+        taken = started | accepted
+        moved = pending[taken]
+        z[moved], theta[moved] = new_z[moved], new_theta[moved]
+        sigma[moved], u[moved], v[moved] = new_sigma[taken], new_u[taken], new_v[taken]
+
+        step[pending[accepted]] *= 2.0
+        rejected = pending[~drew & ~accepted]
+        backtracks[rejected] += 1
+        step[rejected] *= 0.5
+        settle(rejected[step[rejected] < _STEP_FLOOR])
+
+        dead = np.isnan(sigma[moved])
+        settle(moved[dead])
+        moved = moved[~dead]
+        early[moved] = sigma[moved] > config.termination_threshold
+        climb = ~early[moved] & (iterations[moved] < config.max_iterations)
+        phase[moved[climb]] = _CLIMB
+        settle(moved[~climb])
+
+    records = tuple(
+        TrialRecord(t, float(sigma[t]), int(iterations[t]), bool(early[t]),
+                    float(wall_time[t]), int(evaluations[t]), int(backtracks[t]))
+        for t in range(trials)
+    )
+    finite = np.isfinite(sigma)
+    if not finite.any():
         raise NonFiniteError("every search trial produced a non-finite objective")
-    value, z, theta, trial = best
+    # the first of the largest values, as a sequential scan would keep it
+    best = int(np.argmax(np.where(finite, sigma, -np.inf)))
     return LipschitzEstimate(
-        value=float(value),
+        value=float(sigma[best]),
         certified_bound=family.certified_bound,
-        witness_values=z,
-        witness_parameters=theta,
-        witness_trial=trial,
-        records=tuple(records),
+        witness_values=z[best].copy(),
+        witness_parameters=theta[best].copy(),
+        witness_trial=best,
+        records=records,
     )
 
 
@@ -546,6 +670,8 @@ def pairwise_quotient_search(mapping: RealifiedMap, config: SearchConfig) -> Quo
             best_pair = (x.copy(), y.copy())
         if best_value > config.termination_threshold:
             break
+    if best_pair is None:
+        raise NonFiniteError("every quotient search restart produced a non-finite quotient")
     return QuotientEstimate(
         value=float(best_value),
         left=best_pair[0],

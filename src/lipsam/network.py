@@ -6,6 +6,13 @@ channels) or two (channels x height x width, used for small image-like
 inputs), through one rank-generic code path for the forward map, its adjoint
 and the weight gradient.  Every array op broadcasts over leading batch axes.
 
+A stacked layer or net (``stacked=True``) holds one layer or net per search
+trial: its weights carry a leading trial axis, [trials, out, in, *kernel],
+and the inputs it maps carry the same leading axis.  The flag is explicit
+because the rank of the weights cannot tell a stacked 1-D layer from a 2-D
+one.  A stacked net computes, slice by slice, exactly what each trial's own
+net computes, so a search can advance all its trials in one batch.
+
 The linear part of each layer can carry a norm certificate: an upper bound
 on its operator norm for a fixed input geometry, computed exactly from the
 layer's per-frequency transfer matrices (``circulant_operator_norm``).
@@ -75,26 +82,29 @@ class ConvLayer:
     ``weights`` has shape [out_channels, in_channels, *kernel] with one
     kernel dim for 1-D layers or two for 2-D layers; each kernel dim is odd
     (centered, same-size circular padding) and may differ from the others
-    or exceed the input size.
+    or exceed the input size.  A stacked layer puts a trial axis in front
+    of ``weights`` and ``bias``.
     """
 
     weights: np.ndarray
     bias: np.ndarray | None = None
     activation: Activation = LEAKY_RELU
     norm_certificate: float | None = None
+    stacked: bool = False
 
     def __post_init__(self) -> None:
         weights = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        if weights.ndim not in (3, 4):
+        lead = int(self.stacked)
+        if weights.ndim - lead not in (3, 4):
             raise ShapeError("weights must be [out, in, k] or [out, in, k1, k2]")
-        if any(k % 2 == 0 for k in weights.shape[2:]):
+        if any(k % 2 == 0 for k in weights.shape[2 + lead :]):
             raise ShapeError("kernel sizes must be odd (centered circular padding)")
         if not np.all(np.isfinite(weights)):
             raise NonFiniteError("layer weights must be finite")
         object.__setattr__(self, "weights", weights)
         if self.bias is not None:
             bias = np.ascontiguousarray(np.asarray(self.bias, dtype=np.float64))
-            if bias.shape != (weights.shape[0],):
+            if bias.shape != weights.shape[: lead + 1]:
                 raise ShapeError("bias must have one entry per output channel")
             if not np.all(np.isfinite(bias)):
                 raise NonFiniteError("layer bias must be finite")
@@ -107,53 +117,64 @@ class ConvLayer:
 
     @property
     def is_2d(self) -> bool:
-        return self.weights.ndim == 4
+        return self.weights.ndim - int(self.stacked) == 4
 
     @property
     def in_channels(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[1 + int(self.stacked)]
 
     @property
     def out_channels(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[int(self.stacked)]
 
 
-def _shifted_inputs(x: np.ndarray, kernel_shape: tuple):
+def _shifted_inputs(x: np.ndarray, kernel_shape: tuple, stacked: bool = False):
     """Yield (offset, rows) for every kernel offset.
 
     ``rows`` is a contiguous [batch * spatial, in_channels] matrix, so each
     offset costs one matmul; its row for position p holds
     ``x[..., :, p + offset - kernel_shape // 2]``, indexed circularly on each
     trailing spatial axis.  All rows are cut from one wrap-padded,
-    channels-last copy of ``x``.
+    channels-last copy of ``x``.  With ``stacked`` the leading trial axis of
+    ``x`` stays in front: [trials, batch * spatial, in_channels].
     """
     n = len(kernel_shape)
     pad = [(0, 0)] * (x.ndim - n - 1) + [(k // 2, k // 2) for k in kernel_shape] + [(0, 0)]
     padded = np.pad(np.moveaxis(x, -n - 1, -1), pad, mode="wrap")
+    rows_shape = x.shape[: int(stacked)] + (-1, x.shape[-n - 1])
     for offset in np.ndindex(*kernel_shape):
         window = tuple(slice(d, d + size) for d, size in zip(offset, x.shape[-n:]))
-        yield offset, padded[(..., *window, slice(None))].reshape(-1, x.shape[-n - 1])
+        yield offset, padded[(..., *window, slice(None))].reshape(rows_shape)
 
 
-def _conv_linear(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the linear part of a layer; x may carry leading batch axes."""
-    n = weights.ndim - 2
+def _conv_linear(weights: np.ndarray, x: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """Apply the linear part of a layer; x may carry leading batch axes.
+
+    Stacked weights [trials, out, in, *k] map an x whose leading axis is the
+    trial axis, one [trials, rows, in] by [trials, in, out] matmul per
+    kernel offset; each trial's slice is the unstacked 2-D matmul.
+    """
+    lead = int(stacked)
+    n = weights.ndim - 2 - lead
     out = sum(
-        rows @ weights[(..., *offset)].T
-        for offset, rows in _shifted_inputs(x, weights.shape[2:])
+        rows @ weights[(..., *offset)].swapaxes(-1, -2)
+        for offset, rows in _shifted_inputs(x, weights.shape[2 + lead :], stacked)
     )
-    out = out.reshape(x.shape[: -n - 1] + x.shape[-n:] + (weights.shape[0],))
+    out = out.reshape(x.shape[: -n - 1] + x.shape[-n:] + (weights.shape[lead],))
     return np.moveaxis(out, -1, -n - 1)
 
 
-def _conv_linear_transpose(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _conv_linear_transpose(
+    weights: np.ndarray, g: np.ndarray, stacked: bool = False
+) -> np.ndarray:
     """Adjoint of :func:`_conv_linear` in the same geometry.
 
     Kernels are odd and centred, so the adjoint of the correlation is the
     correlation with the spatially flipped, channel-swapped kernel.
     """
-    spatial_axes = tuple(range(2, weights.ndim))
-    return _conv_linear(np.flip(weights, spatial_axes).swapaxes(0, 1), g)
+    lead = int(stacked)
+    spatial_axes = tuple(range(2 + lead, weights.ndim))
+    return _conv_linear(np.flip(weights, spatial_axes).swapaxes(lead, lead + 1), g, stacked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +191,8 @@ class ConvNet:
         for a, b in zip(layers, layers[1:]):
             if a.out_channels != b.in_channels or a.is_2d != b.is_2d:
                 raise ShapeError("consecutive layers disagree on channels or rank")
+            if a.weights.shape[: int(a.stacked)] != b.weights.shape[: int(b.stacked)]:
+                raise ShapeError("consecutive layers disagree on the trial stack")
         if not np.isfinite(self.scale):
             raise NonFiniteError("scale must be finite")
         object.__setattr__(self, "layers", layers)
@@ -178,6 +201,10 @@ class ConvNet:
     @property
     def is_2d(self) -> bool:
         return self.layers[0].is_2d
+
+    @property
+    def stacked(self) -> bool:
+        return self.layers[0].stacked
 
     @property
     def in_channels(self) -> int:
@@ -201,26 +228,32 @@ class ConvNet:
         return sum(p.size for p in self.parameters())
 
     def flatten_parameters(self) -> np.ndarray:
-        return np.concatenate([p.reshape(-1) for p in self.parameters()])
+        """One flat parameter vector, or a [trials, P] stack of them."""
+        lead = self.layers[0].weights.shape[: int(self.stacked)]
+        return np.concatenate([p.reshape(lead + (-1,)) for p in self.parameters()], axis=-1)
 
     def with_parameters(self, vector: np.ndarray) -> "ConvNet":
-        """Rebuild the net from a flat parameter vector; certificates drop."""
+        """Rebuild the net from a flat parameter vector, or a stacked net from
+        a [trials, P] stack of them; certificates drop."""
         vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.parameter_count,):
+        if self.stacked or vector.ndim not in (1, 2) or vector.shape[-1] != self.parameter_count:
             raise ShapeError(
-                f"expected a parameter vector of length {self.parameter_count}"
+                f"expected parameter vectors of length {self.parameter_count}"
             )
+        lead = vector.shape[:-1]
         layers = []
         offset = 0
         for layer in self.layers:
-            w = vector[offset : offset + layer.weights.size].reshape(layer.weights.shape)
+            w = vector[..., offset : offset + layer.weights.size]
+            w = w.reshape(lead + layer.weights.shape)
             offset += layer.weights.size
             b = None
             if layer.bias is not None:
-                b = vector[offset : offset + layer.bias.size]
+                b = vector[..., offset : offset + layer.bias.size]
                 offset += layer.bias.size
             layers.append(
-                ConvLayer(w, b, activation=layer.activation, norm_certificate=None)
+                ConvLayer(w, b, activation=layer.activation, norm_certificate=None,
+                          stacked=bool(lead))
             )
         return ConvNet(tuple(layers), self.scale)
 
@@ -238,21 +271,26 @@ def forward(net: ConvNet, x: np.ndarray):
     """Run the network; returns (output, cache).
 
     ``x`` is [in_channels, width] or [in_channels, height, width], with any
-    number of leading batch axes allowed.
+    number of leading batch axes allowed; a stacked net needs the trial axis
+    first.
     """
     x = np.asarray(x, dtype=np.float64)
-    spatial = net.layers[0].weights.ndim - 1
-    if x.ndim < spatial or x.shape[-spatial] != net.in_channels:
+    lead = net.layers[0].weights.shape[: int(net.stacked)]
+    spatial = net.layers[0].weights.ndim - 1 - len(lead)
+    if x.ndim < spatial + len(lead) or x.shape[-spatial] != net.in_channels:
         raise ShapeError(
             f"input shape {x.shape} does not feed a net with {net.in_channels} input channels"
         )
+    if x.shape[: len(lead)] != lead:
+        raise ShapeError(f"input shape {x.shape} does not lead with the trial stack {lead}")
     inputs = []
     preactivations = []
     for layer in net.layers:
         inputs.append(x)
-        z = _conv_linear(layer.weights, x)
+        z = _conv_linear(layer.weights, x, net.stacked)
         if layer.bias is not None:
-            z += layer.bias.reshape((-1,) + (1,) * (spatial - 1))
+            batch = (1,) * (z.ndim - len(lead) - spatial)
+            z += layer.bias.reshape(lead + batch + (-1,) + (1,) * (spatial - 1))
         preactivations.append(z)
         x = layer.activation(z)
     return net.scale * x, ForwardCache(net, inputs, preactivations)
@@ -266,7 +304,8 @@ def backward(net: ConvNet, cache: ForwardCache, upstream: np.ndarray):
     """
     if cache.net is not net:
         raise ValueError("cache was produced by a different network instance")
-    spatial = net.layers[0].weights.ndim - 1
+    lead = int(net.stacked)
+    spatial = net.layers[0].weights.ndim - 1 - lead
     g = np.asarray(upstream, dtype=np.float64) * net.scale
     grads = [None] * len(net.parameters())
     slot = len(grads)
@@ -276,46 +315,57 @@ def backward(net: ConvNet, cache: ForwardCache, upstream: np.ndarray):
         dz = g * layer.activation.derivative(cache.preactivations[idx])
         if layer.bias is not None:
             slot -= 1
-            axes = tuple(i for i in range(dz.ndim) if i != dz.ndim - spatial)
+            axes = tuple(i for i in range(lead, dz.ndim) if i != dz.ndim - spatial)
             grads[slot] = np.sum(dz, axis=axes)
         slot -= 1
-        grads[slot] = _weight_gradient(layer.weights, x_in, dz)
-        g = _conv_linear_transpose(layer.weights, dz)
+        grads[slot] = _weight_gradient(layer.weights, x_in, dz, net.stacked)
+        g = _conv_linear_transpose(layer.weights, dz, net.stacked)
     return grads, g
 
 
-def _weight_gradient(weights: np.ndarray, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    dz_rows = np.moveaxis(dz, 1 - weights.ndim, -1).reshape(-1, weights.shape[0])
+def _weight_gradient(
+    weights: np.ndarray, x: np.ndarray, dz: np.ndarray, stacked: bool = False
+) -> np.ndarray:
+    """Gradient of the weights from layer input ``x`` and output gradient
+    ``dz``, summed over batch axes but, with ``stacked``, not over trials."""
+    lead = int(stacked)
+    rows_shape = dz.shape[:lead] + (-1, weights.shape[lead])
+    dz_cols = np.moveaxis(dz, 1 - weights.ndim + lead, -1).reshape(rows_shape).swapaxes(-1, -2)
     grad = np.empty_like(weights)
-    for offset, rows in _shifted_inputs(x, weights.shape[2:]):
-        grad[(..., *offset)] = dz_rows.T @ rows
+    for offset, rows in _shifted_inputs(x, weights.shape[2 + lead :], stacked):
+        grad[(..., *offset)] = dz_cols @ rows
     return grad
 
 
-def circulant_operator_norm(layer: ConvLayer, input_shape: tuple) -> float:
+def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
     """Exact operator norm of the layer's linear part on the given geometry.
 
     A circular convolution block-diagonalizes in the Fourier basis: for each
     spatial frequency the operator acts as the [out, in] matrix of kernel
     transforms at that frequency, so the overall norm is the maximum top
-    singular value across frequencies.  Exact up to FFT rounding.
+    singular value across frequencies.  Exact up to FFT rounding.  A
+    stacked layer gets one FFT and one stacked SVD for all its trials and
+    an array of one norm per trial back.
     """
     w = layer.weights
-    kernel_shape = w.shape[2:]
+    lead = int(layer.stacked)
+    kernel_shape = w.shape[2 + lead :]
     if len(input_shape) != len(kernel_shape):
         raise ShapeError(f"input_shape must have {len(kernel_shape)} spatial dims")
-    kernel = np.zeros(w.shape[:2] + tuple(input_shape))
+    kernel = np.zeros(w.shape[: 2 + lead] + tuple(input_shape))
     for offset in np.ndindex(*kernel_shape):
         tap = tuple((d - k // 2) % size for d, k, size in zip(offset, kernel_shape, input_shape))
         kernel[(..., *tap)] += w[(..., *offset)]
-    transfer = np.fft.fftn(kernel, axes=tuple(range(2, w.ndim)))
-    blocks = np.moveaxis(transfer, (0, 1), (-2, -1)).reshape(-1, w.shape[0], w.shape[1])
-    return float(np.max(np.linalg.svd(blocks, compute_uv=False)))
+    transfer = np.fft.fftn(kernel, axes=tuple(range(2 + lead, w.ndim)))
+    blocks = np.moveaxis(transfer, (lead, lead + 1), (-2, -1))
+    blocks = blocks.reshape(w.shape[:lead] + (-1,) + w.shape[lead : lead + 2])
+    norms = np.max(np.linalg.svd(blocks, compute_uv=False), axis=(-2, -1))
+    return norms if layer.stacked else float(norms)
 
 
 def project_unit_ball(net: ConvNet, input_shape: tuple) -> ConvNet:
     """Scale every layer whose operator norm on ``input_shape`` exceeds 1
-    back onto the unit ball.
+    back onto the unit ball; in a stacked net, every trial's layer.
 
     Rescaled layers drop their certificates; a net with no layer above 1
     comes back as the same object.
@@ -324,9 +374,15 @@ def project_unit_ball(net: ConvNet, input_shape: tuple) -> ConvNet:
     changed = False
     for layer in net.layers:
         norm = circulant_operator_norm(layer, input_shape)
-        if norm > 1.0:
-            w = layer.weights / (norm * (1.0 + 1e-12))
-            layers.append(ConvLayer(w, layer.bias, activation=layer.activation))
+        over = norm > 1.0
+        if np.any(over):
+            # dividing by 1.0 leaves the trials inside the ball bit for bit
+            divisor = np.where(over, norm * (1.0 + 1e-12), 1.0)
+            divisor = divisor.reshape(divisor.shape + (1,) * (layer.weights.ndim - divisor.ndim))
+            layers.append(
+                ConvLayer(layer.weights / divisor, layer.bias, activation=layer.activation,
+                          stacked=layer.stacked)
+            )
             changed = True
         else:
             layers.append(layer)
@@ -408,6 +464,8 @@ _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 def save_weights(net: ConvNet) -> bytes:
     """Serialize a network to a versioned, checksummed byte string."""
+    if net.stacked:
+        raise ShapeError("a stacked net is search state; save each trial's net instead")
     chunks = [struct.pack("<dI", net.scale, len(net.layers))]
     for layer in net.layers:
         header = struct.pack(

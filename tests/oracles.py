@@ -6,6 +6,7 @@ need.
 """
 
 import struct
+import time
 import zlib
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -13,8 +14,20 @@ from typing import Callable
 import numpy as np
 
 from lipsam.errors import DomainError, NonFiniteError, ShapeError
-from lipsam.lipschitz import _objective, realify, unrealify
-from lipsam.modifier import ModifierArchitecture, amplitude_forward
+from lipsam.lipschitz import (
+    TrialRecord,
+    _objective,
+    modifier_jacobian,
+    realify,
+    top_singular_triple,
+    unrealify,
+)
+from lipsam.modifier import (
+    ModifierArchitecture,
+    amplitude_forward,
+    modifier_backward,
+    modifier_forward,
+)
 from lipsam.network import ConvLayer, circulant_operator_norm
 
 
@@ -47,22 +60,113 @@ def objective_fd_gradient(family, theta: np.ndarray, z: np.ndarray, h: float):
     """Central differences of the search objective itself, one evaluation
     pair per realified input coordinate and per parameter.
 
+    Every perturbed point is one trial of a stacked objective evaluation.
     Returns (complex z part, flat theta part) like the production ascent
     gradient, or (None, None) when an evaluation is non-finite.
     """
     shape = family.input_shape
     zr = realify(z)
-    grad_flat = np.zeros(zr.size + theta.size)
-    for j in range(grad_flat.size):
-        point = np.concatenate([zr, theta])
-        point[j] += h
-        hi, _, _ = _objective(family, point[zr.size :], unrealify(point[: zr.size], shape), h)
-        point[j] -= 2.0 * h
-        lo, _, _ = _objective(family, point[zr.size :], unrealify(point[: zr.size], shape), h)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            return None, None
-        grad_flat[j] = (hi - lo) / (2.0 * h)
+    count = zr.size + theta.size
+    points = np.concatenate([zr, theta]) + h * np.concatenate([np.eye(count), -np.eye(count)])
+    thetas = np.ascontiguousarray(points[:, zr.size :])
+    sigma, _, _ = _objective(family, thetas, unrealify(points[:, : zr.size], shape), h)
+    if not np.all(np.isfinite(sigma)):
+        return None, None
+    grad_flat = (sigma[:count] - sigma[count:]) / (2.0 * h)
     return unrealify(grad_flat[: zr.size], shape), grad_flat[zr.size :]
+
+
+# ---------------------------------------------------------------------------
+# the bound search one trial at a time
+
+
+def objective(family, theta: np.ndarray, z: np.ndarray, epsilon: float):
+    """(sigma, u, v) of one modifier Jacobian, or (nan, None, None) if sick."""
+    try:
+        jac = modifier_jacobian(family.build(theta), z, epsilon)
+        sigma, u, v = top_singular_triple(jac)
+    except (NonFiniteError, np.linalg.LinAlgError):
+        return float("nan"), None, None
+    if not np.isfinite(sigma):
+        return float("nan"), None, None
+    return sigma, u, v
+
+
+def ascent_gradient(family, theta, z, u, v, eps):
+    """Ascent direction of one trial, complex z part plus flat theta part:
+    the secant surrogate differentiated one secant point at a time."""
+    shape = family.input_shape
+    u_c = unrealify(u, shape)
+    v_c = unrealify(v, shape)
+    grad_z = np.zeros(shape, dtype=np.complex128)
+    grad_t = np.zeros(family.parameter_count)
+    arch = family.build(theta)
+    for sign in (1.0, -1.0):
+        _, cache = modifier_forward(arch, z + sign * eps * v_c)
+        param_grads, gz = modifier_backward(cache, u_c)
+        grad_z += (sign / (2.0 * eps)) * gz
+        if grad_t.size and param_grads is not None:
+            grad_t += (sign / (2.0 * eps)) * np.concatenate([g.reshape(-1) for g in param_grads])
+    return grad_z, grad_t
+
+
+def run_trial(family, config, trial: int):
+    """One ``estimate_B`` restart on its own, with the same draws, steps and
+    verdicts: returns (TrialRecord, z, theta).  ``wall_time`` is this
+    trial's own run time."""
+    start = time.perf_counter()
+    rng = np.random.default_rng([config.seed, trial])
+    shape = family.input_shape
+    evaluations = backtracks = 0
+    for _ in range(20):
+        theta = family.sample_parameters(rng)
+        if family.project is not None:
+            theta = family.project(theta)
+        z = config.input_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        sigma, u, v = objective(family, theta, z, config.fd_epsilon)
+        evaluations += 1
+        if np.isfinite(sigma) and sigma > 1e-9:
+            break
+    if not np.isfinite(sigma):
+        record = TrialRecord(
+            trial, float("nan"), 0, False, time.perf_counter() - start, evaluations, 0
+        )
+        return record, z, theta
+    iterations = 0
+    early = sigma > config.termination_threshold
+    step = config.step_size
+    while not early and iterations < config.max_iterations:
+        iterations += 1
+        grad_z, grad_t = ascent_gradient(family, theta, z, u, v, config.fd_epsilon)
+        if not (np.all(np.isfinite(grad_z)) and np.all(np.isfinite(grad_t))):
+            break
+        norm = np.sqrt(np.sum(np.abs(grad_z) ** 2) + np.sum(grad_t**2))
+        if norm == 0.0:
+            break
+        accepted = False
+        while step >= 1e-12:
+            z_new = z + (step / norm) * grad_z
+            theta_new = theta + (step / norm) * grad_t
+            if family.project is not None:
+                theta_new = family.project(theta_new)
+            sigma_new, u_new, v_new = objective(family, theta_new, z_new, config.fd_epsilon)
+            evaluations += 1
+            if np.isfinite(sigma_new) and sigma_new > sigma:
+                z, theta, sigma, u, v = z_new, theta_new, sigma_new, u_new, v_new
+                accepted = True
+                step *= 2.0
+                break
+            backtracks += 1
+            step *= 0.5
+        if not accepted:
+            break
+        if sigma > config.termination_threshold:
+            early = True
+    record = TrialRecord(
+        trial, float(sigma), iterations, bool(early), time.perf_counter() - start,
+        evaluations, backtracks,
+    )
+    return record, z, theta
 
 
 def roll_stft(x: np.ndarray, config) -> np.ndarray:

@@ -467,6 +467,25 @@ def test_certify_nonsmooth_net_uses_quotient_fallback(workdir, capsys):
     assert rows[1][6] == "NaN"  # no wall clock for the aggregate fallback row
 
 
+def test_certify_reports_a_non_finite_quotient_search(workdir, capsys, monkeypatch):
+    import lipsam.cli
+
+    net = ConvNet((ConvLayer(0.3 * np.random.default_rng(0).standard_normal((4, 4, 3))),))
+    save_net(workdir / "leaky.npz", net)
+    denoiser = write_json(
+        workdir / "leaky.json",
+        {"kind": "lipsam_re", "inner": {"variant": "net", "file": "leaky.npz"}},
+    )
+    nan_map = classmethod(lambda cls, arch, shape: cls(lambda z: z * np.nan, tuple(shape)))
+    monkeypatch.setattr(lipsam.cli.RealifiedMap, "from_modifier", nan_map)
+    code = main([
+        "certify", "--modifier", denoiser, "--restarts", "2", "--shape", "4x4",
+        "--out-dir", str(workdir), "--out", "certify.csv", "--seed", "0",
+    ])
+    assert code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

@@ -36,7 +36,7 @@ from lipsam.network import (
     ConvNet,
     project_unit_ball,
 )
-from oracles import certify_layer, jacobian_fd, objective_fd_gradient
+from oracles import certify_layer, jacobian_fd, objective_fd_gradient, run_trial
 
 # ---------------------------------------------------------------- realify
 
@@ -353,15 +353,113 @@ def test_ascent_gradient_modes_agree():
     rng = np.random.default_rng(3)
     theta = fam.project(fam.sample_parameters(rng))
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    sigma, u, v = _objective(fam, theta, z, 1e-5)
-    assert sigma > 0.1
-    gz_bp, gt_bp = _ascent_gradient(fam, theta, z, u, v, 1e-5)
+    sigma, u, v = _objective(fam, theta[None], z[None], 1e-5)
+    assert sigma[0] > 0.1
+    gz_bp, gt_bp = _ascent_gradient(fam, theta[None], z[None], u, v, 1e-5)
     gz_fd, gt_fd = objective_fd_gradient(fam, theta, z, 1e-5)
-    g_bp = np.concatenate([realify(gz_bp), gt_bp])
+    g_bp = np.concatenate([realify(gz_bp[0]), gt_bp[0]])
     g_fd = np.concatenate([realify(gz_fd), gt_fd])
     assert np.linalg.norm(g_bp - g_fd) <= 1e-4 * np.linalg.norm(g_fd)
     cosine = g_bp @ g_fd / (np.linalg.norm(g_bp) * np.linalg.norm(g_fd))
     assert cosine > 1.0 - 1e-8
+
+
+# ---------------------------------------------------------------- lockstep vs sequential
+
+
+def _smooth_net_1d(channels=4, frames=5):
+    rng = np.random.default_rng(8)
+    layers = []
+    for c_in, c_out, act in ((channels, 3, SOFTPLUS), (3, channels, IDENTITY)):
+        raw = ConvLayer(
+            rng.standard_normal((c_out, c_in, 3)), 0.1 * rng.standard_normal(c_out), activation=act
+        )
+        layers.append(certify_layer(raw, (frames,)))
+    return ConvNet(tuple(layers))
+
+
+_ORACLE_CASES = {
+    "lipsam_se": (
+        lambda: conv2d_family("lipsam_se", scale=2.0),
+        SearchConfig(restarts=5, max_iterations=25, termination_threshold=8.0, seed=11),
+    ),
+    "lipsam_re": (
+        lambda: conv2d_family("lipsam_re", scale=1.0),
+        SearchConfig(restarts=5, max_iterations=25, termination_threshold=8.0, seed=12),
+    ),
+    "am_se_unconstrained": (
+        lambda: conv2d_family("am_se"),
+        SearchConfig(restarts=6, max_iterations=60, termination_threshold=5.0, seed=6),
+    ),
+    "fixed_net_1d": (
+        lambda: fixed_modifier_family(
+            ModifierArchitecture("lipsam_se", NetMap(_smooth_net_1d())), (4, 5)
+        ),
+        SearchConfig(restarts=4, max_iterations=20, seed=9),
+    ),
+    "fixed_soft_threshold": (
+        lambda: fixed_modifier_family(
+            ModifierArchitecture("lipsam_re", SoftThreshConstant(0.1)), (4,)
+        ),
+        SearchConfig(restarts=3, max_iterations=25, seed=2),
+    ),
+    "no_iterations": (
+        lambda: conv2d_family("lipsam_se"),
+        SearchConfig(restarts=3, max_iterations=0, seed=7),
+    ),
+    "one_restart": (
+        lambda: conv2d_family("lipsam_re"),
+        SearchConfig(restarts=1, max_iterations=30, seed=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_estimate_b_matches_trials_run_one_at_a_time(case):
+    make_family, config = _ORACLE_CASES[case]
+    fam = make_family()
+    est = estimate_B(fam, config)
+    runs = [run_trial(fam, config, trial) for trial in range(config.restarts)]
+    want = [record for record, _, _ in runs]
+    got = est.records
+    assert np.array([r.value for r in got]).tobytes() == np.array([r.value for r in want]).tobytes()
+    for field in ("trial", "iterations", "terminated_early", "evaluations", "backtracks"):
+        assert [getattr(r, field) for r in got] == [getattr(r, field) for r in want], field
+    assert all(r.evaluations >= 1 + r.backtracks for r in got)
+    values = [r.value if np.isfinite(r.value) else -np.inf for r in want]
+    assert est.witness_trial == values.index(max(values))
+    _, z, theta = runs[est.witness_trial]
+    assert est.witness_values.tobytes() == z.tobytes()
+    assert est.witness_parameters.tobytes() == theta.tobytes()
+    if config.max_iterations:
+        assert est.total_iterations > 0
+    if case == "am_se_unconstrained":
+        assert any(r.terminated_early for r in got)
+    # wall times run from the start of the search, so none passes the end
+    assert all(0.0 <= r.wall_time for r in got)
+
+
+def test_objective_loses_only_the_trial_lapack_fails_on(monkeypatch):
+    import lipsam.lipschitz as lipschitz
+
+    fam = conv2d_family("lipsam_re")
+    rng = np.random.default_rng(19)
+    thetas = fam.project(np.stack([fam.sample_parameters(rng) for _ in range(3)]))
+    z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    want = _objective(fam, thetas, z, 1e-5)
+    bad = modifier_jacobian(fam.build(thetas[1]), z[1])
+    real = lipschitz.top_singular_triple
+
+    def failing(matrix):
+        if matrix.ndim == 3 or np.array_equal(matrix, bad):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(matrix)
+
+    monkeypatch.setattr(lipschitz, "top_singular_triple", failing)
+    sigma, u, v = _objective(fam, thetas, z, 1e-5)
+    assert np.isnan(sigma[1]) and not np.isnan(want[0][1])
+    for got, expected in zip((sigma, u, v), want):
+        assert got[[0, 2]].tobytes() == expected[[0, 2]].tobytes()
 
 
 # ---------------------------------------------------------------- quotient search
@@ -406,6 +504,12 @@ def test_quotient_search_respects_leaky_relu_certificate():
         mapping, SearchConfig(restarts=2, max_iterations=15, seed=4)
     )
     assert result.value <= np.sqrt(2.0) + 1e-9
+
+
+def test_quotient_search_rejects_a_map_that_is_nan_everywhere():
+    mapping = RealifiedMap(lambda z: z * np.nan, (2,))
+    with pytest.raises(NonFiniteError):
+        pairwise_quotient_search(mapping, SearchConfig(restarts=2, max_iterations=3))
 
 
 def test_quotient_search_reports_restarts_run():

@@ -552,3 +552,67 @@ def test_flatten_with_parameters_round_trip():
     np.testing.assert_array_equal(out_a, out_b)
     with pytest.raises(ShapeError):
         net.with_parameters(vec[:-1])
+
+
+# ---------------------------------------------------------------- trial stacks
+
+
+def _stack_template(rank):
+    if rank == 1:
+        shapes = ((3, 2, 3), (2, 3, 5))
+    else:
+        shapes = ((2, 1, 3, 3), (1, 2, 3, 1))
+    layers = tuple(
+        ConvLayer(np.zeros(shape), np.zeros(shape[0]), activation=act)
+        for shape, act in zip(shapes, (SOFTPLUS, IDENTITY))
+    )
+    return ConvNet(layers, scale=1.5)
+
+
+@pytest.mark.parametrize("rank, spatial", [(1, (6,)), (2, (4, 5))])
+def test_stacked_net_matches_each_trial_bit_for_bit(rank, spatial):
+    rng = np.random.default_rng(31)
+    template = _stack_template(rank)
+    thetas = 2.0 * rng.standard_normal((3, template.parameter_count))
+    thetas[0] *= 0.01  # inside the unit ball: projection must leave it alone
+    stacked = template.with_parameters(thetas)
+    assert stacked.stacked and stacked.is_2d == (rank == 2)
+    assert stacked.flatten_parameters().tobytes() == thetas.tobytes()
+    x = rng.standard_normal((3, 2, template.in_channels) + spatial)
+    upstream = rng.standard_normal((3, 2, template.out_channels) + spatial)
+    out, cache = forward(stacked, x)
+    grads, gx = backward(stacked, cache, upstream)
+    projected = project_unit_ball(stacked, spatial).flatten_parameters()
+    for r, theta in enumerate(thetas):
+        net = template.with_parameters(theta)
+        out_r, cache_r = forward(net, x[r])
+        grads_r, gx_r = backward(net, cache_r, upstream[r])
+        assert out[r].tobytes() == out_r.tobytes()
+        assert gx[r].tobytes() == gx_r.tobytes()
+        for g, g_r in zip(grads, grads_r, strict=True):
+            assert g[r].tobytes() == g_r.tobytes()
+        for layer, layer_r in zip(stacked.layers, net.layers):
+            norm = circulant_operator_norm(layer_r, spatial)
+            assert circulant_operator_norm(layer, spatial)[r] == norm
+        want = project_unit_ball(net, spatial).flatten_parameters()
+        assert projected[r].tobytes() == want.tobytes()
+    assert projected[0].tobytes() == thetas[0].tobytes()
+
+
+def test_stacked_layer_takes_its_trial_axis_from_the_flag():
+    w = np.zeros((2, 3, 3, 5))  # one 2-D layer, or two stacked 1-D layers
+    assert ConvLayer(w).is_2d and ConvLayer(w).in_channels == 3
+    layer = ConvLayer(w, np.zeros((2, 3)), stacked=True)
+    assert not layer.is_2d and (layer.out_channels, layer.in_channels) == (3, 3)
+    with pytest.raises(ShapeError):
+        ConvLayer(w, np.zeros(2), stacked=True)
+    net = ConvNet((layer,))
+    assert forward(net, np.zeros((2, 3, 4)))[0].shape == (2, 3, 4)
+    with pytest.raises(ShapeError):
+        forward(net, np.zeros((3, 3, 4)))
+    with pytest.raises(ShapeError):
+        save_weights(net)
+    with pytest.raises(ShapeError):
+        net.with_parameters(net.flatten_parameters())
+    with pytest.raises(ShapeError):
+        ConvNet((layer, ConvLayer(np.zeros((3, 3, 5)))))
