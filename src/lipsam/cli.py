@@ -1,9 +1,10 @@
 """Command-line entry point: experiments as subcommands with CSV outputs.
 
-Every subcommand reads optional parameters from a strict JSON config
-(unknown keys are rejected before any computation), takes its seed from
---seed, and writes machine-readable CSV. Exit codes: 0 success, 1 usage or
-configuration error, 2 assertion or bound violation, 3 divergence only.
+Each subcommand takes a parameter from the flag of the same name, else from
+its strict JSON --config document, else from its default; unknown keys and
+wrong-typed values are rejected before any computation. The seed comes from
+--seed, and results are machine-readable CSV. Exit codes: 0 success, 1 usage
+or configuration error, 2 assertion or bound violation, 3 divergence only.
 """
 
 import argparse
@@ -12,7 +13,8 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -93,26 +95,90 @@ def _load_json(path) -> dict:
     return document
 
 
-def _load_config(path, allowed) -> dict:
-    """Strict schema gate: any key outside ``allowed`` rejects the document."""
-    if path is None:
-        return {}
-    document = _load_json(path)
-    unknown = sorted(set(document) - set(allowed))
+_EXPECTED = {
+    int: "an integer", float: "a finite number", str: "a string", tuple: "a pair of numbers",
+    list: "a non-empty list of numbers", (str, float): "a string or a number",
+}
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _typed(kind, value):
+    """``value`` converted to the table type ``kind``; ValueError if it is not one."""
+    if kind is int and _is_finite(value) and float(value).is_integer():
+        return int(value)
+    if kind in (float, (str, float)) and _is_finite(value):
+        return float(value)
+    if kind in (str, (str, float)) and isinstance(value, str):
+        return value
+    if kind in (list, tuple) and isinstance(value, list) and all(map(_is_finite, value)):
+        if len(value) == 2 or kind is list and value:
+            return kind(float(item) for item in value)
+    raise ValueError
+
+
+_STFT_KEYS = {"window_length": (int, 512), "hop": (int, 256)}
+
+# Each subcommand's config keys as key: (type, default). A flag named after
+# a key overrides the file; a None default is worked out by the command.
+# Keys named after a field of a config dataclass pass to it by name.
+CONFIG_KEYS = {
+    "validate-bounds": {
+        "restarts": (int, 100),
+        "max_iterations": (int, 100),
+        "scales": (list, [0.5, 1.0, 2.0, 4.0]),
+        "step_size": (float, 0.1),
+        "termination_threshold": (float, 5.0),
+    },
+    "train": {
+        "epochs": (int, 2),
+        "batch_size": (int, 32),
+        "learning_rate": (float, 1e-4),
+        "snr_range": (tuple, (20.0, 40.0)),
+        "frames": (int, 32),
+        "arch": (str, "re"),
+        "lipschitz": (str, "none"),
+        "channel_width": (int, 64),
+        "kernel_size": (int, 5),
+        **_STFT_KEYS,
+        "item_count": (int, 64),
+        "duration_seconds": (float, None),
+        "corpus_seed": (int, None),
+    },
+    "dereverb": {"lambda": (float, 1.0), "iters": (int, 500), **_STFT_KEYS},
+    "sweep-lambda": {"grid": ((str, float), "1e-3:1e2:26log"), "iters": (int, 500), **_STFT_KEYS},
+    "certify": {
+        "restarts": (int, 8),
+        "max_iterations": (int, 40),
+        "frames": (int, 8),
+        "shape": (str, None),
+    },
+}
+
+
+def _resolve(args) -> dict:
+    """The subcommand's parameters: CLI flag, then config file, then default."""
+    table = CONFIG_KEYS[args.command]
+    document = {} if args.config is None else _load_json(args.config)
+    unknown = sorted(set(document) - set(table))
     if unknown:
-        raise ConfigError(
-            f"unknown config keys {unknown}; allowed keys are {sorted(allowed)}"
-        )
-    return document
+        raise ConfigError(f"unknown config keys {unknown}; allowed keys are {sorted(table)}")
+    resolved = {key: default for key, (_, default) in table.items()}
+    flags = {key: getattr(args, key) for key in table if getattr(args, key, None) is not None}
+    for key, value in [*document.items(), *flags.items()]:
+        kind = table[key][0]
+        try:
+            resolved[key] = _typed(kind, value)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{key} must be {_EXPECTED[kind]}, got {value!r}")
+    return resolved
 
 
-def _pick(args_value, config, key, default):
-    """Resolution order: explicit CLI flag, then config file, then default."""
-    if args_value is not None:
-        return args_value
-    if key in config:
-        return config[key]
-    return default
+def _fields(cls, config: dict) -> dict:
+    """The entries of ``config`` that name a field of dataclass ``cls``."""
+    return {f.name: config[f.name] for f in fields(cls) if f.name in config}
 
 
 def _out_path(args, name_or_path) -> Path:
@@ -123,44 +189,20 @@ def _out_path(args, name_or_path) -> Path:
     return path
 
 
-def _stft_from_config(config: dict) -> StftConfig:
-    return StftConfig(
-        window_length=int(config.get("window_length", 512)),
-        hop=int(config.get("hop", 256)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # validate-bounds
 
-_VALIDATE_KEYS = ("restarts", "max_iterations", "scales", "step_size", "termination_threshold")
-
 
 def _bounds_task(task):
-    """One architecture x constraint x scale cell; primitives only, so the
-    task can cross a process boundary."""
-    kind, constrained, scale, restarts, iterations, step, threshold, seed = task
+    """One architecture x constraint x scale cell, picklable for the pool."""
+    kind, constrained, scale, search = task
     family = conv2d_family(kind, scale=scale, constrained=constrained)
-    config = SearchConfig(
-        restarts=restarts,
-        max_iterations=iterations,
-        step_size=step,
-        termination_threshold=threshold,
-        seed=seed,
-    )
-    estimate = estimate_B(family, config)
+    estimate = estimate_B(family, search)
     bound = estimate.certified_bound
+    bound_cell = float("nan") if bound is None else bound
     rows = [
-        (
-            kind,
-            constrained,
-            scale,
-            record.trial,
-            record.value,
-            float("nan") if bound is None else bound,
-            record.terminated_early,
-            record.iterations,
-        )
+        (kind, constrained, scale, record.trial, record.value, bound_cell,
+         record.terminated_early, record.iterations)
         for record in estimate.records
     ]
     violated = estimate.violates_bound(BOUND_TOLERANCE)
@@ -168,23 +210,10 @@ def _bounds_task(task):
 
 
 def cmd_validate_bounds(args) -> int:
-    config = _load_config(args.config, _VALIDATE_KEYS)
-    restarts = int(_pick(None, config, "restarts", 100))
-    iterations = int(_pick(None, config, "max_iterations", 100))
-    scales = [float(s) for s in _pick(None, config, "scales", [0.5, 1.0, 2.0, 4.0])]
-    step = float(_pick(None, config, "step_size", 0.1))
-    threshold = float(_pick(None, config, "termination_threshold", 5.0))
-
-    tasks = []
-    index = 0
-    for kind in KINDS:
-        for constrained in (True, False):
-            for scale in scales:
-                tasks.append(
-                    (kind, constrained, scale, restarts, iterations, step, threshold,
-                     args.seed + index)
-                )
-                index += 1
+    config = _resolve(args)
+    search = SearchConfig(**_fields(SearchConfig, config), seed=args.seed)
+    cells = product(KINDS, (True, False), config["scales"])
+    tasks = [(*cell, replace(search, seed=args.seed + index)) for index, cell in enumerate(cells)]
 
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
@@ -224,37 +253,15 @@ def cmd_validate_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-_TRAIN_KEYS = (
-    "batch_size", "learning_rate", "snr_range", "frames", "channel_width",
-    "kernel_size", "window_length", "hop", "item_count", "duration_seconds",
-    "corpus_seed", "epochs", "arch", "lipschitz",
-)
-
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config, _TRAIN_KEYS)
-    stft_config = _stft_from_config(config)
-    train_config = TrainConfig(
-        epochs=int(_pick(args.epochs, config, "epochs", 2)),
-        batch_size=int(_pick(None, config, "batch_size", 32)),
-        learning_rate=float(_pick(None, config, "learning_rate", 1e-4)),
-        snr_range=tuple(_pick(None, config, "snr_range", (20.0, 40.0))),
-        frames=int(_pick(None, config, "frames", 32)),
-        arch=_pick(args.arch, config, "arch", "re"),
-        lipschitz=_pick(args.lipschitz, config, "lipschitz", "none"),
-        channel_width=int(_pick(None, config, "channel_width", 64)),
-        kernel_size=int(_pick(None, config, "kernel_size", 5)),
-        seed=args.seed,
-        stft=stft_config,
-    )
-    corpus = SynthCorpusConfig(
-        item_count=int(_pick(None, config, "item_count", 64)),
-        duration_seconds=float(
-            _pick(None, config, "duration_seconds",
-                  train_config.segment_samples / 8000.0)
-        ),
-        seed=int(_pick(None, config, "corpus_seed", args.seed)),
-    )
+    config = _resolve(args)
+    stft_config = StftConfig(**_fields(StftConfig, config))
+    train_config = TrainConfig(**_fields(TrainConfig, config), seed=args.seed, stft=stft_config)
+    if config["duration_seconds"] is None:
+        config["duration_seconds"] = train_config.segment_samples / 8000.0
+    corpus_seed = args.seed if config["corpus_seed"] is None else config["corpus_seed"]
+    corpus = SynthCorpusConfig(**_fields(SynthCorpusConfig, config), seed=corpus_seed)
 
     result = train_denoiser(train_config, corpus)
 
@@ -304,10 +311,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # dereverb and sweep-lambda
 
-_DEREVERB_KEYS = ("lambda", "iters", "window_length", "hop")
-_SWEEP_KEYS = ("grid", "iters", "window_length", "hop")
-
-
 def _load_denoiser(path):
     document = _load_json(path)
     try:
@@ -316,18 +319,19 @@ def _load_denoiser(path):
         raise ConfigError(f"invalid denoiser config {path}: {exc}")
 
 
-def _observation_from_files(input_path, rir_path) -> Observation:
-    return Observation(read_wav(input_path), read_wav(rir_path))
+def _solver_inputs(args, config, lam):
+    """Observation, denoiser, optional reference and solver config of a run."""
+    observation = Observation(read_wav(args.input), read_wav(args.rir))
+    denoiser = _load_denoiser(args.denoiser)
+    reference = read_wav(args.reference) if args.reference else None
+    stft_config = StftConfig(**_fields(StftConfig, config))
+    solver = SolverConfig(lam=lam, max_iterations=config["iters"], stft=stft_config)
+    return observation, denoiser, reference, solver
 
 
 def cmd_dereverb(args) -> int:
-    config = _load_config(args.config, _DEREVERB_KEYS)
-    lam = float(_pick(args.lam, config, "lambda", 1.0))
-    iters = int(_pick(args.iters, config, "iters", 500))
-    observation = _observation_from_files(args.input, args.rir)
-    denoiser = _load_denoiser(args.denoiser)
-    reference = read_wav(args.reference) if args.reference else None
-    solver = SolverConfig(lam=lam, max_iterations=iters, stft=_stft_from_config(config))
+    config = _resolve(args)
+    observation, denoiser, reference, solver = _solver_inputs(args, config, config["lambda"])
 
     result = run(observation, denoiser, solver, reference=reference)
 
@@ -379,13 +383,9 @@ def parse_lambda_grid(text: str) -> np.ndarray:
 
 
 def cmd_sweep_lambda(args) -> int:
-    config = _load_config(args.config, _SWEEP_KEYS)
-    grid = parse_lambda_grid(str(_pick(args.grid, config, "grid", "1e-3:1e2:26log")))
-    iters = int(_pick(args.iters, config, "iters", 500))
-    observation = _observation_from_files(args.input, args.rir)
-    denoiser = _load_denoiser(args.denoiser)
-    reference = read_wav(args.reference) if args.reference else None
-    solver = SolverConfig(lam=1.0, max_iterations=iters, stft=_stft_from_config(config))
+    config = _resolve(args)
+    grid = parse_lambda_grid(str(config["grid"]))
+    observation, denoiser, reference, solver = _solver_inputs(args, config, 1.0)
 
     results = lambda_sweep(observation, denoiser, grid, solver, reference=reference)
 
@@ -407,14 +407,12 @@ def cmd_sweep_lambda(args) -> int:
 # ---------------------------------------------------------------------------
 # certify
 
-_CERTIFY_KEYS = ("restarts", "max_iterations", "frames", "shape")
 
-
-def _certify_input_shape(arch, args, config) -> tuple:
-    shape_text = _pick(args.shape, config, "shape", None)
+def _certify_input_shape(arch, config) -> tuple:
+    shape_text = config["shape"]
     if shape_text is not None:
         try:
-            dims = tuple(int(d) for d in str(shape_text).lower().split("x"))
+            dims = tuple(int(d) for d in shape_text.lower().split("x"))
         except ValueError:
             raise ConfigError(f"cannot parse shape {shape_text!r}; expected e.g. '4x4'")
         if len(dims) != 2 or min(dims) < 1:
@@ -422,23 +420,20 @@ def _certify_input_shape(arch, args, config) -> tuple:
         return dims
     # Default small: the derivative-free fallback for non-smooth nets scales
     # with the coordinate count, so wide default shapes would crawl.
-    frames = int(_pick(None, config, "frames", 8))
     if isinstance(arch.inner, NetMap) and not arch.inner.net.is_2d:
-        return (arch.inner.net.in_channels, frames)
+        return (arch.inner.net.in_channels, config["frames"])
     return (4, 4)
 
 
 def cmd_certify(args) -> int:
-    config = _load_config(args.config, _CERTIFY_KEYS)
+    config = _resolve(args)
     arch = _load_denoiser(args.modifier)
-    shape = _certify_input_shape(arch, args, config)
-    restarts = int(_pick(args.restarts, config, "restarts", 8))
-    iterations = int(_pick(None, config, "max_iterations", 40))
+    shape = _certify_input_shape(arch, config)
     scale = arch.inner.net.scale if isinstance(arch.inner, NetMap) else float("nan")
     family = fixed_modifier_family(arch, shape)
     bound = float("nan") if family.certified_bound is None else family.certified_bound
 
-    search = SearchConfig(restarts=restarts, max_iterations=iterations, seed=args.seed)
+    search = SearchConfig(**_fields(SearchConfig, config), seed=args.seed)
     try:
         estimate = estimate_B(family, search)
         best = estimate.value
@@ -613,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--rir", required=True)
     p.add_argument("--denoiser", required=True, help="architecture config JSON")
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", type=float)
     p.add_argument("--iters", type=int)
     p.add_argument("--out", default="dereverbed.wav")
     p.add_argument("--trace", help="per-iteration trace CSV path")
@@ -651,6 +646,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error("--threads must be at least 1")
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -197,6 +197,8 @@ class SearchConfig:
                 "step_size, fd_epsilon, input_scale and termination_threshold "
                 "must be positive and finite"
             )
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DomainError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -279,7 +281,6 @@ class ModifierFamily:
     build: Callable[[np.ndarray], ModifierArchitecture]
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None
     certified_bound: Optional[float] = None
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -300,7 +301,6 @@ def conv2d_family(
     kernel_size: int = 3,
     input_shape: tuple = (4, 4),
     use_bias: Optional[bool] = None,
-    label: str = "",
 ) -> ModifierFamily:
     """Small 2-D convolutional inner nets on single-channel magnitude patches.
 
@@ -363,13 +363,10 @@ def conv2d_family(
         build=build,
         project=project,
         certified_bound=certified,
-        label=label or kind,
     )
 
 
-def fixed_modifier_family(
-    arch: ModifierArchitecture, input_shape: tuple, label: str = ""
-) -> ModifierFamily:
+def fixed_modifier_family(arch: ModifierArchitecture, input_shape: tuple) -> ModifierFamily:
     """Wrap one concrete modifier so the search optimizes inputs only; its
     trials share the modifier, so only their inputs are stacked."""
     try:
@@ -384,7 +381,6 @@ def fixed_modifier_family(
         build=lambda theta: arch,
         project=None,
         certified_bound=bound,
-        label=label or arch.kind,
     )
 
 

@@ -68,15 +68,12 @@ class SolverConfig:
     lam: float = 1.0
     max_iterations: int = 500
     stft: StftConfig = field(default_factory=StftConfig)
-    log_every: int = 0
 
     def __post_init__(self):
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise DomainError("lam must be positive and finite")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
-        if self.log_every < 0:
-            raise DomainError("log_every must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,13 +214,10 @@ def run(
                 status = "diverged"
                 diverged_at = k
                 break
-            delta = float(np.linalg.norm(new.x - state.x))
+            delta_x.append(float(np.linalg.norm(new.x - state.x)))
             state = new
-            delta_x.append(delta)
             if reference is not None:
                 si_snr_trace.append(si_snr_values(state.x, reference.samples))
-            if config.log_every and k % config.log_every == 0:
-                print(f"iteration {k}: delta_x {delta:.6e}")
     return SolveResult(
         x_hat=TimeSignal(state.x, rate),
         delta_x=np.asarray(delta_x),

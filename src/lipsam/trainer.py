@@ -87,6 +87,8 @@ class SynthCorpusConfig:
             raise DomainError("attack and decay times must be positive")
         if not 0.0 <= self.silence_probability <= 1.0:
             raise DomainError("silence_probability must lie in [0, 1]")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DomainError("seed must be a nonnegative integer")
         object.__setattr__(self, "harmonic_range", (int(low), int(high)))
         object.__setattr__(self, "f0_range", (float(f_low), float(f_high)))
 
@@ -270,6 +272,8 @@ class TrainConfig:
             raise DomainError("channel_width must be at least 1")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise DomainError("kernel_size must be odd and positive")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DomainError("seed must be a nonnegative integer")
         object.__setattr__(self, "snr_range", (float(low), float(high)))
 
     @property

@@ -1,5 +1,6 @@
 """Exit codes, CSV formats, config validation, and subcommand behavior."""
 
+import argparse
 import csv
 import json
 import os
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import lipsam
-from lipsam.cli import EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main, parse_lambda_grid
+from lipsam.cli import CONFIG_KEYS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION
+from lipsam.cli import build_parser, main, parse_lambda_grid
 from lipsam.errors import ConfigError
 from lipsam.modifier import architecture_from_config
 from lipsam.network import IDENTITY, ConvLayer, ConvNet, load_net, save_net, save_weights
@@ -506,7 +508,112 @@ def test_usage_errors_exit_1(workdir, capsys):
         "sweep-lambda", "--input", paths["observed"], "--rir", paths["rir"],
         "--denoiser", denoiser, "--grid", "nonsense", "--out-dir", str(workdir),
     ]) == EXIT_USAGE
-    capsys.readouterr()
+    assert main(["validate-bounds", "--threads", "0", "--out-dir", str(workdir)]) == EXIT_USAGE
+    assert "usage error: --threads must be at least 1" in capsys.readouterr().err
+    assert not (workdir / "validate_bounds.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the config table
+
+WRONG_VALUES = {
+    int: ["x", 2.7, True, None],
+    float: ["x", float("nan"), True],
+    str: [1],
+    list: [[], 1.0, ["x"]],
+    tuple: [[1], "x"],
+    (str, float): [[1], True],
+}
+
+
+@pytest.fixture(scope="module")
+def required_args(tmp_path_factory):
+    """Valid required flags per subcommand, so only the config can fail."""
+    directory = tmp_path_factory.mktemp("inputs")
+    paths = make_wav_fixtures(directory)
+    denoiser = write_json(
+        directory / "soft.json",
+        {"kind": "lipsam_re", "inner": {"variant": "soft_thresh", "tau": 0.05}},
+    )
+    solve = ["--input", paths["observed"], "--rir", paths["rir"], "--denoiser", denoiser]
+    return {
+        "validate-bounds": [], "train": [], "dereverb": solve, "sweep-lambda": solve,
+        "certify": ["--modifier", denoiser],
+    }
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (command, key, value)
+        for command, table in CONFIG_KEYS.items()
+        for key, (kind, _) in table.items()
+        for value in WRONG_VALUES[kind]
+    ],
+)
+def test_every_config_key_rejects_a_wrong_typed_value(
+    tmp_path, capsys, required_args, command, key, value
+):
+    config = write_json(tmp_path / "config.json", {key: value})
+    out_dir = tmp_path / "out"
+    code = main([command, *required_args[command], "--config", config, "--out-dir", str(out_dir)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_flags_named_after_a_config_key_store_to_that_key():
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    matched = []
+    for command, table in CONFIG_KEYS.items():
+        for action in commands.choices[command]._actions:
+            for option in action.option_strings:
+                key = option.lstrip("-").replace("-", "_")
+                if key in table:
+                    assert action.dest == key
+                    matched.append(f"{command} {option}")
+    assert sorted(matched) == [
+        "certify --restarts", "certify --shape", "dereverb --iters", "dereverb --lambda",
+        "sweep-lambda --grid", "sweep-lambda --iters", "train --arch", "train --epochs",
+        "train --lipschitz",
+    ]
+
+
+def test_a_flag_overrides_a_config_value_of_the_right_type(workdir, capsys):
+    certify = write_json(
+        workdir / "soft.json",
+        {"kind": "lipsam_re", "inner": {"variant": "soft_thresh", "tau": 0.1}},
+    )
+    restarts = write_json(workdir / "restarts.json", {"restarts": 1})
+    assert main(["certify", "--modifier", certify, "--config", restarts, "--restarts", "3",
+                 "--shape", "2x2", "--out-dir", str(workdir)]) == EXIT_OK
+    assert len(read_rows(workdir / "certify.csv")) == 1 + 3
+    bad = write_json(workdir / "bad.json", {"restarts": "x"})
+    assert main(["certify", "--modifier", certify, "--config", bad, "--restarts", "3",
+                 "--out-dir", str(workdir / "bad")]) == EXIT_USAGE
+    assert "config error: restarts must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["validate-bounds", "--seed", "-1"], {}),
+        (["train", "--seed", "-1"], {}),
+        (["train"], {"corpus_seed": -1}),
+    ],
+)
+def test_a_negative_seed_is_an_error(workdir, capsys, argv, config):
+    document = write_json(workdir / "config.json", config)
+    out_dir = workdir / "out"
+    assert main([*argv, "--config", document, "--out-dir", str(out_dir)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a nonnegative integer")
+    assert not out_dir.exists()
 
 
 def test_module_invocation_round_trip():

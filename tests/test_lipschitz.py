@@ -166,6 +166,9 @@ def test_search_config_validation():
         SearchConfig(step_size=0.0)
     with pytest.raises(DomainError):
         SearchConfig(termination_threshold=-1.0)
+    for seed in (-1, 1.5):
+        with pytest.raises(DomainError):
+            SearchConfig(seed=seed)
     for field in ("step_size", "fd_epsilon", "input_scale", "termination_threshold"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(DomainError):

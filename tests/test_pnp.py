@@ -140,8 +140,6 @@ def test_solver_config_validation():
         SolverConfig(lam=0.0)
     with pytest.raises(DomainError):
         SolverConfig(lam=1.0, max_iterations=0)
-    with pytest.raises(DomainError):
-        SolverConfig(lam=1.0, log_every=-1)
 
 
 def test_initial_state_is_warm_start():

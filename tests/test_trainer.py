@@ -132,6 +132,9 @@ def test_corpus_config_validation():
     for duration in (float("nan"), float("inf")):
         with pytest.raises(DomainError):
             SynthCorpusConfig(duration_seconds=duration)
+    for seed in (-1, 1.5):
+        with pytest.raises(DomainError):
+            SynthCorpusConfig(seed=seed)
 
 
 def test_rir_energy_normalized_and_deterministic():
@@ -243,6 +246,9 @@ def test_train_config_validation():
         small_train_config(channel_width=0)
     with pytest.raises(DomainError):
         small_train_config(kernel_size=4)
+    for seed in (-1, 1.5):
+        with pytest.raises(DomainError):
+            small_train_config(seed=seed)
 
 
 def test_train_config_properties():
