@@ -43,7 +43,7 @@ from .modifier import architecture_to_config
 from .pnp import AdmmState, Observation, SolverConfig, admm_iteration, admm_operators
 from .pnp import lambda_sweep, run
 from .signal import StftConfig, TimeSignal, circular_convolve, istft, read_wav, stft, write_wav
-from .trainer import SynthCorpusConfig, TrainConfig, train_denoiser
+from .trainer import CORPUS_RATE, SynthCorpusConfig, TrainConfig, train_denoiser
 from .network import load_net, save_net
 
 EXIT_OK = 0
@@ -216,7 +216,8 @@ def cmd_validate_bounds(args) -> int:
     tasks = [(*cell, replace(search, seed=args.seed + index)) for index, cell in enumerate(cells)]
 
     if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        # the pool starts all its workers up front, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(args.threads, len(tasks))) as pool:
             outcomes = list(pool.map(_bounds_task, tasks))
     else:
         outcomes = [_bounds_task(task) for task in tasks]
@@ -259,7 +260,7 @@ def cmd_train(args) -> int:
     stft_config = StftConfig(**_fields(StftConfig, config))
     train_config = TrainConfig(**_fields(TrainConfig, config), seed=args.seed, stft=stft_config)
     if config["duration_seconds"] is None:
-        config["duration_seconds"] = train_config.segment_samples / 8000.0
+        config["duration_seconds"] = train_config.segment_samples / CORPUS_RATE
     corpus_seed = args.seed if config["corpus_seed"] is None else config["corpus_seed"]
     corpus = SynthCorpusConfig(**_fields(SynthCorpusConfig, config), seed=corpus_seed)
 

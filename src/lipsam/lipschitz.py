@@ -50,6 +50,8 @@ from .modifier import (
 from .network import IDENTITY, SOFTPLUS, ConvLayer, ConvNet, project_unit_ball
 
 _STEP_FLOOR = 1e-12
+# central-difference step of the Jacobians and of the ascent secant
+FD_EPSILON = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -114,25 +116,9 @@ class RealifiedMap:
 # jacobians and operator norms
 
 
-def modifier_jacobian(
-    arch: ModifierArchitecture, values: np.ndarray, epsilon: float = 1e-5
-) -> np.ndarray:
-    """Realified Jacobian of a modifier at the complex point ``values``.
-
-    Central differences of step ``epsilon`` in every realified coordinate,
-    with all perturbed points evaluated in one batched forward pass.
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
-    jac, finite = _stacked_jacobians(arch, values[None], epsilon)
-    if not finite[0]:
-        raise NonFiniteError("jacobian contains non-finite entries")
-    return jac[0]
-
-
 def _stacked_jacobians(arch: ModifierArchitecture, values: np.ndarray, epsilon: float):
-    """Realified Jacobians at a stack of complex points [trials, *shape].
+    """Realified Jacobians at a stack of complex points [trials, *shape],
+    by central differences of step ``epsilon`` in every coordinate.
 
     The 2n perturbed points of every trial go through one forward pass;
     ``arch`` is either shared by the trials or stacked over them.  Returns
@@ -176,27 +162,21 @@ class SearchConfig:
 
     Ascent directions differentiate a two-point secant surrogate of the top
     singular value through the modifier's backward pass: two forward and
-    two backward passes per step, with secant and Jacobian step
-    ``fd_epsilon``.
+    two backward passes per step.  The secant and Jacobian step is the
+    fixed ``FD_EPSILON``, and starting points are standard normal draws.
     """
 
     restarts: int = 100
     max_iterations: int = 100
     step_size: float = 0.1
     termination_threshold: float = 5.0
-    fd_epsilon: float = 1e-5
-    input_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 0:
             raise DomainError("restarts must be >= 1 and max_iterations >= 0")
-        knobs = (self.step_size, self.fd_epsilon, self.input_scale, self.termination_threshold)
-        if not all(0.0 < knob < np.inf for knob in knobs):
-            raise DomainError(
-                "step_size, fd_epsilon, input_scale and termination_threshold "
-                "must be positive and finite"
-            )
+        if not all(0.0 < knob < np.inf for knob in (self.step_size, self.termination_threshold)):
+            raise DomainError("step_size and termination_threshold must be positive and finite")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
 
@@ -300,7 +280,6 @@ def conv2d_family(
     hidden_channels: tuple = (3, 3),
     kernel_size: int = 3,
     input_shape: tuple = (4, 4),
-    use_bias: Optional[bool] = None,
 ) -> ModifierFamily:
     """Small 2-D convolutional inner nets on single-channel magnitude patches.
 
@@ -309,15 +288,13 @@ def conv2d_family(
     families (the default for safeguarded kinds) project every layer onto
     the unit operator-norm ball, so the inner map is ``scale``-Lipschitz and
     the family carries the matching certified bound.  Unconstrained
-    families default to biased layers, giving the search the offsets it
-    needs to expose unguarded blow-ups near zero.
+    families have biased layers, giving the search the offsets it needs to
+    expose unguarded blow-ups near zero; constrained ones have none.
     """
     if kind not in KINDS:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
     if constrained is None:
         constrained = kind in SAFEGUARDED_KINDS
-    if use_bias is None:
-        use_bias = not constrained
     if scale <= 0.0:
         raise DomainError("scale must be positive")
     spatial = tuple(int(s) for s in input_shape)
@@ -328,7 +305,7 @@ def conv2d_family(
     layers = []
     for index, (c_in, c_out) in enumerate(zip(chain, chain[1:])):
         act = IDENTITY if index == len(chain) - 2 else SOFTPLUS
-        bias = np.zeros(c_out) if use_bias else None
+        bias = None if constrained else np.zeros(c_out)
         layers.append(
             ConvLayer(np.zeros((c_out, c_in, kernel_size, kernel_size)), bias, activation=act)
         )
@@ -494,7 +471,7 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
         )
 
     start = time.perf_counter()
-    trials, shape, eps = config.restarts, family.input_shape, config.fd_epsilon
+    trials, shape, eps = config.restarts, family.input_shape, FD_EPSILON
     rngs = [np.random.default_rng([config.seed, trial]) for trial in range(trials)]
     z = np.zeros((trials,) + shape, dtype=np.complex128)
     theta = np.zeros((trials, family.parameter_count))
@@ -518,8 +495,7 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
         # zero Jacobian and no ascent direction, so it is drawn again
         for r in np.flatnonzero(phase == _DRAW):
             new_theta[r] = family.sample_parameters(rngs[r])
-            noise = rngs[r].standard_normal(shape) + 1j * rngs[r].standard_normal(shape)
-            new_z[r] = config.input_scale * noise
+            new_z[r] = rngs[r].standard_normal(shape) + 1j * rngs[r].standard_normal(shape)
 
         climbing = np.flatnonzero(phase == _CLIMB)
         if climbing.size:
@@ -622,10 +598,10 @@ def pairwise_quotient_search(mapping: RealifiedMap, config: SearchConfig) -> Quo
     total_sweeps = 0
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
-        x = config.input_scale * rng.standard_normal(dim)
-        y = config.input_scale * rng.standard_normal(dim)
+        x = rng.standard_normal(dim)
+        y = rng.standard_normal(dim)
         while np.linalg.norm(x - y) < 1e-9:
-            y = y + config.input_scale * rng.standard_normal(dim)
+            y = y + rng.standard_normal(dim)
         fx, fy = mapping(x), mapping(y)
 
         def quotient(fx_, fy_, x_, y_):
@@ -635,7 +611,7 @@ def pairwise_quotient_search(mapping: RealifiedMap, config: SearchConfig) -> Quo
             return float(np.linalg.norm(fx_ - fy_) / gap)
 
         value = quotient(fx, fy, x, y)
-        step = config.step_size * config.input_scale
+        step = config.step_size
         for _ in range(config.max_iterations):
             total_sweeps += 1
             improved = False
@@ -686,21 +662,21 @@ def _pair_quotient(arch: ModifierArchitecture, z: np.ndarray, w: np.ndarray) -> 
     return float(num / np.linalg.norm(z - w))
 
 
-def counterexample_bias(epsilon: float = 1e-3, bias: float = 1.0) -> float:
-    """Difference quotient (bias + eps) / eps of a biased spectral estimator.
+def counterexample_bias(epsilon: float = 1e-3) -> float:
+    """Difference quotient (1 + eps) / eps of a biased spectral estimator.
 
-    The inner map adds a constant, so amplitudes near zero stay pinned at
-    ``bias`` while the phase flips sign across the origin: the quotient at
-    the pair (eps, -eps) grows without bound as eps shrinks.  The analytic
+    The inner map adds the constant 1, so amplitudes near zero stay pinned
+    at 1 while the phase flips sign across the origin: the quotient at the
+    pair (eps, -eps) grows without bound as eps shrinks.  The analytic
     value is asserted against the measured one before returning it.
     """
-    if epsilon <= 0.0 or bias <= 0.0:
-        raise DomainError("epsilon and bias must be positive")
-    arch = ModifierArchitecture("am_se", BiasAdd(bias))
+    if epsilon <= 0.0:
+        raise DomainError("epsilon must be positive")
+    arch = ModifierArchitecture("am_se", BiasAdd(1.0))
     z = np.array([complex(epsilon, 0.0)])
     w = np.array([complex(-epsilon, 0.0)])
     measured = _pair_quotient(arch, z, w)
-    expected = (bias + epsilon) / epsilon
+    expected = (1.0 + epsilon) / epsilon
     if abs(measured - expected) > 1e-9 * expected:
         raise AssertionError(
             f"bias counterexample drifted: measured {measured!r}, expected {expected!r}"

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .network import ConvNet, backward as net_backward, forward as net_forward
 from .network import lipschitz_upper_bound, load_net
-from .signal import Spectrogram
 
 KINDS = ("am_se", "am_re", "lipsam_se", "lipsam_re")
 SAFEGUARDED_KINDS = ("lipsam_se", "lipsam_re")
@@ -365,11 +364,6 @@ def apply_to_values(arch: ModifierArchitecture, values: np.ndarray) -> np.ndarra
     if not np.all(np.isfinite(cache.a)):
         raise NonFiniteError("inner amplitude map produced non-finite values")
     return out
-
-
-def apply(arch: ModifierArchitecture, spec: Spectrogram) -> Spectrogram:
-    """Apply the modifier to a spectrogram, preserving its configuration."""
-    return Spectrogram(apply_to_values(arch, spec.values), spec.config)
 
 
 def safeguard_bound(kind: str, inner_bound: float) -> float:

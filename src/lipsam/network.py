@@ -402,29 +402,30 @@ def lipschitz_upper_bound(net: ConvNet) -> float:
     return bound
 
 
+# Adam's moment decay rates and denominator guard, the usual published values
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamState:
-    """Adam moment estimates plus hyperparameters; treat as immutable."""
+    """Adam moment estimates plus the learning rate; treat as immutable.
+    The other hyperparameters are the fixed ``ADAM_BETA1``, ``ADAM_BETA2``
+    and ``ADAM_EPSILON``."""
 
     first_moment: tuple
     second_moment: tuple
     step_count: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def init(cls, params, learning_rate: float = 1e-4, beta1: float = 0.9,
-             beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def init(cls, params, learning_rate: float = 1e-4) -> "AdamState":
         return cls(
             first_moment=tuple(np.zeros_like(p) for p in params),
             second_moment=tuple(np.zeros_like(p) for p in params),
             step_count=0,
             learning_rate=float(learning_rate),
-            beta1=float(beta1),
-            beta2=float(beta2),
-            epsilon=float(epsilon),
         )
 
 
@@ -438,14 +439,14 @@ def adam_step(params, grads, state: AdamState):
         if not np.all(np.isfinite(g)):
             raise NonFiniteError("non-finite gradient would poison the Adam state")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
+        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
         new_m.append(m)
         new_v.append(v)
     new_state = replace(

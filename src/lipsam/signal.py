@@ -15,7 +15,7 @@ exact adjoint, so ``istft(stft(x)) == x`` with no further correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io.wavfile
@@ -58,7 +58,7 @@ class TimeSignal:
 
 
 def hann_window(length: int) -> np.ndarray:
-    """Periodic Hann window, the default STFT prototype."""
+    """Periodic Hann window, the STFT prototype."""
     if length <= 0:
         raise InvalidWindowError("window length must be positive")
     n = np.arange(length)
@@ -103,14 +103,19 @@ def make_tight_window(prototype: np.ndarray, hop: int) -> np.ndarray:
     return prototype / np.sqrt(np.tile(denom, prototype.size // hop))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StftConfig:
-    """Analysis parameters for the circular tight-frame STFT."""
+    """Analysis parameters for the circular tight-frame STFT.
+
+    A config is a plain value on ``(window_length, hop)``: configs with equal
+    geometry compare equal.  The window is always the periodic Hann prototype
+    made tight for the hop, derived at construction and checked to satisfy
+    the tight-frame condition that makes the x-update of the solver exact.
+    """
 
     window_length: int = 512
     hop: int = 256
-    window: np.ndarray | None = None
-    pad: bool = False
+    window: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.window_length <= 0 or self.hop <= 0:
@@ -121,33 +126,15 @@ class StftConfig:
             )
         if self.window_length % 2 != 0:
             raise InvalidWindowError("window_length must be even")
-        if self.window is None:
-            window = make_tight_window(hann_window(self.window_length), self.hop)
-        else:
-            window = np.asarray(self.window, dtype=np.float64)
-            if window.shape != (self.window_length,):
-                raise InvalidWindowError("window length does not match window_length")
-            if not np.all(np.isfinite(window)):
-                raise InvalidWindowError("window values must be finite")
+        window = make_tight_window(hann_window(self.window_length), self.hop)
         folded = window.reshape(-1, self.hop)
         if not np.max(np.abs(np.sum(folded * folded, axis=0) - 1.0)) <= 1e-10:
             raise InvalidWindowError("window is not tight: shifted squares must sum to 1")
         object.__setattr__(self, "window", window)
 
     @property
-    def fft_length(self) -> int:
-        return self.window_length
-
-    @property
     def num_bins(self) -> int:
         return self.window_length // 2 + 1
-
-    def matches(self, other: "StftConfig") -> bool:
-        return (
-            self.window_length == other.window_length
-            and self.hop == other.hop
-            and np.array_equal(self.window, other.window)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +180,8 @@ def analysis(x: np.ndarray, config: StftConfig) -> np.ndarray:
     hop = config.hop
     extended = np.concatenate([x, x[..., : config.window_length - hop]], axis=-1)
     frames = sliding_window_view(extended, config.window_length, axis=-1)[..., ::hop, :]
-    spectrum = np.fft.rfft(frames * config.window, n=config.fft_length, axis=-1)
-    weights = _bin_weights(config) / np.sqrt(config.fft_length)
+    spectrum = np.fft.rfft(frames * config.window, n=config.window_length, axis=-1)
+    weights = _bin_weights(config) / np.sqrt(config.window_length)
     return np.ascontiguousarray(np.swapaxes(spectrum * weights, -1, -2))
 
 
@@ -203,10 +190,10 @@ def synthesis(values: np.ndarray, config: StftConfig) -> np.ndarray:
     [..., num_frames * hop]."""
     # Adjoint of the weighted one-sided DFT. Imaginary parts at DC and
     # Nyquist do not couple to real signals, so the adjoint drops them.
-    scaled = np.swapaxes(values, -1, -2) * (np.sqrt(config.fft_length) / _bin_weights(config))
+    scaled = np.swapaxes(values, -1, -2) * (np.sqrt(config.window_length) / _bin_weights(config))
     scaled[..., 0] = scaled[..., 0].real
     scaled[..., -1] = scaled[..., -1].real
-    frames = np.fft.irfft(scaled, n=config.fft_length, axis=-1) * config.window
+    frames = np.fft.irfft(scaled, n=config.window_length, axis=-1) * config.window
     hop = config.hop
     count = frames.shape[-2]
     blocks = frames.reshape(frames.shape[:-1] + (config.window_length // hop, hop))
@@ -221,19 +208,13 @@ def synthesis(values: np.ndarray, config: StftConfig) -> np.ndarray:
 def stft(signal: TimeSignal, config: StftConfig) -> Spectrogram:
     """Analyze a signal into tight-frame STFT coefficients.
 
-    The signal length must be a multiple of the hop unless ``config.pad`` is
-    set, in which case it is zero-padded up to the next multiple.  Frames wrap
-    around the signal end, so every sample is covered the same number of times
-    and the analysis operator is a linear isometry.
+    The signal length must be a multiple of the hop and cover one window.
+    Frames wrap around the signal end, so every sample is covered the same
+    number of times and the analysis operator is a linear isometry.
     """
     x = signal.samples
-    hop = config.hop
-    if x.size % hop != 0:
-        if not config.pad:
-            raise ShapeError(
-                f"signal length {x.size} is not a multiple of hop {hop} (set pad=True to zero-pad)"
-            )
-        x = np.concatenate([x, np.zeros(hop - x.size % hop)])
+    if x.size % config.hop != 0:
+        raise ShapeError(f"signal length {x.size} is not a multiple of hop {config.hop}")
     if x.size < config.window_length:
         raise ShapeError(
             f"signal length {x.size} is shorter than the window {config.window_length}"
@@ -248,7 +229,7 @@ def istft(spec: Spectrogram, config: StftConfig, sample_rate: int = 8000) -> Tim
     on arbitrary coefficient matrices it computes the adjoint, which composes
     with analysis to the orthogonal projection onto the range.
     """
-    if spec.config is not None and not spec.config.matches(config):
+    if spec.config is not None and spec.config != config:
         raise ShapeError("spectrogram was produced with a different STFT configuration")
     values = spec.values
     if values.shape[0] != config.num_bins:

@@ -42,6 +42,13 @@ from .signal import synthesis
 
 LOSS_EPSILON = 1e-12
 
+# The corpus generator's fixed settings: sample rate (Hz), the range of the
+# harmonic count, and the gap ramps (attack back in, decay out), in seconds.
+CORPUS_RATE = 8000
+HARMONIC_RANGE = (3, 8)
+ATTACK_SECONDS = 0.015
+DECAY_SECONDS = 0.03
+
 # Named rng streams, so corpus, validation noise, and epoch shuffles never
 # alias even when drawn in a different order.
 _VALIDATION_STREAM = 1
@@ -56,55 +63,52 @@ _EPOCH_STREAM = 2
 class SynthCorpusConfig:
     """Generative parameters for the speech-like corpus.
 
-    Items are deterministic per ``(seed, index)``.  The defaults give 8192
-    samples at 8 kHz, which is exactly 32 analysis frames at hop 256.
+    Items are deterministic per ``(seed, index)`` and sampled at
+    ``CORPUS_RATE``; the harmonic count and the gap ramps are the fixed
+    ``HARMONIC_RANGE``, ``ATTACK_SECONDS`` and ``DECAY_SECONDS``.  The
+    defaults give 8192 samples, which is exactly 32 analysis frames at hop
+    256.  A duration must round to at least one sample.
     """
 
     item_count: int = 64
     duration_seconds: float = 1.024
-    sample_rate: int = 8000
-    harmonic_range: tuple = (3, 8)
     f0_range: tuple = (80.0, 300.0)
-    attack_seconds: float = 0.015
-    decay_seconds: float = 0.03
     silence_probability: float = 0.3
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.item_count <= 0:
             raise DomainError("item_count must be positive")
-        if not 0.0 < self.duration_seconds < np.inf or self.sample_rate <= 0:
-            raise DomainError("duration must be positive and finite, sample rate positive")
-        low, high = self.harmonic_range
-        if not (1 <= low <= high):
-            raise DomainError("harmonic_range must satisfy 1 <= low <= high")
+        if not 0.0 < self.duration_seconds < np.inf:
+            raise DomainError("duration must be positive and finite")
+        if self.num_samples < 1:
+            raise DomainError(
+                f"duration {self.duration_seconds!r} s is under one sample at {CORPUS_RATE} Hz"
+            )
         f_low, f_high = self.f0_range
         if not (0.0 < f_low <= f_high):
             raise DomainError("f0_range must satisfy 0 < low <= high")
-        if f_high >= self.sample_rate / 2.0:
+        if f_high >= CORPUS_RATE / 2.0:
             raise DomainError("f0_range must lie below the Nyquist frequency")
-        if self.attack_seconds <= 0.0 or self.decay_seconds <= 0.0:
-            raise DomainError("attack and decay times must be positive")
         if not 0.0 <= self.silence_probability <= 1.0:
             raise DomainError("silence_probability must lie in [0, 1]")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
-        object.__setattr__(self, "harmonic_range", (int(low), int(high)))
         object.__setattr__(self, "f0_range", (float(f_low), float(f_high)))
 
     @property
     def num_samples(self) -> int:
-        return int(round(self.duration_seconds * self.sample_rate))
+        return int(round(self.duration_seconds * CORPUS_RATE))
 
 
 def _voiced_draw(rng: np.random.Generator, config: SynthCorpusConfig) -> np.ndarray:
     """One harmonic draw: drifting f0, 1/k harmonic falloff, smooth envelope."""
     n = config.num_samples
-    rate = config.sample_rate
+    rate = CORPUS_RATE
     time = np.arange(n) / rate
 
     f0 = rng.uniform(*config.f0_range)
-    harmonics = int(rng.integers(config.harmonic_range[0], config.harmonic_range[1] + 1))
+    harmonics = int(rng.integers(HARMONIC_RANGE[0], HARMONIC_RANGE[1] + 1))
     # Relative drift of 3e-4 keeps k*f0 within one FFT bin over one second.
     drift_depth = 3e-4
     drift_cycles = rng.uniform(0.1, 0.5)
@@ -134,9 +138,8 @@ def _voiced_draw(rng: np.random.Generator, config: SynthCorpusConfig) -> np.ndar
 def _carve_gaps(x: np.ndarray, rng: np.random.Generator, config: SynthCorpusConfig) -> np.ndarray:
     """Zero out up to three gaps with linear decay/attack ramps at the edges."""
     n = x.size
-    rate = config.sample_rate
-    decay = max(1, int(round(config.decay_seconds * rate)))
-    attack = max(1, int(round(config.attack_seconds * rate)))
+    decay = max(1, int(round(DECAY_SECONDS * CORPUS_RATE)))
+    attack = max(1, int(round(ATTACK_SECONDS * CORPUS_RATE)))
     mask = np.ones(n)
     for _ in range(3):
         if rng.uniform() >= config.silence_probability:
@@ -174,20 +177,15 @@ def synth_speechlike(config: SynthCorpusConfig, index: int) -> TimeSignal:
             continue
         x *= 0.5 / peak
         if float(np.sqrt(np.mean(x * x))) > 0.01:
-            return TimeSignal(x, config.sample_rate)
+            return TimeSignal(x, CORPUS_RATE)
     raise DomainError("corpus draw failed the RMS guard repeatedly")
 
 
-def synth_rir(
-    length: int,
-    decay_time_seconds: float,
-    seed: int,
-    sample_rate: int = 8000,
-) -> TimeSignal:
-    """Synthetic room impulse response, energy-normalized to 1.
+def synth_rir(length: int, decay_time_seconds: float, seed: int) -> TimeSignal:
+    """Synthetic room impulse response at ``CORPUS_RATE``, energy-normalized to 1.
 
     A unit direct-path spike at t = 0 followed by white noise shaped by the
-    amplitude envelope e^(-t/tau), tau = decay_time_seconds * sample_rate.
+    amplitude envelope e^(-t/tau), tau = decay_time_seconds * CORPUS_RATE.
     """
     if length <= 0:
         raise DomainError("length must be positive")
@@ -195,33 +193,25 @@ def synth_rir(
         raise DomainError("decay_time_seconds must be positive")
     rng = np.random.default_rng(seed)
     t = np.arange(length, dtype=np.float64)
-    tau = decay_time_seconds * sample_rate
+    tau = decay_time_seconds * CORPUS_RATE
     with np.errstate(under="ignore"):
         h = rng.standard_normal(length) * np.exp(-t / tau)
     h[0] = 1.0
     h /= np.linalg.norm(h)
-    return TimeSignal(h, sample_rate)
+    return TimeSignal(h, CORPUS_RATE)
 
 
 # ---------------------------------------------------------------------------
 # Loss
 
 
-def neg_snr_loss(estimate: TimeSignal, reference: TimeSignal):
-    """Negative time-domain SNR and its analytic gradient wrt the estimate.
+def _neg_snr_loss(est: np.ndarray, ref: np.ndarray):
+    """Negative time-domain SNR of one estimate and its analytic gradient.
 
     loss = -10 log10(||ref||^2 / (||ref - est||^2 + eps)), eps = 1e-12.  The
-    guard keeps the loss finite at est = ref; the gradient shown is the exact
-    gradient of the guarded loss.
+    guard keeps the loss finite at est = ref; the gradient returned is the
+    exact gradient of the guarded loss.
     """
-    if len(estimate) != len(reference):
-        raise ShapeError("estimate and reference must have equal length")
-    if estimate.sample_rate != reference.sample_rate:
-        raise ShapeError("estimate and reference sample rates differ")
-    return _neg_snr_loss(estimate.samples, reference.samples)
-
-
-def _neg_snr_loss(est: np.ndarray, ref: np.ndarray):
     ref_power = float(np.dot(ref, ref))
     if ref_power == 0.0:
         raise UndefinedMetricError("negative-SNR loss is undefined for a zero reference")

@@ -15,9 +15,10 @@ import numpy as np
 
 from lipsam.errors import DomainError, NonFiniteError, ShapeError
 from lipsam.lipschitz import (
+    FD_EPSILON,
     TrialRecord,
     _objective,
-    modifier_jacobian,
+    _stacked_jacobians,
     realify,
     top_singular_triple,
     unrealify,
@@ -82,10 +83,12 @@ def objective_fd_gradient(family, theta: np.ndarray, z: np.ndarray, h: float):
 
 def objective(family, theta: np.ndarray, z: np.ndarray, epsilon: float):
     """(sigma, u, v) of one modifier Jacobian, or (nan, None, None) if sick."""
+    jac, finite = _stacked_jacobians(family.build(theta), z[None], epsilon)
+    if not finite[0]:
+        return float("nan"), None, None
     try:
-        jac = modifier_jacobian(family.build(theta), z, epsilon)
-        sigma, u, v = top_singular_triple(jac)
-    except (NonFiniteError, np.linalg.LinAlgError):
+        sigma, u, v = top_singular_triple(jac[0])
+    except np.linalg.LinAlgError:
         return float("nan"), None, None
     if not np.isfinite(sigma):
         return float("nan"), None, None
@@ -122,8 +125,8 @@ def run_trial(family, config, trial: int):
         theta = family.sample_parameters(rng)
         if family.project is not None:
             theta = family.project(theta)
-        z = config.input_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        sigma, u, v = objective(family, theta, z, config.fd_epsilon)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sigma, u, v = objective(family, theta, z, FD_EPSILON)
         evaluations += 1
         if np.isfinite(sigma) and sigma > 1e-9:
             break
@@ -137,7 +140,7 @@ def run_trial(family, config, trial: int):
     step = config.step_size
     while not early and iterations < config.max_iterations:
         iterations += 1
-        grad_z, grad_t = ascent_gradient(family, theta, z, u, v, config.fd_epsilon)
+        grad_z, grad_t = ascent_gradient(family, theta, z, u, v, FD_EPSILON)
         if not (np.all(np.isfinite(grad_z)) and np.all(np.isfinite(grad_t))):
             break
         norm = np.sqrt(np.sum(np.abs(grad_z) ** 2) + np.sum(grad_t**2))
@@ -149,7 +152,7 @@ def run_trial(family, config, trial: int):
             theta_new = theta + (step / norm) * grad_t
             if family.project is not None:
                 theta_new = family.project(theta_new)
-            sigma_new, u_new, v_new = objective(family, theta_new, z_new, config.fd_epsilon)
+            sigma_new, u_new, v_new = objective(family, theta_new, z_new, FD_EPSILON)
             evaluations += 1
             if np.isfinite(sigma_new) and sigma_new > sigma:
                 z, theta, sigma, u, v = z_new, theta_new, sigma_new, u_new, v_new
@@ -176,10 +179,10 @@ def roll_stft(x: np.ndarray, config) -> np.ndarray:
     strips = x.reshape(-1, hop)
     blocks = [np.roll(strips, -j, axis=0) for j in range(config.window_length // hop)]
     frames = np.concatenate(blocks, axis=1) * config.window
-    spectrum = np.fft.rfft(frames, n=config.fft_length, axis=1)
+    spectrum = np.fft.rfft(frames, n=config.window_length, axis=1)
     weights = np.full(config.num_bins, np.sqrt(2.0))
     weights[0] = weights[-1] = 1.0
-    return (spectrum * (weights / np.sqrt(config.fft_length))).T
+    return (spectrum * (weights / np.sqrt(config.window_length))).T
 
 
 def roll_istft(values: np.ndarray, config) -> np.ndarray:
@@ -187,10 +190,10 @@ def roll_istft(values: np.ndarray, config) -> np.ndarray:
     with ``np.roll``: [num_bins, num_frames] to [samples]."""
     weights = np.full(config.num_bins, np.sqrt(2.0))
     weights[0] = weights[-1] = 1.0
-    scaled = (values.T * (np.sqrt(config.fft_length) / weights)).copy()
+    scaled = (values.T * (np.sqrt(config.window_length) / weights)).copy()
     scaled[:, 0] = scaled[:, 0].real
     scaled[:, -1] = scaled[:, -1].real
-    frames = np.fft.irfft(scaled, n=config.fft_length, axis=1) * config.window
+    frames = np.fft.irfft(scaled, n=config.window_length, axis=1) * config.window
     hop = config.hop
     out = np.zeros((values.shape[1], hop))
     for j in range(config.window_length // hop):

@@ -141,6 +141,34 @@ def test_validate_bounds_threads_do_not_change_output(workdir):
     )
 
 
+def test_validate_bounds_starts_no_more_workers_than_cells(workdir, monkeypatch):
+    import lipsam.cli as cli
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    config = write_json(
+        workdir / "vb.json", {"restarts": 1, "max_iterations": 2, "scales": [1.0]}
+    )
+    assert main(["validate-bounds", "--config", config, "--out-dir", str(workdir),
+                 "--threads", "64"]) == EXIT_OK
+    assert started == [8]  # 4 kinds x 2 constraints x 1 scale
+    assert len(read_rows(workdir / "validate_bounds.csv")) == 1 + 8
+
+
 def test_validate_bounds_rejects_a_non_finite_step_size(workdir, capsys):
     config = write_json(
         workdir / "vb.json",
@@ -186,6 +214,14 @@ def test_train_rejects_a_non_finite_duration(workdir, capsys):
     config = write_json(workdir / "train.json", {"epochs": 1, "duration_seconds": float("nan")})
     assert main(["train", "--config", config, "--out-dir", str(workdir)]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_rejects_a_duration_under_one_sample(workdir, capsys):
+    config = write_json(workdir / "train.json", {"duration_seconds": 1e-9})
+    assert main(["train", "--config", config, "--out-dir", str(workdir)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "under one sample" in err
+    assert not (workdir / "denoiser.npz").exists()
 
 
 def test_train_writes_weights_and_log(workdir, capsys):

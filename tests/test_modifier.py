@@ -24,7 +24,6 @@ from lipsam.modifier import (
     ZeroMap,
     amplitude_backward,
     amplitude_forward,
-    apply,
     apply_to_values,
     architecture_from_config,
     architecture_to_config,
@@ -40,7 +39,7 @@ from lipsam.network import (
     ConvNet,
     save_net,
 )
-from lipsam.signal import Spectrogram, StftConfig, TimeSignal, stft
+from lipsam.signal import Spectrogram, StftConfig, TimeSignal, istft, stft
 from oracles import certify_layer, check_assumption1
 
 
@@ -193,15 +192,15 @@ def test_apply_poisoned_inner_output_raises():
         apply_to_values(arch, np.ones(4) + 0j)
 
 
-def test_apply_wraps_spectrogram_and_keeps_config():
+def test_apply_to_values_keeps_a_spectrogram_shape():
     rng = np.random.default_rng(5)
     config = StftConfig(window_length=16, hop=8)
     spec = stft(TimeSignal(rng.standard_normal(64)), config)
     arch = ModifierArchitecture("lipsam_re", SoftThreshConstant(0.1))
-    out = apply(arch, spec)
-    assert isinstance(out, Spectrogram)
-    assert out.config is spec.config
-    assert out.values.shape == spec.values.shape
+    out = apply_to_values(arch, spec.values)
+    assert out.shape == spec.values.shape
+    # the modified coefficients synthesize under the analysis config
+    assert len(istft(Spectrogram(out, config), config)) == 64
 
 
 # ---------------------------------------------------------------- identity
