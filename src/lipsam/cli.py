@@ -29,7 +29,6 @@ from .errors import (
     UndefinedMetricError,
 )
 from .lipschitz import (
-    RealifiedMap,
     SearchConfig,
     conv2d_family,
     counterexample_bias,
@@ -446,7 +445,7 @@ def cmd_certify(args) -> int:
     except DomainError:
         # Non-smooth inner nets fall back to the derivative-free search.
         print("non-smooth inner map: using the pairwise quotient search")
-        quotient = pairwise_quotient_search(RealifiedMap.from_modifier(arch, shape), search)
+        quotient = pairwise_quotient_search(arch, shape, search)
         best = quotient.value
         rows = [(0, arch.kind, scale, quotient.value, bound, False, float("nan"))]
 
@@ -468,9 +467,6 @@ def cmd_certify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # selfcheck
-
-_CHECK_NAMES = ("stft-round-trip", "prox-closed-form", "inverse-filter", "counterexamples")
-
 
 def _check_stft_round_trip(fault: bool):
     config = StftConfig()
@@ -555,15 +551,18 @@ def _check_counterexamples(fault: bool):
     return ok, f"bias 1e-3 -> {round(bias, 6)}, permutation 1e-3 -> {round(permutation, 6)}"
 
 
+# each check by name, in the order selfcheck runs them
+_CHECKS = {
+    "stft-round-trip": _check_stft_round_trip,
+    "prox-closed-form": _check_prox_closed_form,
+    "inverse-filter": _check_inverse_filter,
+    "counterexamples": _check_counterexamples,
+}
+
+
 def cmd_selfcheck(args) -> int:
-    checks = (
-        ("stft-round-trip", _check_stft_round_trip),
-        ("prox-closed-form", _check_prox_closed_form),
-        ("inverse-filter", _check_inverse_filter),
-        ("counterexamples", _check_counterexamples),
-    )
     failures = 0
-    for name, check in checks:
+    for name, check in _CHECKS.items():
         ok, detail = check(fault=(args.inject_fault == name))
         print(f"check {name}: {'ok' if ok else 'FAIL'} ({detail})")
         failures += int(not ok)
@@ -637,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("selfcheck", parents=[common],
                             help="run the built-in oracle suites")
-    p.add_argument("--inject-fault", choices=_CHECK_NAMES)
+    p.add_argument("--inject-fault", choices=tuple(_CHECKS))
     p.set_defaults(handler=cmd_selfcheck)
 
     return parser

@@ -12,13 +12,16 @@ verdict on a start or a step, and every trial still follows exactly the
 path it would follow alone.
 
 Modifiers act on complex arrays but are not holomorphic, so all Jacobians
-are taken of the realified map: complex coefficients are interleaved into
-real vectors (Re, Im, Re, Im, ...) and derivatives are ordinary real ones.
+and quotients are taken of the realified map: ``realify`` interleaves
+complex coefficients into real vectors (Re, Im, Re, Im, ...), ``unrealify``
+undoes it, both keeping any leading batch axes, and derivatives are
+ordinary real ones.  This pair is the only place that interleaves.
 
 Non-smooth inner nets (leaky relu) get no gradient search; for those,
-``pairwise_quotient_search`` hill-climbs difference quotients directly, and
-``counterexample_bias`` / ``counterexample_permutation`` reproduce the two
-analytic blow-up constructions for unguarded architectures.
+``pairwise_quotient_search`` hill-climbs the difference quotients of a
+modifier directly, and ``counterexample_bias`` /
+``counterexample_permutation`` reproduce the two analytic blow-up
+constructions for unguarded architectures.
 """
 
 import time
@@ -58,12 +61,14 @@ FD_EPSILON = 1e-5
 # realified coordinates
 
 
-def realify(values: np.ndarray) -> np.ndarray:
-    """Flatten a complex array into an interleaved (Re, Im, ...) real vector."""
-    flat = np.asarray(values, dtype=np.complex128).reshape(-1)
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
+def realify(values: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Flatten a complex array into interleaved (Re, Im, ...) real vectors,
+    keeping its first ``lead`` axes in front."""
+    values = np.asarray(values, dtype=np.complex128)
+    flat = values.reshape(values.shape[:lead] + (-1,))
+    out = np.empty(flat.shape[:-1] + (2 * flat.shape[-1],))
+    out[..., 0::2] = flat.real
+    out[..., 1::2] = flat.imag
     return out
 
 
@@ -75,41 +80,6 @@ def unrealify(vector: np.ndarray, shape: tuple) -> np.ndarray:
     if vector.shape[-1:] != (size,):
         raise ShapeError(f"expected a real vector of length {size}, got {vector.shape}")
     return (vector[..., 0::2] + 1j * vector[..., 1::2]).reshape(vector.shape[:-1] + tuple(shape))
-
-
-@dataclass(frozen=True, eq=False)
-class RealifiedMap:
-    """A complex array map viewed as a real vector map.
-
-    ``fn`` must take and return complex arrays of ``shape``.  Calling the
-    wrapper with an interleaved real vector applies ``fn`` and interleaves
-    the result, which is what finite-difference Jacobians and the quotient
-    search operate on.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    shape: tuple
-
-    def __post_init__(self):
-        shape = tuple(int(s) for s in self.shape)
-        if not shape or any(s <= 0 for s in shape):
-            raise ShapeError(f"shape must be nonempty and positive, got {self.shape}")
-        object.__setattr__(self, "shape", shape)
-
-    @property
-    def dimension(self) -> int:
-        return 2 * int(np.prod(self.shape, dtype=np.int64))
-
-    def __call__(self, vector: np.ndarray) -> np.ndarray:
-        z = unrealify(vector, self.shape)
-        out = np.asarray(self.fn(z), dtype=np.complex128)
-        if out.shape != z.shape:
-            raise ShapeError(f"map changed shape {z.shape} -> {out.shape}")
-        return realify(out)
-
-    @classmethod
-    def from_modifier(cls, arch: ModifierArchitecture, shape: tuple) -> "RealifiedMap":
-        return cls(lambda z: apply_to_values(arch, z), tuple(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +96,12 @@ def _stacked_jacobians(arch: ModifierArchitecture, values: np.ndarray, epsilon: 
     amplitudes and entries are all finite.
     """
     trials, shape = values.shape[0], values.shape[1:]
-    n = 2 * int(np.prod(shape, dtype=np.int64))
-    flat_values = values.reshape(trials, 1, -1)
-    base = np.empty((trials, 1, n))
-    base[..., 0::2] = flat_values.real
-    base[..., 1::2] = flat_values.imag
+    base = realify(values, lead=1)[:, None, :]
+    n = base.shape[-1]
     shifts = epsilon * np.eye(n)
     points = np.concatenate([base + shifts, base - shifts], axis=1)
-    batch = (points[..., 0::2] + 1j * points[..., 1::2]).reshape((trials, 2 * n) + shape)
-    out, cache = modifier_forward(arch, batch)
-    out = out.reshape(trials, 2 * n, -1)
-    flat = np.empty((trials, 2 * n, n))
-    flat[..., 0::2] = out.real
-    flat[..., 1::2] = out.imag
+    out, cache = modifier_forward(arch, unrealify(points, shape))
+    flat = realify(out, lead=2)
     jac = np.swapaxes(flat[:, :n] - flat[:, n:], 1, 2) / (2.0 * epsilon)
     finite = np.all(np.isfinite(cache.a.reshape(trials, -1)), axis=1)
     finite &= np.all(np.isfinite(jac.reshape(trials, -1)), axis=1)
@@ -238,7 +201,7 @@ class LipschitzEstimate:
 
 @dataclass(frozen=True, eq=False)
 class ModifierFamily:
-    """A parametric set of modifiers sharing one architecture kind.
+    """A parametric set of modifiers on complex inputs of ``input_shape``.
 
     ``sample_parameters`` draws a flat parameter vector, ``build`` turns one
     into a concrete architecture, and ``project`` (optional) maps parameters
@@ -254,7 +217,6 @@ class ModifierFamily:
     has one modifier for all trials.
     """
 
-    kind: str
     input_shape: tuple
     parameter_count: int
     sample_parameters: Callable[[np.random.Generator], np.ndarray]
@@ -263,8 +225,6 @@ class ModifierFamily:
     certified_bound: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"kind must be one of {KINDS}, got {self.kind!r}")
         shape = tuple(int(s) for s in self.input_shape)
         if not shape or any(s <= 0 for s in shape):
             raise ShapeError("input_shape must be nonempty and positive")
@@ -333,7 +293,6 @@ def conv2d_family(
     certified = safeguard_bound(kind, scale) if constrained and kind in SAFEGUARDED_KINDS else None
 
     return ModifierFamily(
-        kind=kind,
         input_shape=spatial,
         parameter_count=template.parameter_count,
         sample_parameters=sample_parameters,
@@ -351,7 +310,6 @@ def fixed_modifier_family(arch: ModifierArchitecture, input_shape: tuple) -> Mod
     except (UnboundedModifierError, UncertifiedError):
         bound = None
     return ModifierFamily(
-        kind=arch.kind,
         input_shape=tuple(input_shape),
         parameter_count=0,
         sample_parameters=lambda rng: np.zeros(0),
@@ -584,15 +542,32 @@ class QuotientEstimate:
     iterations: int
 
 
-def pairwise_quotient_search(mapping: RealifiedMap, config: SearchConfig) -> QuotientEstimate:
-    """Coordinate hill climbing on ||f(x) - f(y)|| / ||x - y||.
+def _quotient(fx: np.ndarray, fy: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    gap = np.linalg.norm(x - y)
+    if gap < 1e-12:
+        return -np.inf
+    return float(np.linalg.norm(fx - fy) / gap)
 
-    Works for any realified map, smooth or not.  Each restart draws a random
-    pair and greedily perturbs single coordinates of either point, halving
-    the step once a sweep yields no improvement.  The result is a lower
-    bound on the Lipschitz constant with the achieving pair attached.
+
+def pairwise_quotient_search(
+    arch: ModifierArchitecture, shape: tuple, config: SearchConfig
+) -> QuotientEstimate:
+    """Coordinate hill climbing on ||D(x) - D(y)|| / ||x - y||.
+
+    Works on the realified modifier D on complex inputs of ``shape``, smooth
+    or not.  Each restart draws a random pair and greedily perturbs single
+    coordinates of either point, halving the step once a sweep yields no
+    improvement.  The result is a lower bound on the Lipschitz constant with
+    the achieving realified pair attached.
     """
-    dim = mapping.dimension
+    shape = tuple(int(s) for s in shape)
+    if not shape or any(s <= 0 for s in shape):
+        raise ShapeError(f"shape must be nonempty and positive, got {shape}")
+
+    def mapping(vector):
+        return realify(apply_to_values(arch, unrealify(vector, shape)))
+
+    dim = 2 * int(np.prod(shape, dtype=np.int64))
     best_value = -np.inf
     best_pair = None
     total_sweeps = 0
@@ -603,14 +578,7 @@ def pairwise_quotient_search(mapping: RealifiedMap, config: SearchConfig) -> Quo
         while np.linalg.norm(x - y) < 1e-9:
             y = y + rng.standard_normal(dim)
         fx, fy = mapping(x), mapping(y)
-
-        def quotient(fx_, fy_, x_, y_):
-            gap = np.linalg.norm(x_ - y_)
-            if gap < 1e-12:
-                return -np.inf
-            return float(np.linalg.norm(fx_ - fy_) / gap)
-
-        value = quotient(fx, fy, x, y)
+        value = _quotient(fx, fy, x, y)
         step = config.step_size
         for _ in range(config.max_iterations):
             total_sweeps += 1
@@ -620,14 +588,14 @@ def pairwise_quotient_search(mapping: RealifiedMap, config: SearchConfig) -> Quo
                     x_try = x.copy()
                     x_try[j] += sign * step
                     fx_try = mapping(x_try)
-                    v = quotient(fx_try, fy, x_try, y)
+                    v = _quotient(fx_try, fy, x_try, y)
                     if v > value:
                         x, fx, value = x_try, fx_try, v
                         improved = True
                     y_try = y.copy()
                     y_try[j] += sign * step
                     fy_try = mapping(y_try)
-                    v = quotient(fx, fy_try, x, y_try)
+                    v = _quotient(fx, fy_try, x, y_try)
                     if v > value:
                         y, fy, value = y_try, fy_try, v
                         improved = True
@@ -657,9 +625,16 @@ def pairwise_quotient_search(mapping: RealifiedMap, config: SearchConfig) -> Quo
 # analytic counterexamples for the unguarded architectures
 
 
-def _pair_quotient(arch: ModifierArchitecture, z: np.ndarray, w: np.ndarray) -> float:
+def _checked_quotient(name, arch, z, w, expected: float) -> float:
+    """The difference quotient of ``arch`` at the pair (z, w), asserted
+    against its analytic value."""
     num = np.linalg.norm(apply_to_values(arch, z) - apply_to_values(arch, w))
-    return float(num / np.linalg.norm(z - w))
+    measured = float(num / np.linalg.norm(z - w))
+    if abs(measured - expected) > 1e-9 * expected:
+        raise AssertionError(
+            f"{name} counterexample drifted: measured {measured!r}, expected {expected!r}"
+        )
+    return measured
 
 
 def counterexample_bias(epsilon: float = 1e-3) -> float:
@@ -675,13 +650,7 @@ def counterexample_bias(epsilon: float = 1e-3) -> float:
     arch = ModifierArchitecture("am_se", BiasAdd(1.0))
     z = np.array([complex(epsilon, 0.0)])
     w = np.array([complex(-epsilon, 0.0)])
-    measured = _pair_quotient(arch, z, w)
-    expected = (1.0 + epsilon) / epsilon
-    if abs(measured - expected) > 1e-9 * expected:
-        raise AssertionError(
-            f"bias counterexample drifted: measured {measured!r}, expected {expected!r}"
-        )
-    return measured
+    return _checked_quotient("bias", arch, z, w, (1.0 + epsilon) / epsilon)
 
 
 def counterexample_permutation(epsilon: float = 1e-3) -> float:
@@ -697,10 +666,4 @@ def counterexample_permutation(epsilon: float = 1e-3) -> float:
     arch = ModifierArchitecture("am_se", PermutationMap(np.array([1, 0])))
     z = np.array([complex(epsilon, 0.0), 1.0 + 0.0j])
     w = np.array([complex(-epsilon, 0.0), 1.0 + 0.0j])
-    measured = _pair_quotient(arch, z, w)
-    expected = 1.0 / epsilon
-    if abs(measured - expected) > 1e-9 * expected:
-        raise AssertionError(
-            f"permutation counterexample drifted: measured {measured!r}, expected {expected!r}"
-        )
-    return measured
+    return _checked_quotient("permutation", arch, z, w, 1.0 / epsilon)

@@ -113,14 +113,10 @@ def admm_operators(observation: Observation, stft_config: StftConfig) -> AdmmOpe
 
 def initial_state(observation: Observation, config: SolverConfig) -> AdmmState:
     """Warm start from the observation: x = 0, u = y, v = 0, duals = 0."""
-    hop = config.stft.hop
-    if observation.length % hop or observation.length < config.stft.window_length:
-        raise ShapeError(
-            f"observation length {observation.length} must be a multiple of hop {hop} "
-            f"and cover one window of {config.stft.window_length}"
-        )
+    config.stft.check_length(observation.length, "observation")
     zero = np.zeros(observation.length)
-    zero_spec = np.zeros((config.stft.num_bins, observation.length // hop), dtype=np.complex128)
+    frames = observation.length // config.stft.hop
+    zero_spec = np.zeros((config.stft.num_bins, frames), dtype=np.complex128)
     return AdmmState(x=zero, u=observation.y.samples, v=zero_spec, xi1=zero, xi2=zero_spec)
 
 

@@ -59,8 +59,6 @@ class TimeSignal:
 
 def hann_window(length: int) -> np.ndarray:
     """Periodic Hann window, the STFT prototype."""
-    if length <= 0:
-        raise InvalidWindowError("window length must be positive")
     n = np.arange(length)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
 
@@ -71,7 +69,8 @@ def make_tight_window(prototype: np.ndarray, hop: int) -> np.ndarray:
     Parameters
     ----------
     prototype : array of shape [window_length]
-        Nonnegative analysis prototype. Its length must be a multiple of hop.
+        Finite nonnegative analysis prototype. Its length must be a
+        positive multiple of hop.
     hop : int
         Frame advance in samples.
 
@@ -84,15 +83,6 @@ def make_tight_window(prototype: np.ndarray, hop: int) -> np.ndarray:
     denominator (for example a Hann window with hop equal to its length)
     cannot be repaired and raises InvalidWindowError.
     """
-    prototype = np.asarray(prototype, dtype=np.float64)
-    if prototype.ndim != 1 or prototype.size == 0:
-        raise InvalidWindowError("prototype must be a nonempty 1-D array")
-    if hop <= 0 or prototype.size % hop != 0:
-        raise InvalidWindowError(
-            f"prototype length {prototype.size} must be a positive multiple of hop {hop}"
-        )
-    if not np.all(np.isfinite(prototype)):
-        raise InvalidWindowError("prototype must be finite")
     folded = prototype.reshape(-1, hop)
     denom = np.sum(folded * folded, axis=0)
     if np.any(denom <= 0.0):
@@ -135,6 +125,15 @@ class StftConfig:
     @property
     def num_bins(self) -> int:
         return self.window_length // 2 + 1
+
+    def check_length(self, length: int, what: str = "signal") -> None:
+        """Raise ShapeError unless ``length`` samples are a multiple of the
+        hop and at least one window long, as the circular frame needs."""
+        if length % self.hop or length < self.window_length:
+            raise ShapeError(
+                f"{what} length {length} must be a multiple of hop {self.hop} "
+                f"and cover one window of {self.window_length}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,14 +211,8 @@ def stft(signal: TimeSignal, config: StftConfig) -> Spectrogram:
     Frames wrap around the signal end, so every sample is covered the same
     number of times and the analysis operator is a linear isometry.
     """
-    x = signal.samples
-    if x.size % config.hop != 0:
-        raise ShapeError(f"signal length {x.size} is not a multiple of hop {config.hop}")
-    if x.size < config.window_length:
-        raise ShapeError(
-            f"signal length {x.size} is shorter than the window {config.window_length}"
-        )
-    return Spectrogram(analysis(x, config), config)
+    config.check_length(len(signal))
+    return Spectrogram(analysis(signal.samples, config), config)
 
 
 def istft(spec: Spectrogram, config: StftConfig, sample_rate: int = 8000) -> TimeSignal:
@@ -236,8 +229,7 @@ def istft(spec: Spectrogram, config: StftConfig, sample_rate: int = 8000) -> Tim
         raise ShapeError(
             f"expected {config.num_bins} frequency bins, got {values.shape[0]}"
         )
-    if values.shape[1] * config.hop < config.window_length:
-        raise ShapeError("too few frames to cover one window")
+    config.check_length(values.shape[1] * config.hop, "spectrogram")
     return TimeSignal(synthesis(values, config), sample_rate)
 
 

@@ -254,6 +254,7 @@ class TrainConfig:
             raise DomainError("snr_range must satisfy low <= high")
         if self.frames <= 0:
             raise DomainError("frames must be positive")
+        self.stft.check_length(self.segment_samples, "segment")
         if self.arch not in ("se", "re"):
             raise DomainError("arch must be 'se' or 're'")
         if self.lipschitz not in ("none", "spectral"):

@@ -224,6 +224,14 @@ def test_train_rejects_a_duration_under_one_sample(workdir, capsys):
     assert not (workdir / "denoiser.npz").exists()
 
 
+def test_train_rejects_a_segment_shorter_than_one_window(workdir, capsys):
+    config = write_json(workdir / "train.json", {"frames": 1, "hop": 128})
+    assert main(["train", "--config", config, "--out-dir", str(workdir)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: segment length 128") and "Traceback" not in err
+    assert not (workdir / "denoiser.npz").exists()
+
+
 def test_train_writes_weights_and_log(workdir, capsys):
     config = write_json(workdir / "train.json", TRAIN_CONFIG)
     assert main(train_args(workdir, config)) == EXIT_OK
@@ -506,7 +514,7 @@ def test_certify_nonsmooth_net_uses_quotient_fallback(workdir, capsys):
 
 
 def test_certify_reports_a_non_finite_quotient_search(workdir, capsys, monkeypatch):
-    import lipsam.cli
+    import lipsam.lipschitz
 
     net = ConvNet((ConvLayer(0.3 * np.random.default_rng(0).standard_normal((4, 4, 3))),))
     save_net(workdir / "leaky.npz", net)
@@ -514,8 +522,7 @@ def test_certify_reports_a_non_finite_quotient_search(workdir, capsys, monkeypat
         workdir / "leaky.json",
         {"kind": "lipsam_re", "inner": {"variant": "net", "file": "leaky.npz"}},
     )
-    nan_map = classmethod(lambda cls, arch, shape: cls(lambda z: z * np.nan, tuple(shape)))
-    monkeypatch.setattr(lipsam.cli.RealifiedMap, "from_modifier", nan_map)
+    monkeypatch.setattr(lipsam.lipschitz, "apply_to_values", lambda arch, z: z * np.nan)
     code = main([
         "certify", "--modifier", denoiser, "--restarts", "2", "--shape", "4x4",
         "--out-dir", str(workdir), "--out", "certify.csv", "--seed", "0",

@@ -5,7 +5,6 @@ from lipsam.errors import DomainError, NonFiniteError, ShapeError
 from lipsam.lipschitz import (
     FD_EPSILON,
     LipschitzEstimate,
-    RealifiedMap,
     SearchConfig,
     TrialRecord,
     _ascent_gradient,
@@ -54,6 +53,15 @@ def test_realify_round_trip(shape):
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert np.array_equal(unrealify(realify(z), shape), z)
     assert realify(z).shape == (2 * z.size,)
+    # leading axes stay in front, and each slice realifies on its own
+    for lead in (1, 2):
+        stack_shape = (2, 3)[:lead] + shape
+        stack = rng.standard_normal(stack_shape) + 1j * rng.standard_normal(stack_shape)
+        flat = realify(stack, lead=lead)
+        assert flat.shape == stack.shape[:lead] + (2 * z.size,)
+        assert np.array_equal(unrealify(flat, shape), stack)
+        for index in np.ndindex(stack.shape[:lead]):
+            assert np.array_equal(flat[index], realify(stack[index]))
 
 
 def test_unrealify_rejects_wrong_length():
@@ -61,22 +69,25 @@ def test_unrealify_rejects_wrong_length():
         unrealify(np.zeros(5), (2,))
 
 
+def realified(arch, shape):
+    """The modifier as a map of interleaved real vectors on ``shape``; leading
+    axes of the input stay in front."""
+
+    def mapping(vector):
+        return realify(apply_to_values(arch, unrealify(vector, shape)), lead=np.ndim(vector) - 1)
+
+    return mapping
+
+
 def test_realified_map_matches_modifier():
     arch = ModifierArchitecture("lipsam_re", SoftThreshConstant(0.2))
-    mapping = RealifiedMap.from_modifier(arch, (2, 3))
     rng = np.random.default_rng(1)
-    z = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    want = realify(apply_to_values(arch, z))
-    assert np.array_equal(mapping(realify(z)), want)
-    assert mapping.dimension == 12
-
-
-def test_realified_map_rejects_shape_change():
-    mapping = RealifiedMap(lambda z: z[:1], (3,))
-    with pytest.raises(ShapeError):
-        mapping(np.zeros(6))
-    with pytest.raises(ShapeError):
-        RealifiedMap(lambda z: z, ())
+    z = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    # a stack of realified points maps like each point on its own
+    stacked = realified(arch, (2, 3))(realify(z, lead=1))
+    assert stacked.shape == (4, 12)
+    for k in range(4):
+        assert np.array_equal(stacked[k], realify(apply_to_values(arch, z[k])))
 
 
 # ---------------------------------------------------------------- jacobians
@@ -127,7 +138,7 @@ def test_modifier_jacobian_matches_generic_fd():
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     for arch in archs:
         fast = jacobian_at(arch, z)
-        slow = jacobian_fd(RealifiedMap.from_modifier(arch, (4, 4)), realify(z), epsilon=1e-5)
+        slow = jacobian_fd(realified(arch, (4, 4)), realify(z), epsilon=1e-5)
         assert np.allclose(fast, slow, atol=1e-10)
 
 
@@ -476,27 +487,25 @@ def test_objective_loses_only_the_trial_lapack_fails_on(monkeypatch):
 
 def test_quotient_search_identity_map():
     fam_arch = ModifierArchitecture("am_se", IdentityMap())
-    mapping = RealifiedMap.from_modifier(fam_arch, (3,))
-    result = pairwise_quotient_search(mapping, SearchConfig(restarts=2, max_iterations=10))
+    result = pairwise_quotient_search(fam_arch, (3,), SearchConfig(restarts=2, max_iterations=10))
     assert abs(result.value - 1.0) <= 1e-9
 
 
 def test_quotient_search_finds_linear_gain():
     net = ConvNet((ConvLayer(np.array([[[3.0]]]), activation=IDENTITY),))
     arch = ModifierArchitecture("am_se", NetMap(net))
-    mapping = RealifiedMap.from_modifier(arch, (1, 4))
-    result = pairwise_quotient_search(mapping, SearchConfig(restarts=2, max_iterations=10))
+    result = pairwise_quotient_search(arch, (1, 4), SearchConfig(restarts=2, max_iterations=10))
     assert abs(result.value - 3.0) <= 1e-9
     # the witness pair reproduces the reported quotient
+    mapping = realified(arch, (1, 4))
     gap = np.linalg.norm(mapping(result.left) - mapping(result.right))
     assert abs(gap / np.linalg.norm(result.left - result.right) - result.value) <= 1e-12
 
 
 def test_quotient_search_soft_threshold_stays_contractive():
     arch = ModifierArchitecture("lipsam_re", SoftThreshConstant(0.1))
-    mapping = RealifiedMap.from_modifier(arch, (4,))
     result = pairwise_quotient_search(
-        mapping, SearchConfig(restarts=3, max_iterations=40, seed=3)
+        arch, (4,), SearchConfig(restarts=3, max_iterations=40, seed=3)
     )
     assert 0.99 <= result.value <= 1.0 + 1e-9
 
@@ -508,24 +517,32 @@ def test_quotient_search_respects_leaky_relu_certificate():
         raw = ConvLayer(rng.standard_normal((c_out, c_in, 3)), activation=LEAKY_RELU)
         layers.append(certify_layer(raw, (6,)))
     arch = ModifierArchitecture("lipsam_se", NetMap(ConvNet(tuple(layers))))
-    mapping = RealifiedMap.from_modifier(arch, (1, 6))
     result = pairwise_quotient_search(
-        mapping, SearchConfig(restarts=2, max_iterations=15, seed=4)
+        arch, (1, 6), SearchConfig(restarts=2, max_iterations=15, seed=4)
     )
     assert result.value <= np.sqrt(2.0) + 1e-9
 
 
-def test_quotient_search_rejects_a_map_that_is_nan_everywhere():
-    mapping = RealifiedMap(lambda z: z * np.nan, (2,))
+def test_quotient_search_rejects_a_map_that_is_nan_everywhere(monkeypatch):
+    import lipsam.lipschitz as lipschitz
+
+    monkeypatch.setattr(lipschitz, "apply_to_values", lambda arch, z: z * np.nan)
+    arch = ModifierArchitecture("am_se", IdentityMap())
     with pytest.raises(NonFiniteError):
-        pairwise_quotient_search(mapping, SearchConfig(restarts=2, max_iterations=3))
+        pairwise_quotient_search(arch, (2,), SearchConfig(restarts=2, max_iterations=3))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 0), (-1,)])
+def test_quotient_search_rejects_an_empty_shape(shape):
+    arch = ModifierArchitecture("am_se", IdentityMap())
+    with pytest.raises(ShapeError):
+        pairwise_quotient_search(arch, shape, SearchConfig(restarts=1, max_iterations=1))
 
 
 def test_quotient_search_reports_restarts_run():
     arch = ModifierArchitecture("am_se", BiasAdd(1.0))
-    mapping = RealifiedMap.from_modifier(arch, (3,))
     config = SearchConfig(restarts=50, max_iterations=10, termination_threshold=2.0)
-    result = pairwise_quotient_search(mapping, config)
+    result = pairwise_quotient_search(arch, (3,), config)
     assert result.value > 2.0
     assert result.trials == 1
 

@@ -55,7 +55,7 @@ def test_tight_window_rejects_no_overlap_hann():
 
 def test_tight_window_rejects_length_not_multiple_of_hop():
     with pytest.raises(InvalidWindowError):
-        make_tight_window(np.ones(10), hop=4)
+        StftConfig(window_length=10, hop=4)
 
 
 def test_stft_config_rejects_non_dividing_hop():

@@ -234,6 +234,9 @@ def test_train_config_validation():
         small_train_config(snr_range=(40.0, 20.0))
     with pytest.raises(DomainError):
         small_train_config(frames=0)
+    # a segment shorter than one analysis window
+    with pytest.raises(ShapeError):
+        small_train_config(frames=1)
     with pytest.raises(DomainError):
         small_train_config(arch="mask")
     with pytest.raises(DomainError):
