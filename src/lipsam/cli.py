@@ -43,7 +43,7 @@ from .pnp import AdmmState, Observation, SolverConfig, admm_iteration, admm_oper
 from .pnp import lambda_sweep, run
 from .signal import StftConfig, TimeSignal, circular_convolve, istft, read_wav, stft, write_wav
 from .trainer import CORPUS_RATE, SynthCorpusConfig, TrainConfig, train_denoiser
-from .network import load_net, save_net
+from .network import save_net
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -15,7 +15,8 @@ net computes, so a search can advance all its trials in one batch.
 
 The linear part of each layer can carry a norm certificate: an upper bound
 on its operator norm for a fixed input geometry, computed exactly from the
-layer's per-frequency transfer matrices (``circulant_operator_norm``).
+layer's per-frequency transfer matrices (``circulant_operator_norm``); real
+weights make opposite frequencies conjugate, so half the spectrum suffices.
 Certificates multiply through activations (all 1-Lipschitz here) and the
 output scale into a certified bound for the whole network.
 """
@@ -342,10 +343,12 @@ def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
 
     A circular convolution block-diagonalizes in the Fourier basis: for each
     spatial frequency the operator acts as the [out, in] matrix of kernel
-    transforms at that frequency, so the overall norm is the maximum top
-    singular value across frequencies.  Exact up to FFT rounding.  A
-    stacked layer gets one FFT and one stacked SVD for all its trials and
-    an array of one norm per trial back.
+    transforms there, and the norm is the largest top singular value.  The
+    matrices at opposite frequencies of real weights are conjugates with
+    equal singular values, so the half spectrum of ``rfftn`` (0..N/2 on the
+    last spatial axis) covers them all.  Exact up to FFT rounding.  A stacked
+    layer gets one FFT and one stacked SVD for all its trials and an array
+    of one norm per trial back.
     """
     w = layer.weights
     lead = int(layer.stacked)
@@ -356,7 +359,7 @@ def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
     for offset in np.ndindex(*kernel_shape):
         tap = tuple((d - k // 2) % size for d, k, size in zip(offset, kernel_shape, input_shape))
         kernel[(..., *tap)] += w[(..., *offset)]
-    transfer = np.fft.fftn(kernel, axes=tuple(range(2 + lead, w.ndim)))
+    transfer = np.fft.rfftn(kernel, axes=tuple(range(2 + lead, w.ndim)))
     blocks = np.moveaxis(transfer, (lead, lead + 1), (-2, -1))
     blocks = blocks.reshape(w.shape[:lead] + (-1,) + w.shape[lead : lead + 2])
     norms = np.max(np.linalg.svd(blocks, compute_uv=False), axis=(-2, -1))

@@ -7,15 +7,15 @@ runs the Gaussian denoising task: add white noise at a random SNR, analyze,
 run an amplitude-modifier architecture, synthesize, and minimize negative
 time-domain SNR against the clean signal.
 
-Gradients come from ``modifier_forward``/``modifier_backward``, the pair the
-bound search also uses; sign(z) does not depend on the weights, so they flow
-through the amplitude path.  Synthesis is the exact adjoint of analysis, and
-relu/min kinks use the zero subgradient on their inactive side.  The plain AM
-wrappers are the trained objects; the safeguarded variants reuse the same
-weights post hoc.
+Gradients come from ``modifier_forward`` and ``amplitude_backward``, the
+amplitude half of the VJP the bound search uses: sign(z) does not depend on
+the weights, so they flow through the amplitude path alone.  Synthesis is
+the exact adjoint of analysis, and relu/min kinks use the zero subgradient
+on their inactive side.  The plain AM wrappers are the trained objects; the
+safeguarded variants reuse the same weights post hoc.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .errors import DomainError, NonFiniteError, ShapeError, UndefinedMetricErro
 from .modifier import (
     ModifierArchitecture,
     NetMap,
+    amplitude_backward,
     apply_to_values,
-    modifier_backward,
     modifier_forward,
 )
 from .network import (
@@ -304,12 +304,8 @@ def certify_denoiser_net(net: ConvNet, frames: int) -> ConvNet:
     Uses the circulant norm at the training frame count; the certificate is
     the measured norm itself, so downstream bounds stay tight.
     """
-    layers = []
-    for layer in net.layers:
-        norm = circulant_operator_norm(layer, (frames,))
-        layers.append(
-            ConvLayer(layer.weights, layer.bias, activation=layer.activation, norm_certificate=norm)
-        )
+    layers = (replace(layer, norm_certificate=circulant_operator_norm(layer, (frames,)))
+              for layer in net.layers)
     return ConvNet(tuple(layers), net.scale)
 
 
@@ -352,9 +348,9 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
 
     The chain is stft -> modifier -> istft -> loss.  Synthesis is the exact
     adjoint of analysis, so the coefficient gradient is the stft of the
-    time-domain gradient, and ``modifier_backward`` carries it to the
-    parameters.  The input gradient it also returns is not needed: the
-    noisy coefficients are data.
+    time-domain gradient.  The phase sign(z) does not depend on the weights,
+    so ``amplitude_backward`` carries Re(conj(grad) * sign(z)) to them; the
+    noisy coefficients are data, so no input gradient is formed.
     """
     arch = ModifierArchitecture(kind, NetMap(net))
     values, cache = modifier_forward(arch, analysis(noisy, config.stft))
@@ -366,7 +362,7 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
     for b in range(batch):
         losses[b], grad_time[b] = _neg_snr_loss(estimates[b], clean[b])
     grad_values = analysis(grad_time / batch, config.stft)
-    param_grads, _ = modifier_backward(cache, grad_values)
+    param_grads, _ = amplitude_backward(cache, np.real(np.conj(grad_values) * cache.sign))
     return float(np.mean(losses)), param_grads
 
 

@@ -201,6 +201,23 @@ def roll_istft(values: np.ndarray, config) -> np.ndarray:
     return out.reshape(-1)
 
 
+def full_spectrum_operator_norm(layer: ConvLayer, input_shape: tuple):
+    """``circulant_operator_norm`` from every frequency's transfer matrix:
+    a full ``fftn`` and one SVD per frequency, conjugate pairs included."""
+    w = layer.weights
+    lead = int(layer.stacked)
+    kernel_shape = w.shape[2 + lead :]
+    kernel = np.zeros(w.shape[: 2 + lead] + tuple(input_shape))
+    for offset in np.ndindex(*kernel_shape):
+        tap = tuple((d - k // 2) % size for d, k, size in zip(offset, kernel_shape, input_shape))
+        kernel[(..., *tap)] += w[(..., *offset)]
+    transfer = np.fft.fftn(kernel, axes=tuple(range(2 + lead, w.ndim)))
+    blocks = np.moveaxis(transfer, (lead, lead + 1), (-2, -1))
+    blocks = blocks.reshape(w.shape[:lead] + (-1,) + w.shape[lead : lead + 2])
+    norms = np.max(np.linalg.svd(blocks, compute_uv=False), axis=(-2, -1))
+    return norms if layer.stacked else float(norms)
+
+
 def certify_layer(layer: ConvLayer, input_shape: tuple, target: float = 1.0) -> ConvLayer:
     """Rescale ``layer`` to operator norm ``target`` on ``input_shape`` and
     stamp ``target`` as its certificate.

@@ -24,7 +24,7 @@ from lipsam.network import (
     save_net,
     save_weights,
 )
-from oracles import certify_layer, rewrite_first_layer_header
+from oracles import certify_layer, full_spectrum_operator_norm, rewrite_first_layer_header
 
 # ---------------------------------------------------------------- oracles
 
@@ -324,6 +324,35 @@ def test_circulant_norm_rejects_wrong_geometry():
 def test_circulant_norm_zero_layer():
     layer = ConvLayer(np.zeros((2, 2, 3)), activation=IDENTITY)
     assert circulant_operator_norm(layer, (6,)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "shape,spatial",
+    [
+        ((3, 2, 5), (8,)),  # even width
+        ((3, 2, 5), (7,)),  # odd width
+        ((2, 3, 9), (4,)),  # kernel wider than the input
+        ((2, 2, 3), (1,)),
+        ((8, 8, 5), (32,)),
+        ((2, 3, 3, 3), (4, 6)),
+        ((2, 3, 3, 3), (5, 7)),
+        ((3, 2, 3, 5), (6, 3)),
+        ((2, 2, 5, 7), (3, 2)),  # both kernel dims wider than the input
+    ],
+)
+@pytest.mark.parametrize("stacked", [False, True])
+def test_half_spectrum_norm_matches_full_spectrum(shape, spatial, stacked):
+    rng = np.random.default_rng(23)
+    weights = rng.standard_normal(((3,) if stacked else ()) + shape)
+    layer = ConvLayer(weights, activation=IDENTITY, stacked=stacked)
+    got = np.asarray(circulant_operator_norm(layer, spatial))
+    want = np.asarray(full_spectrum_operator_norm(layer, spatial))
+    assert got.shape == want.shape == ((3,) if stacked else ())
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    if stacked:
+        for r in range(3):
+            alone = circulant_operator_norm(ConvLayer(weights[r], activation=IDENTITY), spatial)
+            assert got[r] == alone
 
 
 def test_project_unit_ball_bounds_every_layer():
