@@ -14,11 +14,13 @@ one.  A stacked net computes, slice by slice, exactly what each trial's own
 net computes, so a search can advance all its trials in one batch.
 
 The linear part of each layer can carry a norm certificate: an upper bound
-on its operator norm for a fixed input geometry, computed exactly from the
-layer's per-frequency transfer matrices (``circulant_operator_norm``); real
-weights make opposite frequencies conjugate, so half the spectrum suffices.
-Certificates multiply through activations (all 1-Lipschitz here) and the
-output scale into a certified bound for the whole network.
+on its operator norm for a fixed input geometry (``circulant_operator_norm``).
+At frequency ω a layer with tap matrices W_s at offsets τ_s acts as
+B(ω) = Σ_s W_s e^{-iω·τ_s}, whose squared norm is the top eigenvalue of the
+Gram B Bᴴ = Σ_{s,t} W_s W_tᵀ e^{-iω·(τ_s-τ_t)}, or of Bᴴ B if that side is
+smaller; real weights make B(-ω) conjugate to B(ω), so half the spectrum
+suffices.  Certificates multiply through activations (all 1-Lipschitz here)
+and the output scale into a certified bound for the whole network.
 """
 
 from __future__ import annotations
@@ -341,28 +343,38 @@ def _weight_gradient(
 def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
     """Exact operator norm of the layer's linear part on the given geometry.
 
-    A circular convolution block-diagonalizes in the Fourier basis: for each
-    spatial frequency the operator acts as the [out, in] matrix of kernel
-    transforms there, and the norm is the largest top singular value.  The
-    matrices at opposite frequencies of real weights are conjugates with
-    equal singular values, so the half spectrum of ``rfftn`` (0..N/2 on the
-    last spatial axis) covers them all.  Exact up to FFT rounding.  A stacked
-    layer gets one FFT and one stacked SVD for all its trials and an array
-    of one norm per trial back.
+    A circular convolution block-diagonalizes in the Fourier basis: at
+    frequency ω it acts as B(ω) = Σ_s W_s e^{-iω·τ_s}, with [out, in] tap
+    matrices W_s at centred offsets τ_s, and its norm is the square root of
+    the largest top eigenvalue of any Gram
+    B Bᴴ = Σ_{s,t} W_s W_tᵀ e^{-iω·(τ_s-τ_t)}.  One real product of the tap
+    stack with itself gives every W_s W_tᵀ, one product with the phase table
+    every Gram.  With more outputs than inputs the channels swap first,
+    giving the conjugate of Bᴴ B: the same eigenvalues, on the smaller side.
+    Real weights make B(-ω) conjugate to B(ω), so the half spectrum (every
+    frequency on the leading spatial axes, 0..N/2 on the last) holds every
+    distinct norm.  A stacked layer gets one norm per trial back.
     """
     w = layer.weights
     lead = int(layer.stacked)
     kernel_shape = w.shape[2 + lead :]
-    if len(input_shape) != len(kernel_shape):
-        raise ShapeError(f"input_shape must have {len(kernel_shape)} spatial dims")
-    kernel = np.zeros(w.shape[: 2 + lead] + tuple(input_shape))
-    for offset in np.ndindex(*kernel_shape):
-        tap = tuple((d - k // 2) % size for d, k, size in zip(offset, kernel_shape, input_shape))
-        kernel[(..., *tap)] += w[(..., *offset)]
-    transfer = np.fft.rfftn(kernel, axes=tuple(range(2 + lead, w.ndim)))
-    blocks = np.moveaxis(transfer, (lead, lead + 1), (-2, -1))
-    blocks = blocks.reshape(w.shape[:lead] + (-1,) + w.shape[lead : lead + 2])
-    norms = np.max(np.linalg.svd(blocks, compute_uv=False), axis=(-2, -1))
+    n = len(kernel_shape)
+    sizes = np.array(input_shape)
+    if sizes.shape != (n,) or sizes.dtype.kind not in "iu" or np.any(sizes <= 0):
+        raise ShapeError(f"input_shape {input_shape} needs a positive integer size per axis ({n})")
+    w = w.swapaxes(lead, lead + 1) if w.shape[lead] > w.shape[lead + 1] else w
+    trials, (m, c), taps = w.shape[:lead], w.shape[lead : lead + 2], math.prod(kernel_shape)
+    stack = np.moveaxis(w.reshape(trials + (m, c, taps)), -1, lead).reshape(trials + (-1, c))
+    products = (stack @ stack.swapaxes(-1, -2)).reshape(trials + (taps, m, taps, m))
+    products = products.swapaxes(-3, -2).reshape(trials + (taps * taps, m * m))
+    offsets = np.indices(kernel_shape).reshape(n, -1, 1)
+    lags = (offsets - offsets.swapaxes(1, 2)).reshape(n, 1, -1)  # τ_s - τ_t
+    freqs = np.indices(tuple(sizes[:-1]) + (sizes[-1] // 2 + 1,)).reshape(n, -1, 1)
+    period = sizes.reshape(n, 1, 1)
+    angles = 2.0 * np.pi * np.sum(freqs * lags % period / period, axis=0)
+    re, im = np.split(np.concatenate([np.cos(angles), -np.sin(angles)]) @ products, 2, axis=-2)
+    top = np.linalg.eigvalsh((re + 1j * im).reshape(trials + (-1, m, m)))[..., -1]
+    norms = np.sqrt(np.maximum(np.max(top, axis=-1), 0.0))
     return norms if layer.stacked else float(norms)
 
 

@@ -180,8 +180,8 @@ def analysis(x: np.ndarray, config: StftConfig) -> np.ndarray:
     extended = np.concatenate([x, x[..., : config.window_length - hop]], axis=-1)
     frames = sliding_window_view(extended, config.window_length, axis=-1)[..., ::hop, :]
     spectrum = np.fft.rfft(frames * config.window, n=config.window_length, axis=-1)
-    weights = _bin_weights(config) / np.sqrt(config.window_length)
-    return np.ascontiguousarray(np.swapaxes(spectrum * weights, -1, -2))
+    spectrum *= _bin_weights(config) / np.sqrt(config.window_length)
+    return np.ascontiguousarray(np.swapaxes(spectrum, -1, -2))
 
 
 def synthesis(values: np.ndarray, config: StftConfig) -> np.ndarray:

@@ -355,13 +355,16 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
     arch = ModifierArchitecture(kind, NetMap(net))
     values, cache = modifier_forward(arch, analysis(noisy, config.stft))
     estimates = synthesis(values, config.stft)
+    del values  # free each batch-sized array once it is dead
 
     batch = clean.shape[0]
     losses = np.empty(batch)
     grad_time = np.empty_like(estimates)
     for b in range(batch):
         losses[b], grad_time[b] = _neg_snr_loss(estimates[b], clean[b])
+    del estimates
     grad_values = analysis(grad_time / batch, config.stft)
+    del grad_time
     param_grads, _ = amplitude_backward(cache, np.real(np.conj(grad_values) * cache.sign))
     return float(np.mean(losses)), param_grads
 

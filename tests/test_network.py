@@ -338,21 +338,43 @@ def test_circulant_norm_zero_layer():
         ((2, 3, 3, 3), (5, 7)),
         ((3, 2, 3, 5), (6, 3)),
         ((2, 2, 5, 7), (3, 2)),  # both kernel dims wider than the input
+        ((1, 1, 5), (8,)),  # one channel on each side: a rank-1 Gram
+        ((1, 4, 3), (6,)),
+        ((4, 1, 3), (6,)),
+        ((3, 1, 3, 3), (4, 5)),
+        ((5, 2, 3), (6,)),  # out > in: the Gram is taken on the input side
+        ((2, 5, 3), (6,)),  # in > out
+        ((4, 2, 3, 3), (4, 4)),
+        ((2, 4, 3, 3), (4, 4)),
+        ((3, 2, 5), (2,)),  # widths 1 and 2
+        ((2, 3, 3, 3), (1, 2)),
+        ((3, 2, 5, 3), (2, 1)),  # both kernel dims wider than the input
+        ((64, 257, 5), (256,)),  # a training layer on a fine frequency grid
     ],
 )
 @pytest.mark.parametrize("stacked", [False, True])
 def test_half_spectrum_norm_matches_full_spectrum(shape, spatial, stacked):
     rng = np.random.default_rng(23)
     weights = rng.standard_normal(((3,) if stacked else ()) + shape)
-    layer = ConvLayer(weights, activation=IDENTITY, stacked=stacked)
-    got = np.asarray(circulant_operator_norm(layer, spatial))
-    want = np.asarray(full_spectrum_operator_norm(layer, spatial))
-    assert got.shape == want.shape == ((3,) if stacked else ())
-    assert np.all(np.abs(got - want) <= 1e-12 * want)
-    if stacked:
-        for r in range(3):
-            alone = circulant_operator_norm(ConvLayer(weights[r], activation=IDENTITY), spatial)
-            assert got[r] == alone
+    for w in (weights, np.zeros_like(weights)):  # a zero layer's norm is exactly 0
+        layer = ConvLayer(w, activation=IDENTITY, stacked=stacked)
+        got = np.asarray(circulant_operator_norm(layer, spatial))
+        want = np.asarray(full_spectrum_operator_norm(layer, spatial))
+        assert got.shape == want.shape == ((3,) if stacked else ())
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        if stacked:
+            for r in range(3):
+                alone = circulant_operator_norm(ConvLayer(w[r], activation=IDENTITY), spatial)
+                assert got[r] == alone
+
+
+@pytest.mark.parametrize("spatial", [(0,), (-2,), (2.5,), (4.0,), ("4",), ()])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_circulant_norm_rejects_sizes_that_are_not_positive_integers(spatial, stacked):
+    for kernel, sizes in (((3,), spatial), ((3, 3), (4,) + spatial)):
+        weights = np.ones((2,) * stacked + (2, 3) + kernel)
+        with pytest.raises(ShapeError):
+            circulant_operator_norm(ConvLayer(weights, stacked=stacked), sizes)
 
 
 def test_project_unit_ball_bounds_every_layer():
@@ -384,6 +406,18 @@ def test_project_unit_ball_returns_feasible_net_unchanged():
     once = project_unit_ball(net, (4, 4))
     assert once is not net
     assert project_unit_ball(once, (4, 4)) is once
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_projection_of_a_projected_training_net_is_a_fixed_point(seed):
+    # the training geometry: 257 -> 64 -> 64 -> 257 channels, kernel 5, 32 frames
+    rng = np.random.default_rng(seed)
+    shapes = ((64, 257, 5), (64, 64, 5), (257, 64, 5))
+    net = ConvNet(tuple(ConvLayer(rng.standard_normal(shape)) for shape in shapes))
+    once = project_unit_ball(net, (32,))
+    for layer in once.layers:
+        assert 1.0 - 1e-9 < circulant_operator_norm(layer, (32,)) <= 1.0
+    assert project_unit_ball(once, (32,)) is once
 
 
 def test_lipschitz_upper_bound_product():
