@@ -299,27 +299,21 @@ def amplitude_backward(cache: ModifierCache, grad_a: np.ndarray):
     """
     kind, inner = cache.arch.kind, cache.arch.inner
     x, inner_out = cache.x, cache.inner_out
+    # float * bool masks give the same bits as float * 0.0/1.0 copies
     if kind == "am_se":
-        mask = (inner_out > 0.0).astype(np.float64)
-        return inner.backward(cache.inner_cache, grad_a * mask)
+        return inner.backward(cache.inner_cache, grad_a * (inner_out > 0.0))
     if kind == "lipsam_se":
-        clipped = np.minimum(inner_out, x)
-        relu_mask = (clipped > 0.0).astype(np.float64)
-        take_inner = (inner_out < x).astype(np.float64)
-        g = grad_a * relu_mask
+        g = grad_a * (np.minimum(inner_out, x) > 0.0)
+        take_inner = inner_out < x
         param_grads, dx_inner = inner.backward(cache.inner_cache, g * take_inner)
-        return param_grads, dx_inner + g * (1.0 - take_inner)
+        return param_grads, dx_inner + g * ~take_inner
     if kind == "am_re":
-        mask = ((x - inner_out) > 0.0).astype(np.float64)
-        g = grad_a * mask
+        g = grad_a * ((x - inner_out) > 0.0)
         param_grads, dx_inner = inner.backward(cache.inner_cache, -g)
         return param_grads, g + dx_inner
     # lipsam_re
-    rect = np.maximum(inner_out, 0.0)
-    mask = ((x - rect) > 0.0).astype(np.float64)
-    inner_mask = (inner_out > 0.0).astype(np.float64)
-    g = grad_a * mask
-    param_grads, dx_inner = inner.backward(cache.inner_cache, -g * inner_mask)
+    g = grad_a * ((x - np.maximum(inner_out, 0.0)) > 0.0)
+    param_grads, dx_inner = inner.backward(cache.inner_cache, -g * (inner_out > 0.0))
     return param_grads, g + dx_inner
 
 

@@ -3,8 +3,17 @@
 Layers convolve circularly with centered kernels, in one spatial dimension
 (channels x width, used for spectrogram magnitudes with frequency bins as
 channels) or two (channels x height x width, used for small image-like
-inputs), through one rank-generic code path for the forward map, its adjoint
-and the weight gradient.  Every array op broadcasts over leading batch axes.
+inputs).  Every array op broadcasts over leading batch axes.  The forward
+map, its adjoint and the weight gradient take one of two rank-generic forms,
+chosen from the shapes alone.  A grid with fewer cells than twice the
+kernel's taps (the bound search's 4x4 patches, a net trained at 4 frames)
+goes through the layer's dense doubly-block-circulant matrix
+[out·cells, in·cells] (Sedghi et al. 2019), built from the weights and a
+cached 0/1 tap table.  Each sample row is its own matmul: BLAS may give a
+row different bits depending on how many rows share one GEMM, and the bound
+search must reproduce a trial batched with others bit for bit.  Any
+larger grid (training at 32 frames, the solver at 128) takes one matmul per
+kernel offset over all rows, with fewer flops than the dense matrix.
 
 A stacked layer or net (``stacked=True``) holds one layer or net per search
 trial: its weights carry a leading trial axis, [trials, out, in, *kernel],
@@ -25,6 +34,7 @@ and the output scale into a certified bound for the whole network.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -131,6 +141,36 @@ class ConvLayer:
         return self.weights.shape[int(self.stacked)]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _dense_form(kernel_shape: tuple, sizes: tuple) -> bool:
+    """Whether a layer maps this grid through its dense operator.
+
+    Below twice as many cells as taps the dense [out·P, in·P] product does
+    fewer than twice the flops of the per-offset loop and makes one BLAS
+    call per row instead of a pad, a row copy per tap and a matmul per tap.
+    """
+    return math.prod(sizes) < 2 * math.prod(kernel_shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _tap_table(kernel_shape: tuple, sizes: tuple) -> np.ndarray:
+    """Read-only [taps, P·P] 0/1 table on a grid of P cells: entry
+    (s, p·P + q) is 1 when tap s carries input cell q to output cell p, i.e.
+    q = p + s - kernel_shape // 2 circularly on every axis."""
+    n, cells, taps = len(sizes), math.prod(sizes), math.prod(kernel_shape)
+    centre = np.array(kernel_shape).reshape(n, 1, 1) // 2
+    offsets = np.indices(kernel_shape).reshape(n, -1, 1) - centre
+    cells_in = (np.indices(sizes).reshape(n, 1, -1) + offsets) % np.array(sizes).reshape(n, 1, 1)
+    sources = np.ravel_multi_index(cells_in, sizes)  # [taps, P]: q for each (s, p)
+    table = np.zeros((taps, cells, cells))
+    table[np.arange(taps)[:, None], np.arange(cells), sources] = 1.0
+    return _read_only(table.reshape(taps, -1))
+
+
 def _shifted_inputs(x: np.ndarray, kernel_shape: tuple, stacked: bool = False):
     """Yield (offset, rows) for every kernel offset.
 
@@ -150,20 +190,41 @@ def _shifted_inputs(x: np.ndarray, kernel_shape: tuple, stacked: bool = False):
         yield offset, padded[(..., *window, slice(None))].reshape(rows_shape)
 
 
+def _dense_operator(weights: np.ndarray, sizes: tuple, lead: int) -> np.ndarray:
+    """The layer's [out·P, in·P] doubly-block-circulant matrix on a grid of
+    P cells, with a leading trial axis if ``lead``; one product of the
+    [out·in, taps] weights with the tap table."""
+    trials, (out, inp) = weights.shape[:lead], weights.shape[lead : lead + 2]
+    cells = math.prod(sizes)
+    op = weights.reshape(trials + (out * inp, -1)) @ _tap_table(weights.shape[2 + lead :], sizes)
+    op = op.reshape(trials + (out, inp, cells, cells)).swapaxes(-3, -2)
+    return op.reshape(trials + (out * cells, inp * cells))
+
+
 def _conv_linear(weights: np.ndarray, x: np.ndarray, stacked: bool = False) -> np.ndarray:
     """Apply the linear part of a layer; x may carry leading batch axes.
 
     Stacked weights [trials, out, in, *k] map an x whose leading axis is the
-    trial axis, one [trials, rows, in] by [trials, in, out] matmul per
-    kernel offset; each trial's slice is the unstacked 2-D matmul.
+    trial axis; each trial's slice is computed exactly as the unstacked
+    layer computes it.  A small grid (``_dense_form``) goes through the
+    dense operator one sample row per matmul, so a row's bits do not depend
+    on how many rows share the call; otherwise one [rows, in] by [in, out]
+    matmul per kernel offset.
     """
     lead = int(stacked)
     n = weights.ndim - 2 - lead
+    sizes = x.shape[-n:]
+    if _dense_form(weights.shape[2 + lead :], sizes):
+        op_t = _dense_operator(weights, sizes, lead).swapaxes(-1, -2)
+        # a trial's operator broadcasts over that trial's samples
+        op_t = op_t.reshape(op_t.shape[:lead] + (1,) * (x.ndim - n - 1 - lead) + op_t.shape[lead:])
+        out = x.reshape(x.shape[: -n - 1] + (1, -1)) @ op_t
+        return out.reshape(x.shape[: -n - 1] + (weights.shape[lead],) + sizes)
     out = sum(
         rows @ weights[(..., *offset)].swapaxes(-1, -2)
         for offset, rows in _shifted_inputs(x, weights.shape[2 + lead :], stacked)
     )
-    out = out.reshape(x.shape[: -n - 1] + x.shape[-n:] + (weights.shape[lead],))
+    out = out.reshape(x.shape[: -n - 1] + sizes + (weights.shape[lead],))
     return np.moveaxis(out, -1, -n - 1)
 
 
@@ -332,12 +393,37 @@ def _weight_gradient(
     """Gradient of the weights from layer input ``x`` and output gradient
     ``dz``, summed over batch axes but, with ``stacked``, not over trials."""
     lead = int(stacked)
+    kernel_shape = weights.shape[2 + lead :]
+    sizes = x.shape[-len(kernel_shape) :]
+    if _dense_form(kernel_shape, sizes):
+        # the samples' summed outer products dzᵀ x are the gradient of the
+        # dense operator; the tap table sums its entries back onto the taps
+        trials, (out, inp) = weights.shape[:lead], weights.shape[lead : lead + 2]
+        cells = math.prod(sizes)
+        dz_cols = dz.reshape(trials + (-1, out * cells)).swapaxes(-1, -2)
+        outer = dz_cols @ x.reshape(trials + (-1, inp * cells))
+        outer = outer.reshape(trials + (out, cells, inp, cells)).swapaxes(-3, -2)
+        outer = outer.reshape(trials + (out * inp, -1))
+        return (outer @ _tap_table(kernel_shape, sizes).T).reshape(weights.shape)
     rows_shape = dz.shape[:lead] + (-1, weights.shape[lead])
     dz_cols = np.moveaxis(dz, 1 - weights.ndim + lead, -1).reshape(rows_shape).swapaxes(-1, -2)
     grad = np.empty_like(weights)
     for offset, rows in _shifted_inputs(x, weights.shape[2 + lead :], stacked):
         grad[(..., *offset)] = dz_cols @ rows
     return grad
+
+
+@functools.lru_cache(maxsize=16)
+def _phase_table(kernel_shape: tuple, sizes: tuple) -> np.ndarray:
+    """Read-only [2F, taps²] table of cos and -sin of ω·(τ_s - τ_t) over the
+    F half-spectrum frequencies ω of a grid of ``sizes``, for every tap pair."""
+    n = len(sizes)
+    offsets = np.indices(kernel_shape).reshape(n, -1, 1)
+    lags = (offsets - offsets.swapaxes(1, 2)).reshape(n, 1, -1)  # τ_s - τ_t
+    freqs = np.indices(sizes[:-1] + (sizes[-1] // 2 + 1,)).reshape(n, -1, 1)
+    period = np.array(sizes).reshape(n, 1, 1)
+    angles = 2.0 * np.pi * np.sum(freqs * lags % period / period, axis=0)
+    return _read_only(np.concatenate([np.cos(angles), -np.sin(angles)]))
 
 
 def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
@@ -367,12 +453,8 @@ def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
     stack = np.moveaxis(w.reshape(trials + (m, c, taps)), -1, lead).reshape(trials + (-1, c))
     products = (stack @ stack.swapaxes(-1, -2)).reshape(trials + (taps, m, taps, m))
     products = products.swapaxes(-3, -2).reshape(trials + (taps * taps, m * m))
-    offsets = np.indices(kernel_shape).reshape(n, -1, 1)
-    lags = (offsets - offsets.swapaxes(1, 2)).reshape(n, 1, -1)  # τ_s - τ_t
-    freqs = np.indices(tuple(sizes[:-1]) + (sizes[-1] // 2 + 1,)).reshape(n, -1, 1)
-    period = sizes.reshape(n, 1, 1)
-    angles = 2.0 * np.pi * np.sum(freqs * lags % period / period, axis=0)
-    re, im = np.split(np.concatenate([np.cos(angles), -np.sin(angles)]) @ products, 2, axis=-2)
+    phases = _phase_table(kernel_shape, tuple(int(size) for size in sizes))
+    re, im = np.split(phases @ products, 2, axis=-2)
     top = np.linalg.eigvalsh((re + 1j * im).reshape(trials + (-1, m, m)))[..., -1]
     norms = np.sqrt(np.maximum(np.max(top, axis=-1), 0.0))
     return norms if layer.stacked else float(norms)

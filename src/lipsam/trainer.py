@@ -365,7 +365,12 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
     del estimates
     grad_values = analysis(grad_time / batch, config.stft)
     del grad_time
-    param_grads, _ = amplitude_backward(cache, np.real(np.conj(grad_values) * cache.sign))
+    # Re(conj(grad) * sign) in place, so only its real part is alive below
+    np.conjugate(grad_values, out=grad_values)
+    grad_values *= cache.sign
+    grad_a = grad_values.real.copy()
+    del grad_values
+    param_grads, _ = amplitude_backward(cache, grad_a)
     return float(np.mean(losses)), param_grads
 
 

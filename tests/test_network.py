@@ -12,6 +12,9 @@ from lipsam.network import (
     ConvNet,
     _conv_linear,
     _conv_linear_transpose,
+    _dense_form,
+    _phase_table,
+    _tap_table,
     _weight_gradient,
     adam_step,
     backward,
@@ -147,28 +150,85 @@ def test_forward_matches_loop_oracle_2d_two_layers():
 CONV_CASES = [
     ((3, 2, 5), (2, 2, 3)),  # 1-D kernel wider than the input, one batch axis
     ((2, 3, 5, 3), (2, 3, 3, 2)),  # 2-D kernel wider than the input
-    ((4, 3, 3, 3), (2, 2, 3, 4, 5)),  # two leading batch axes
+    ((4, 3, 3, 3), (2, 2, 3, 4, 5)),  # two leading batch axes; 20 cells, 9 taps: per-offset
+    ((3, 2, 5), (2, 2, 8)),  # 8 cells < 2 * 5 taps: dense operator
+    ((3, 2, 5), (2, 2, 10)),  # 10 cells = 2 * 5 taps: per-offset
+    ((3, 2, 3, 3), (2, 2, 4, 4)),  # 16 cells < 2 * 9 taps: dense operator
+    ((2, 3, 2, 3, 3), (2, 3, 2, 4, 4)),  # a stacked 2-D layer, dense
+    ((2, 3, 2, 3, 3), (2, 3, 2, 6, 6)),  # a stacked 2-D layer, per-offset
 ]
 
 
 @pytest.mark.parametrize("wshape,xshape", CONV_CASES)
 def test_conv_ops_match_loop_oracles(wshape, xshape):
     rng = np.random.default_rng(9)
+    stacked = len(wshape) == 5  # five weight axes can only be a stacked 2-D layer
     w = rng.standard_normal(wshape)
-    b = rng.standard_normal(wshape[0])
+    b = rng.standard_normal(wshape[: 1 + stacked])
     x = rng.standard_normal(xshape)
-    loop_conv = loop_conv1d if len(wshape) == 3 else loop_conv2d
-    spatial = len(wshape) - 2
-    out, _ = forward(ConvNet((ConvLayer(w, b, activation=IDENTITY),)), x)
-    items = x.reshape((-1,) + x.shape[-spatial - 1 :])
-    want = np.stack([loop_conv(w, b, item) for item in items]).reshape(out.shape)
-    np.testing.assert_allclose(out, want, atol=1e-10)
-    # adjoint identity <A x, g> = <x, A^T g>, to rounding of |<A x, g>|'s bound
+    loop_conv = loop_conv1d if len(wshape) - stacked == 3 else loop_conv2d
+    spatial = len(wshape) - stacked - 2
+    out, _ = forward(ConvNet((ConvLayer(w, b, activation=IDENTITY, stacked=stacked),)), x)
     g = rng.standard_normal(out.shape)
-    lhs = np.sum(_conv_linear(w, x) * g)
-    rhs = np.sum(x * _conv_linear_transpose(w, g))
+    trials = list(zip(w, b, x, g)) if stacked else [(w, b, x, g)]
+    want = []
+    for w_r, b_r, x_r, _ in trials:
+        items = x_r.reshape((-1,) + x_r.shape[-spatial - 1 :])
+        want.append(np.stack([loop_conv(w_r, b_r, item) for item in items]))
+    np.testing.assert_allclose(out, np.stack(want).reshape(out.shape), atol=1e-10)
+    # adjoint identity <A x, g> = <x, A^T g>, to rounding of |<A x, g>|'s bound
+    lhs = np.sum(_conv_linear(w, x, stacked) * g)
+    rhs = np.sum(x * _conv_linear_transpose(w, g, stacked))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(g) * np.abs(w).sum()
-    np.testing.assert_allclose(_weight_gradient(w, x, g), loop_weight_gradient(w, x, g), atol=1e-10)
+    want_grad = [loop_weight_gradient(w_r, x_r, g_r) for w_r, _, x_r, g_r in trials]
+    np.testing.assert_allclose(
+        _weight_gradient(w, x, g, stacked), np.stack(want_grad).reshape(w.shape), atol=1e-10
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel,spatial,dense",
+    [((5,), (8,), True), ((5,), (16,), False), ((3, 3), (4, 4), True), ((3, 3), (6, 6), False)],
+)
+@pytest.mark.parametrize("stacked", [False, True])
+def test_conv_rows_do_not_depend_on_the_batch_they_run_in(kernel, spatial, dense, stacked):
+    # the lockstep bound search batches trials on an input axis and must
+    # reproduce each trial run alone bit for bit, on both forms of the conv
+    assert _dense_form(kernel, spatial) == dense
+    rng = np.random.default_rng(41)
+    lead = (2,) * stacked
+    w = rng.standard_normal(lead + (3, 3) + kernel)
+    x = rng.standard_normal(lead + (64, 3) + spatial)
+    trial_axes = (slice(None),) * stacked
+    for op in (_conv_linear, _conv_linear_transpose):
+        alone = [op(w, x[(*trial_axes, i)], stacked) for i in range(64)]
+        for batch in (2, 7, 64):
+            out = op(w, x[(*trial_axes, slice(batch))], stacked)
+            for i in range(batch):
+                assert out[(*trial_axes, i)].tobytes() == alone[i].tobytes()
+
+
+@pytest.mark.parametrize(
+    "kernel,spatial,dense",
+    [
+        ((3, 3), (4, 4), True),  # the bound search's patches
+        ((5,), (4,), True),  # a denoiser trained at 4 frames
+        ((5,), (32,), False),  # the training default
+        ((5,), (128,), False),  # the solver's standard instance
+    ],
+)
+def test_dense_form_is_chosen_from_the_grid_alone(kernel, spatial, dense):
+    assert _dense_form(kernel, spatial) == dense
+
+
+def test_cached_tables_are_read_only():
+    for table in (_tap_table((3, 3), (4, 4)), _phase_table((5,), (8,))):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+    assert _tap_table((3, 3), (4, 4)) is _tap_table((3, 3), (4, 4))
+    # every tap carries each output cell from exactly one input cell
+    assert np.array_equal(_tap_table((5,), (3,)).reshape(5, 3, 3).sum(axis=2), np.ones((5, 3)))
 
 
 def test_forward_batched_matches_per_item():
