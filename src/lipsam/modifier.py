@@ -252,7 +252,11 @@ class ModifierArchitecture:
 def complex_sign(z: np.ndarray) -> np.ndarray:
     """z / |z| elementwise, with sign(0) = 0."""
     z = np.asarray(z, dtype=np.complex128)
-    magnitude = np.abs(z)
+    return _sign_from(z, np.abs(z))
+
+
+def _sign_from(z: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """``complex_sign(z)`` from a complex128 ``z`` and its ``magnitude`` |z|."""
     out = np.zeros_like(z)
     nonzero = magnitude > 0.0
     np.divide(z, magnitude, out=out, where=nonzero)
@@ -322,7 +326,7 @@ def modifier_forward(arch: ModifierArchitecture, z: np.ndarray):
     Unlike ``apply_to_values`` it does not check that A is finite."""
     z = np.asarray(z, dtype=np.complex128)
     x = np.abs(z)
-    s = complex_sign(z)
+    s = _sign_from(z, x)
     a, cache = amplitude_forward(arch, x)
     cache.sign = s
     return a * s, cache

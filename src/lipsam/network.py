@@ -12,8 +12,10 @@ goes through the layer's dense doubly-block-circulant matrix
 cached 0/1 tap table.  Each sample row is its own matmul: BLAS may give a
 row different bits depending on how many rows share one GEMM, and the bound
 search must reproduce a trial batched with others bit for bit.  Any
-larger grid (training at 32 frames, the solver at 128) takes one matmul per
-kernel offset over all rows, with fewer flops than the dense matrix.
+larger grid (training at 32 frames, the solver at 128) is lowered to im2col
+columns (Chellapilla et al. 2006): one strided view of the wrap-extended
+input, copied once into [in·taps, cells], and one GEMM per sample with the
+[out, in·taps] weights, with fewer flops than the dense matrix.
 
 A stacked layer or net (``stacked=True``) holds one layer or net per search
 trial: its weights carry a leading trial axis, [trials, out, in, *kernel],
@@ -42,6 +44,7 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 from .errors import FormatError, NonFiniteError, ShapeError, UncertifiedError
@@ -150,8 +153,9 @@ def _dense_form(kernel_shape: tuple, sizes: tuple) -> bool:
     """Whether a layer maps this grid through its dense operator.
 
     Below twice as many cells as taps the dense [out·P, in·P] product does
-    fewer than twice the flops of the per-offset loop and makes one BLAS
-    call per row instead of a pad, a row copy per tap and a matmul per tap.
+    fewer than twice the flops of the column GEMM and makes one BLAS call
+    per row, without the wrap extension and the column copy of in·taps
+    rows.
     """
     return math.prod(sizes) < 2 * math.prod(kernel_shape)
 
@@ -171,23 +175,36 @@ def _tap_table(kernel_shape: tuple, sizes: tuple) -> np.ndarray:
     return _read_only(table.reshape(taps, -1))
 
 
-def _shifted_inputs(x: np.ndarray, kernel_shape: tuple, stacked: bool = False):
-    """Yield (offset, rows) for every kernel offset.
+@functools.lru_cache(maxsize=32)
+def _wrap_index(k: int, size: int) -> np.ndarray:
+    """Read-only indices that extend an axis of ``size`` cells by k // 2
+    wrapped cells on each side, as a centred kernel of k taps reads it."""
+    return _read_only(np.arange(-(k // 2), size + k // 2) % size)
 
-    ``rows`` is a contiguous [batch * spatial, in_channels] matrix, so each
-    offset costs one matmul; its row for position p holds
-    ``x[..., :, p + offset - kernel_shape // 2]``, indexed circularly on each
-    trailing spatial axis.  All rows are cut from one wrap-padded,
-    channels-last copy of ``x``.  With ``stacked`` the leading trial axis of
-    ``x`` stays in front: [trials, batch * spatial, in_channels].
+
+def _columns(x: np.ndarray, kernel_shape: tuple, channel_axis: int) -> np.ndarray:
+    """im2col: the [..., in·taps, rest] column matrix of ``x``.
+
+    Row (c, s) holds channel c of ``x`` shifted by tap s, read circularly on
+    the trailing spatial axes; the row order matches
+    ``weights.reshape(out, in·taps)``.  Every axis after ``channel_axis`` is
+    merged into the columns, the spatial axes last, and the axes before it
+    stay in front.  The input is wrap-extended once per spatial axis and the
+    columns are a strided view of that extension, so the final reshape is
+    the only copy of input size times taps.
     """
     n = len(kernel_shape)
-    pad = [(0, 0)] * (x.ndim - n - 1) + [(k // 2, k // 2) for k in kernel_shape] + [(0, 0)]
-    padded = np.pad(np.moveaxis(x, -n - 1, -1), pad, mode="wrap")
-    rows_shape = x.shape[: int(stacked)] + (-1, x.shape[-n - 1])
-    for offset in np.ndindex(*kernel_shape):
-        window = tuple(slice(d, d + size) for d, size in zip(offset, x.shape[-n:]))
-        yield offset, padded[(..., *window, slice(None))].reshape(rows_shape)
+    c = channel_axis % x.ndim
+    ext = x
+    for axis, k in zip(range(x.ndim - n, x.ndim), kernel_shape):
+        ext = np.take(ext, _wrap_index(k, x.shape[axis]), axis=axis)
+    view = as_strided(
+        ext,
+        ext.shape[: c + 1] + kernel_shape + x.shape[c + 1 :],
+        ext.strides[: c + 1] + ext.strides[-n:] + ext.strides[c + 1 :],
+        writeable=False,
+    )
+    return view.reshape(x.shape[:c] + (x.shape[c] * math.prod(kernel_shape), -1))
 
 
 def _dense_operator(weights: np.ndarray, sizes: tuple, lead: int) -> np.ndarray:
@@ -207,9 +224,10 @@ def _conv_linear(weights: np.ndarray, x: np.ndarray, stacked: bool = False) -> n
     Stacked weights [trials, out, in, *k] map an x whose leading axis is the
     trial axis; each trial's slice is computed exactly as the unstacked
     layer computes it.  A small grid (``_dense_form``) goes through the
-    dense operator one sample row per matmul, so a row's bits do not depend
-    on how many rows share the call; otherwise one [rows, in] by [in, out]
-    matmul per kernel offset.
+    dense operator one sample row per matmul; any other grid through one
+    [out, in·taps] by [in·taps, cells] GEMM per sample on its im2col
+    columns.  Either way a sample's bits do not depend on how many samples
+    share the call.
     """
     lead = int(stacked)
     n = weights.ndim - 2 - lead
@@ -220,12 +238,11 @@ def _conv_linear(weights: np.ndarray, x: np.ndarray, stacked: bool = False) -> n
         op_t = op_t.reshape(op_t.shape[:lead] + (1,) * (x.ndim - n - 1 - lead) + op_t.shape[lead:])
         out = x.reshape(x.shape[: -n - 1] + (1, -1)) @ op_t
         return out.reshape(x.shape[: -n - 1] + (weights.shape[lead],) + sizes)
-    out = sum(
-        rows @ weights[(..., *offset)].swapaxes(-1, -2)
-        for offset, rows in _shifted_inputs(x, weights.shape[2 + lead :], stacked)
-    )
-    out = out.reshape(x.shape[: -n - 1] + sizes + (weights.shape[lead],))
-    return np.moveaxis(out, -1, -n - 1)
+    # a trial's weights broadcast over that trial's samples, one GEMM each
+    batch = (1,) * (x.ndim - n - 1 - lead)
+    rows = weights.reshape(weights.shape[:lead] + batch + (weights.shape[lead], -1))
+    out = rows @ _columns(x, weights.shape[2 + lead :], -n - 1)
+    return out.reshape(out.shape[:-1] + sizes)
 
 
 def _conv_linear_transpose(
@@ -405,12 +422,11 @@ def _weight_gradient(
         outer = outer.reshape(trials + (out, cells, inp, cells)).swapaxes(-3, -2)
         outer = outer.reshape(trials + (out * inp, -1))
         return (outer @ _tap_table(kernel_shape, sizes).T).reshape(weights.shape)
-    rows_shape = dz.shape[:lead] + (-1, weights.shape[lead])
-    dz_cols = np.moveaxis(dz, 1 - weights.ndim + lead, -1).reshape(rows_shape).swapaxes(-1, -2)
-    grad = np.empty_like(weights)
-    for offset, rows in _shifted_inputs(x, weights.shape[2 + lead :], stacked):
-        grad[(..., *offset)] = dz_cols @ rows
-    return grad
+    # channels ahead of the batch axes: one GEMM sums over batch and cells
+    channel_axis = 1 - weights.ndim + lead
+    dz_rows = np.moveaxis(dz, channel_axis, lead).reshape(weights.shape[: lead + 1] + (-1,))
+    columns = _columns(np.moveaxis(x, channel_axis, lead), kernel_shape, lead)
+    return (dz_rows @ columns.swapaxes(-1, -2)).reshape(weights.shape)
 
 
 @functools.lru_cache(maxsize=16)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io.wavfile
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DomainError,
@@ -177,8 +177,16 @@ def analysis(x: np.ndarray, config: StftConfig) -> np.ndarray:
     are one strided view of the signal extended by its first samples.
     """
     hop = config.hop
+    # the view below reads past the buffer on any other length
+    config.check_length(x.shape[-1])
     extended = np.concatenate([x, x[..., : config.window_length - hop]], axis=-1)
-    frames = sliding_window_view(extended, config.window_length, axis=-1)[..., ::hop, :]
+    step = extended.strides[-1]
+    frames = as_strided(
+        extended,
+        extended.shape[:-1] + (x.shape[-1] // hop, config.window_length),
+        extended.strides[:-1] + (hop * step, step),
+        writeable=False,
+    )
     spectrum = np.fft.rfft(frames * config.window, n=config.window_length, axis=-1)
     spectrum *= _bin_weights(config) / np.sqrt(config.window_length)
     return np.ascontiguousarray(np.swapaxes(spectrum, -1, -2))
@@ -211,7 +219,6 @@ def stft(signal: TimeSignal, config: StftConfig) -> Spectrogram:
     Frames wrap around the signal end, so every sample is covered the same
     number of times and the analysis operator is a linear isometry.
     """
-    config.check_length(len(signal))
     return Spectrogram(analysis(signal.samples, config), config)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,14 @@ from lipsam.network import (
     AdamState,
     ConvLayer,
     ConvNet,
+    _columns,
     _conv_linear,
     _conv_linear_transpose,
     _dense_form,
     _phase_table,
     _tap_table,
     _weight_gradient,
+    _wrap_index,
     adam_step,
     backward,
     circulant_operator_norm,
@@ -89,16 +93,23 @@ def materialize_2d(weights, height, width):
 
 
 def loop_weight_gradient(weights, x, dz):
-    """d<dz, A_w x>/dw, one weight entry at a time through the loop oracles."""
+    """d<dz, A_w x>/dw through the loop oracles.  The basis weight at
+    (o, i, s) carries input channel i through tap s into output channel o
+    alone, so one one-channel loop conv per (i, s) serves every o."""
     loop_conv = loop_conv1d if weights.ndim == 3 else loop_conv2d
     spatial = weights.ndim - 2
+    kernel = weights.shape[2:]
     xs = x.reshape((-1,) + x.shape[-spatial - 1 :])
     dzs = dz.reshape((-1,) + dz.shape[-spatial - 1 :])
+    cells = tuple(range(1, spatial + 1))
     grad = np.zeros_like(weights)
-    for idx in np.ndindex(weights.shape):
-        basis = np.zeros_like(weights)
-        basis[idx] = 1.0
-        grad[idx] = sum(np.sum(g * loop_conv(basis, None, item)) for item, g in zip(xs, dzs))
+    for i in range(weights.shape[1]):
+        for tap in np.ndindex(kernel):
+            basis = np.zeros((1, 1) + kernel)
+            basis[(0, 0) + tap] = 1.0
+            for item, g in zip(xs, dzs):
+                carried = loop_conv(basis, None, item[i : i + 1])
+                grad[(slice(None), i) + tap] += np.sum(g * carried, axis=cells)
     return grad
 
 
@@ -150,12 +161,14 @@ def test_forward_matches_loop_oracle_2d_two_layers():
 CONV_CASES = [
     ((3, 2, 5), (2, 2, 3)),  # 1-D kernel wider than the input, one batch axis
     ((2, 3, 5, 3), (2, 3, 3, 2)),  # 2-D kernel wider than the input
-    ((4, 3, 3, 3), (2, 2, 3, 4, 5)),  # two leading batch axes; 20 cells, 9 taps: per-offset
+    ((4, 3, 3, 3), (2, 2, 3, 4, 5)),  # two leading batch axes; 20 cells, 9 taps: columns
     ((3, 2, 5), (2, 2, 8)),  # 8 cells < 2 * 5 taps: dense operator
-    ((3, 2, 5), (2, 2, 10)),  # 10 cells = 2 * 5 taps: per-offset
+    ((3, 2, 5), (2, 2, 10)),  # 10 cells = 2 * 5 taps: columns
     ((3, 2, 3, 3), (2, 2, 4, 4)),  # 16 cells < 2 * 9 taps: dense operator
     ((2, 3, 2, 3, 3), (2, 3, 2, 4, 4)),  # a stacked 2-D layer, dense
-    ((2, 3, 2, 3, 3), (2, 3, 2, 6, 6)),  # a stacked 2-D layer, per-offset
+    ((2, 3, 2, 3, 3), (2, 3, 2, 6, 6)),  # a stacked 2-D layer, columns
+    ((2, 3, 9, 1), (2, 3, 4, 16)),  # a kernel taller than its grid wraps twice, columns
+    ((16, 33, 5), (33, 128)),  # the solver's first layer, 33→16, no batch axis, columns
 ]
 
 
@@ -188,7 +201,13 @@ def test_conv_ops_match_loop_oracles(wshape, xshape):
 
 @pytest.mark.parametrize(
     "kernel,spatial,dense",
-    [((5,), (8,), True), ((5,), (16,), False), ((3, 3), (4, 4), True), ((3, 3), (6, 6), False)],
+    [
+        ((5,), (8,), True),
+        ((5,), (16,), False),
+        ((3, 3), (4, 4), True),
+        ((3, 3), (6, 6), False),
+        ((5,), (128,), False),
+    ],
 )
 @pytest.mark.parametrize("stacked", [False, True])
 def test_conv_rows_do_not_depend_on_the_batch_they_run_in(kernel, spatial, dense, stacked):
@@ -229,6 +248,47 @@ def test_cached_tables_are_read_only():
     assert _tap_table((3, 3), (4, 4)) is _tap_table((3, 3), (4, 4))
     # every tap carries each output cell from exactly one input cell
     assert np.array_equal(_tap_table((5,), (3,)).reshape(5, 3, 3).sum(axis=2), np.ones((5, 3)))
+    index = _wrap_index(9, 4)
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0] = 1
+    assert _wrap_index(9, 4) is index
+    assert index.tolist() == [0, 1, 2, 3] * 3
+
+
+@pytest.mark.parametrize(
+    "kernel,xshape,channel_axis",
+    [
+        ((5,), (2, 3, 7), 1),  # forward: [batch, in, width]
+        ((9, 3), (2, 3, 4, 5), 1),  # forward, a kernel taller than its grid
+        ((5,), (3, 2, 6), 0),  # weight gradient: channels ahead of the batch
+        ((3, 3), (2, 3, 2, 4, 4), 1),  # stacked weight gradient: [trials, in, batch, h, w]
+    ],
+)
+def test_columns_match_a_circular_index_loop(kernel, xshape, channel_axis):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(xshape)
+    n = len(kernel)
+    front, channels = xshape[:channel_axis], xshape[channel_axis]
+    middle, sizes = xshape[channel_axis + 1 : -n], xshape[-n:]
+    want = []
+    for head in np.ndindex(front):
+        rows = []
+        for c in range(channels):
+            for tap in np.ndindex(kernel):
+                row = []
+                for mid in np.ndindex(middle):
+                    for cell in np.ndindex(sizes):
+                        source = tuple(
+                            (p + t - k // 2) % size
+                            for p, t, k, size in zip(cell, tap, kernel, sizes)
+                        )
+                        row.append(x[head + (c,) + mid + source])
+                rows.append(row)
+        want.append(rows)
+    columns = _columns(x, kernel, channel_axis)
+    assert columns.shape == front + (channels * math.prod(kernel), math.prod(middle + sizes))
+    assert np.array_equal(columns, np.array(want).reshape(columns.shape))
 
 
 def test_forward_batched_matches_per_item():

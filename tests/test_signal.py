@@ -216,6 +216,12 @@ def test_stft_rejects_bad_length_without_pad():
         stft(TimeSignal(np.ones(30)), config)
 
 
+@pytest.mark.parametrize("length", [30, 8])  # not a multiple of the hop; under one window
+def test_analysis_rejects_a_length_its_frame_view_cannot_cover(length):
+    with pytest.raises(ShapeError):
+        analysis(np.ones((2, length)), StftConfig(window_length=16, hop=8))
+
+
 def test_istft_rejects_mismatched_config():
     config = StftConfig(window_length=16, hop=8)
     other = StftConfig(window_length=16, hop=4)
