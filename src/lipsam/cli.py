@@ -587,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON parameter document (strict schema)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--out-dir", default=".")
 
     parser = _Parser(prog="lipsam", description=__doc__)
@@ -595,6 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("validate-bounds", parents=[common],
                             help="empirical Lipschitz search over the architecture grid")
+    p.add_argument("--threads", type=int, default=1, help="worker processes for the cells")
     p.set_defaults(handler=cmd_validate_bounds)
 
     p = commands.add_parser("train", parents=[common], help="train a denoiser")
@@ -646,7 +646,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
+        if args.command == "validate-bounds" and args.threads < 1:
             parser.error("--threads must be at least 1")
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ constructions for unguarded architectures.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -272,13 +272,12 @@ def conv2d_family(
     template = ConvNet(tuple(layers), scale=scale)
 
     def sample_parameters(rng: np.random.Generator) -> np.ndarray:
-        parts = []
+        drawn = []
         for layer in template.layers:
-            fan_in = layer.weights.shape[1] * layer.weights.shape[2] * layer.weights.shape[3]
-            parts.append(rng.standard_normal(layer.weights.size) / np.sqrt(fan_in))
-            if layer.bias is not None:
-                parts.append(0.3 * rng.standard_normal(layer.bias.size))
-        return np.concatenate(parts)
+            w = rng.standard_normal(layer.weights.shape) / np.sqrt(layer.weights[0].size)
+            b = None if layer.bias is None else 0.3 * rng.standard_normal(layer.bias.size)
+            drawn.append(replace(layer, weights=w, bias=b))
+        return ConvNet(tuple(drawn), scale).flatten_parameters()
 
     def build(theta: np.ndarray) -> ModifierArchitecture:
         # a [trials, P] stack builds one stacked net
@@ -374,16 +373,15 @@ def _ascent_gradient(family, thetas, z, u, v, eps):
     # of the trial's parameters, so that no parameter gradient mixes them
     arch = family.build(np.repeat(thetas, 2, axis=0))
     _, cache = modifier_forward(arch, points.reshape((2 * trials,) + shape))
-    param_grads, gz = modifier_backward(cache, np.repeat(u_c, 2, axis=0))
+    grad_theta, gz = modifier_backward(cache, np.repeat(u_c, 2, axis=0))
     gz = gz.reshape((trials, 2) + shape)
     grad_z = np.zeros(z.shape, dtype=np.complex128)
     grad_t = np.zeros(thetas.shape)
     # a fixed family carries no search parameters even when the wrapped net
-    # itself has weights, so key off grad_t, not param_grads
-    with_t = grad_t.size and param_grads is not None
+    # itself has weights, so key off grad_t, not grad_theta
+    with_t = grad_t.size and grad_theta is not None
     if with_t:
-        gt = np.concatenate([g.reshape(2 * trials, -1) for g in param_grads], axis=1)
-        gt = gt.reshape(trials, 2, -1)
+        gt = grad_theta.reshape(trials, 2, -1)
     for k, sign in enumerate(signs):
         grad_z += (sign / (2.0 * eps)) * gz[:, k]
         if with_t:

@@ -18,7 +18,7 @@ The unguarded forms admit no finite bound at all; see the counterexamples in
 :mod:`lipsam.lipschitz`.
 
 Every inner map owns its rules: ``forward`` returns its output and a cache,
-``backward`` turns an output gradient into (parameter gradients, input
+``backward`` turns an output gradient into (flat parameter gradient, input
 gradient), and ``variant`` names its JSON form, whose fields are the map's
 dataclass fields.  ``modifier_forward`` and ``modifier_backward`` are the one
 forward/backward pair of D itself; training and the adversarial bound search
@@ -64,7 +64,7 @@ class AmplitudeMap:
         return self(x), None
 
     def backward(self, cache, grad):
-        """(parameter gradients or None, input gradient) from the output gradient."""
+        """(flat parameter gradient or None, input gradient) from the output gradient."""
         raise ShapeError(f"no gradient rule for inner map {type(self).__name__}")
 
     def to_config(self, net_file: str | None = None) -> dict:
@@ -211,8 +211,8 @@ class NetMap(AmplitudeMap):
 
     def backward(self, cache, grad):
         if self.net.is_2d:
-            grads, gx = net_backward(self.net, cache, np.expand_dims(grad, -3))
-            return grads, np.squeeze(gx, -3)
+            grad_theta, gx = net_backward(self.net, cache, np.expand_dims(grad, -3))
+            return grad_theta, np.squeeze(gx, -3)
         return net_backward(self.net, cache, grad)
 
     def to_config(self, net_file: str | None = None) -> dict:
@@ -295,7 +295,7 @@ def amplitude_forward(arch: ModifierArchitecture, x: np.ndarray):
 def amplitude_backward(cache: ModifierCache, grad_a: np.ndarray):
     """Backpropagate through the amplitude path A.
 
-    Given d(loss)/dA, returns (inner-map parameter gradients or None,
+    Given d(loss)/dA, returns (the inner map's flat parameter gradient or None,
     d(loss)/dx) where x is the magnitude input.  Kinks (relu and the
     safeguard min) use the zero subgradient on their inactive side and route
     ties to the safeguard branch, matching the forward tie-breaking of
@@ -309,16 +309,16 @@ def amplitude_backward(cache: ModifierCache, grad_a: np.ndarray):
     if kind == "lipsam_se":
         g = grad_a * (np.minimum(inner_out, x) > 0.0)
         take_inner = inner_out < x
-        param_grads, dx_inner = inner.backward(cache.inner_cache, g * take_inner)
-        return param_grads, dx_inner + g * ~take_inner
+        grad_theta, dx_inner = inner.backward(cache.inner_cache, g * take_inner)
+        return grad_theta, dx_inner + g * ~take_inner
     if kind == "am_re":
         g = grad_a * ((x - inner_out) > 0.0)
-        param_grads, dx_inner = inner.backward(cache.inner_cache, -g)
-        return param_grads, g + dx_inner
+        grad_theta, dx_inner = inner.backward(cache.inner_cache, -g)
+        return grad_theta, g + dx_inner
     # lipsam_re
     g = grad_a * ((x - np.maximum(inner_out, 0.0)) > 0.0)
-    param_grads, dx_inner = inner.backward(cache.inner_cache, -g * (inner_out > 0.0))
-    return param_grads, g + dx_inner
+    grad_theta, dx_inner = inner.backward(cache.inner_cache, -g * (inner_out > 0.0))
+    return grad_theta, g + dx_inner
 
 
 def modifier_forward(arch: ModifierArchitecture, z: np.ndarray):
@@ -343,17 +343,17 @@ def modifier_backward(cache: ModifierCache, u: np.ndarray):
     does not depend on the parameters, so their gradient is the amplitude
     path's alone.
 
-    Returns (parameter gradients or None, complex z gradient) where the
+    Returns (flat parameter gradient or None, complex z gradient) where the
     complex array packs d/dRe as the real part and d/dIm as the imaginary part.
     """
     x, a, s = cache.x, cache.a, cache.sign
     c = np.real(np.conj(u) * s)
-    param_grads, grad_x = amplitude_backward(cache, c)
+    grad_theta, grad_x = amplitude_backward(cache, c)
     grad_z = grad_x * s
     nonzero = x > 0.0
     phase = np.divide(a * (u - c * s), x, out=np.zeros_like(grad_z), where=nonzero)
     np.add(grad_z, phase, out=grad_z, where=nonzero)
-    return param_grads, grad_z
+    return grad_theta, grad_z
 
 
 def apply_to_values(arch: ModifierArchitecture, values: np.ndarray) -> np.ndarray:

@@ -258,6 +258,11 @@ def _conv_linear_transpose(
     return _conv_linear(np.flip(weights, spatial_axes).swapaxes(lead, lead + 1), g, stacked)
 
 
+def _flatten(arrays: list, lead: tuple) -> np.ndarray:
+    """Concatenate per-parameter arrays, each [*lead, ...], into [*lead, P]."""
+    return np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class ConvNet:
     """A stack of ConvLayers with a scalar output scale."""
@@ -310,8 +315,7 @@ class ConvNet:
 
     def flatten_parameters(self) -> np.ndarray:
         """One flat parameter vector, or a [trials, P] stack of them."""
-        lead = self.layers[0].weights.shape[: int(self.stacked)]
-        return np.concatenate([p.reshape(lead + (-1,)) for p in self.parameters()], axis=-1)
+        return _flatten(self.parameters(), self.layers[0].weights.shape[: int(self.stacked)])
 
     def with_parameters(self, vector: np.ndarray) -> "ConvNet":
         """Rebuild the net from a flat parameter vector, or a stacked net from
@@ -378,30 +382,26 @@ def forward(net: ConvNet, x: np.ndarray):
 
 
 def backward(net: ConvNet, cache: ForwardCache, upstream: np.ndarray):
-    """Backpropagate; returns (parameter gradients, input gradient).
+    """Backpropagate; returns (parameter gradient, input gradient).
 
-    Gradients are ordered exactly like ``net.parameters()``.  Batch axes in
-    the cache are summed into the parameter gradients.
+    The parameter gradient is laid out exactly like
+    ``net.flatten_parameters()``: [P], or [trials, P] for a stacked net.
+    Batch axes in the cache are summed into it.
     """
     if cache.net is not net:
         raise ValueError("cache was produced by a different network instance")
-    lead = int(net.stacked)
-    spatial = net.layers[0].weights.ndim - 1 - lead
+    lead = net.layers[0].weights.shape[: int(net.stacked)]
+    spatial = net.layers[0].weights.ndim - 1 - len(lead)
     g = np.asarray(upstream, dtype=np.float64) * net.scale
-    grads = [None] * len(net.parameters())
-    slot = len(grads)
-    for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
-        x_in = cache.inputs[idx]
-        dz = g * layer.activation.derivative(cache.preactivations[idx])
+    grads = []  # in reverse parameter order
+    for layer, x_in, z in zip(net.layers[::-1], cache.inputs[::-1], cache.preactivations[::-1]):
+        dz = g * layer.activation.derivative(z)
         if layer.bias is not None:
-            slot -= 1
-            axes = tuple(i for i in range(lead, dz.ndim) if i != dz.ndim - spatial)
-            grads[slot] = np.sum(dz, axis=axes)
-        slot -= 1
-        grads[slot] = _weight_gradient(layer.weights, x_in, dz, net.stacked)
+            axes = tuple(i for i in range(len(lead), dz.ndim) if i != dz.ndim - spatial)
+            grads.append(np.sum(dz, axis=axes))
+        grads.append(_weight_gradient(layer.weights, x_in, dz, net.stacked))
         g = _conv_linear_transpose(layer.weights, dz, net.stacked)
-    return grads, g
+    return _flatten(grads[::-1], lead), g
 
 
 def _weight_gradient(
@@ -523,49 +523,36 @@ ADAM_EPSILON = 1e-8
 
 @dataclass(frozen=True)
 class AdamState:
-    """Adam moment estimates plus the learning rate; treat as immutable.
-    The other hyperparameters are the fixed ``ADAM_BETA1``, ``ADAM_BETA2``
-    and ``ADAM_EPSILON``."""
+    """Adam moment estimates of a flat parameter vector plus the learning
+    rate; treat as immutable.  The other hyperparameters are the fixed
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``."""
 
-    first_moment: tuple
-    second_moment: tuple
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int
     learning_rate: float
 
     @classmethod
-    def init(cls, params, learning_rate: float = 1e-4) -> "AdamState":
-        return cls(
-            first_moment=tuple(np.zeros_like(p) for p in params),
-            second_moment=tuple(np.zeros_like(p) for p in params),
-            step_count=0,
-            learning_rate=float(learning_rate),
-        )
+    def init(cls, theta: np.ndarray, learning_rate: float = 1e-4) -> "AdamState":
+        return cls(np.zeros_like(theta), np.zeros_like(theta), 0, float(learning_rate))
 
 
-def adam_step(params, grads, state: AdamState):
-    """One bias-corrected Adam update; returns (new params, new state)."""
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ShapeError("parameter, gradient, and state lists must align")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeError("gradient shape does not match its parameter")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError("non-finite gradient would poison the Adam state")
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState):
+    """One bias-corrected Adam update of the whole vector ``theta``; Adam is
+    elementwise, so every entry steps on its own.  Returns (new theta, new
+    state)."""
+    if not theta.shape == grad.shape == state.first_moment.shape:
+        raise ShapeError("parameter vector, gradient and Adam state must share one shape")
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteError("non-finite gradient would poison the Adam state")
     t = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
-        new_m.append(m)
-        new_v.append(v)
-    new_state = replace(
-        state, first_moment=tuple(new_m), second_moment=tuple(new_v), step_count=t
-    )
-    return new_params, new_state
+    m = b1 * state.first_moment + (1.0 - b1) * grad
+    v = b2 * state.second_moment + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    theta = theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return theta, replace(state, first_moment=m, second_moment=v, step_count=t)
 
 
 # ------------------------------------------------------------ serialization

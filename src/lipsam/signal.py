@@ -306,13 +306,17 @@ def si_snr_values(est: np.ndarray, ref: np.ndarray) -> float:
 def add_noise_at_snr(signal: TimeSignal, snr_db: float, seed: int) -> TimeSignal:
     """Add white Gaussian noise scaled to hit the requested SNR exactly."""
     x = signal.samples
-    signal_norm = float(np.linalg.norm(x))
-    if signal_norm == 0.0:
+    if float(np.linalg.norm(x)) == 0.0:
         raise DomainError("cannot scale noise against an all-zero signal")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(x.size)
-    noise *= signal_norm * 10.0 ** (-snr_db / 20.0) / np.linalg.norm(noise)
-    return TimeSignal(x + noise, signal.sample_rate)
+    noise = np.random.default_rng(seed).standard_normal(x.size)
+    return TimeSignal(add_scaled_noise(x, snr_db, noise), signal.sample_rate)
+
+
+def add_scaled_noise(x: np.ndarray, snr_db: float, noise: np.ndarray) -> np.ndarray:
+    """``x`` plus ``noise`` scaled by ||x|| 10^(-snr_db/20) / ||noise||, so
+    that the sum has an SNR of ``snr_db`` dB against ``x``."""
+    scale = float(np.linalg.norm(x)) * 10.0 ** (-snr_db / 20.0) / float(np.linalg.norm(noise))
+    return x + noise * scale
 
 
 def read_wav(path) -> TimeSignal:

@@ -37,8 +37,8 @@ from .network import (
     circulant_operator_norm,
     project_unit_ball,
 )
-from .signal import Spectrogram, StftConfig, TimeSignal, analysis, istft, si_snr, snr, stft
-from .signal import synthesis
+from .signal import Spectrogram, StftConfig, TimeSignal, add_scaled_noise, analysis, istft, si_snr
+from .signal import snr, stft, synthesis
 
 LOSS_EPSILON = 1e-12
 
@@ -206,20 +206,28 @@ def synth_rir(length: int, decay_time_seconds: float, seed: int) -> TimeSignal:
 
 
 def _neg_snr_loss(est: np.ndarray, ref: np.ndarray):
-    """Negative time-domain SNR of one estimate and its analytic gradient.
+    """Negative time-domain SNR of each [..., samples] estimate row and its
+    analytic gradient.
 
-    loss = -10 log10(||ref||^2 / (||ref - est||^2 + eps)), eps = 1e-12.  The
-    guard keeps the loss finite at est = ref; the gradient returned is the
-    exact gradient of the guarded loss.
+    loss = -10 log10(||ref||^2 / (||ref - est||^2 + eps)), eps = 1e-12, one
+    per row.  The guard keeps the loss finite at est = ref; the gradient
+    returned is the exact gradient of the guarded loss.  Each row's dot is
+    the same BLAS dot a lone row gets, so a row's bits do not depend on its
+    batch.
     """
-    ref_power = float(np.dot(ref, ref))
-    if ref_power == 0.0:
+    ref_power = _row_dot(ref, ref)
+    if np.any(ref_power == 0.0):
         raise UndefinedMetricError("negative-SNR loss is undefined for a zero reference")
     err = est - ref
-    denom = float(np.dot(err, err)) + LOSS_EPSILON
+    denom = _row_dot(err, err) + LOSS_EPSILON
     loss = -10.0 * np.log10(ref_power / denom)
-    gradient = (20.0 / np.log(10.0)) * err / denom
-    return float(loss), gradient
+    gradient = (20.0 / np.log(10.0)) * err / np.expand_dims(denom, -1)
+    return loss, gradient
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of matching [..., samples] rows, one BLAS dot per row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +346,8 @@ class TrainResult:
         return "am_" + self.arch
 
 
-def _added_noise(clean: np.ndarray, snr_db: float, noise: np.ndarray) -> np.ndarray:
-    scale = float(np.linalg.norm(clean)) * 10.0 ** (-snr_db / 20.0)
-    return clean + noise * (scale / float(np.linalg.norm(noise)))
-
-
 def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
-    """Mean negative-SNR loss over a batch and its parameter gradients.
+    """Mean negative-SNR loss over a batch and its flat parameter gradient.
 
     The chain is stft -> modifier -> istft -> loss.  Synthesis is the exact
     adjoint of analysis, so the coefficient gradient is the stft of the
@@ -357,28 +360,23 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
     estimates = synthesis(values, config.stft)
     del values  # free each batch-sized array once it is dead
 
-    batch = clean.shape[0]
-    losses = np.empty(batch)
-    grad_time = np.empty_like(estimates)
-    for b in range(batch):
-        losses[b], grad_time[b] = _neg_snr_loss(estimates[b], clean[b])
+    losses, grad_time = _neg_snr_loss(estimates, clean)
     del estimates
-    grad_values = analysis(grad_time / batch, config.stft)
+    grad_values = analysis(grad_time / clean.shape[0], config.stft)
     del grad_time
     # Re(conj(grad) * sign) in place, so only its real part is alive below
     np.conjugate(grad_values, out=grad_values)
     grad_values *= cache.sign
     grad_a = grad_values.real.copy()
     del grad_values
-    param_grads, _ = amplitude_backward(cache, grad_a)
-    return float(np.mean(losses)), param_grads
+    grad_theta, _ = amplitude_backward(cache, grad_a)
+    return float(np.mean(losses)), grad_theta
 
 
 def _validation_loss(net, kind, clean, noisy, config: TrainConfig) -> float:
     arch = ModifierArchitecture(kind, NetMap(net))
     estimates = synthesis(apply_to_values(arch, analysis(noisy, config.stft)), config.stft)
-    losses = [_neg_snr_loss(est, ref)[0] for est, ref in zip(estimates, clean)]
-    return float(np.mean(losses))
+    return float(np.mean(_neg_snr_loss(estimates, clean)[0]))
 
 
 def _corpus_segments(corpus: SynthCorpusConfig, needed: int) -> np.ndarray:
@@ -433,7 +431,7 @@ def train_denoiser(
     rng_val = np.random.default_rng([train_config.seed, _VALIDATION_STREAM])
     val_noisy = np.stack(
         [
-            _added_noise(row, rng_val.uniform(low, high), rng_val.standard_normal(needed))
+            add_scaled_noise(row, rng_val.uniform(low, high), rng_val.standard_normal(needed))
             for row in val_clean
         ]
     )
@@ -445,8 +443,8 @@ def train_denoiser(
             raise ShapeError("initial net must be 1-D with one channel per frequency bin")
         net = initial_net
     kind = train_config.modifier_kind
-    params = net.parameters()
-    state = AdamState.init(params, learning_rate=train_config.learning_rate)
+    theta = net.flatten_parameters()
+    state = AdamState.init(theta, learning_rate=train_config.learning_rate)
 
     val0 = _validation_loss(net, kind, val_clean, val_noisy, train_config)
     log = [{"epoch": 0, "train_loss": float("nan"), "val_loss": val0}]
@@ -464,24 +462,24 @@ def train_denoiser(
             snrs = rng_epoch.uniform(low, high, size=chosen.size)
             noise = rng_epoch.standard_normal(clean.shape)
             noisy = np.stack(
-                [_added_noise(c, s, n) for c, s, n in zip(clean, snrs, noise)]
+                [add_scaled_noise(c, s, n) for c, s, n in zip(clean, snrs, noise)]
             )
             try:
                 # Blow-ups surface as exceptions from the loss check below
                 # and from adam_step's gradient check, not as numpy warnings.
                 with np.errstate(all="ignore"):
-                    loss, grads = _batch_loss_and_grads(net, kind, clean, noisy, train_config)
+                    loss, grad = _batch_loss_and_grads(net, kind, clean, noisy, train_config)
                     if not np.isfinite(loss):
                         raise NonFiniteError("training loss is not finite")
-                    params, state = adam_step(params, grads, state)
+                    theta, state = adam_step(theta, grad, state)
             except (DomainError, NonFiniteError, FloatingPointError, OverflowError):
                 status = "aborted"
                 poisoned_at = (epoch, start // train_config.batch_size)
                 break
-            net = net.with_parameters(np.concatenate([p.reshape(-1) for p in params]))
+            net = net.with_parameters(theta)
             if train_config.lipschitz == "spectral":
                 net = project_unit_ball(net, (train_config.frames,))
-                params = net.parameters()
+                theta = net.flatten_parameters()
             epoch_losses.append(loss)
         if status == "aborted":
             break
@@ -537,7 +535,7 @@ def evaluate_denoiser(
         si_snrs = []
         for item_index, clean in enumerate(items):
             noisy = TimeSignal(
-                _added_noise(
+                add_scaled_noise(
                     clean.samples,
                     level,
                     np.random.default_rng(

@@ -29,7 +29,8 @@ from lipsam.modifier import (
     modifier_backward,
     modifier_forward,
 )
-from lipsam.network import ConvLayer, circulant_operator_norm
+from lipsam.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, ConvLayer, circulant_operator_norm
+from lipsam.trainer import LOSS_EPSILON
 
 
 def jacobian_fd(fn: Callable, point: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:
@@ -106,10 +107,10 @@ def ascent_gradient(family, theta, z, u, v, eps):
     arch = family.build(theta)
     for sign in (1.0, -1.0):
         _, cache = modifier_forward(arch, z + sign * eps * v_c)
-        param_grads, gz = modifier_backward(cache, u_c)
+        grad_theta, gz = modifier_backward(cache, u_c)
         grad_z += (sign / (2.0 * eps)) * gz
-        if grad_t.size and param_grads is not None:
-            grad_t += (sign / (2.0 * eps)) * np.concatenate([g.reshape(-1) for g in param_grads])
+        if grad_t.size and grad_theta is not None:
+            grad_t += (sign / (2.0 * eps)) * grad_theta
     return grad_z, grad_t
 
 
@@ -317,3 +318,52 @@ def check_assumption1(
             quotient = float(np.linalg.norm(gap) / denom)
             empirical = max(empirical, quotient)
     return Assumption1Report(cond2, worst_ratio, empirical, witness)
+
+
+# ---------------------------------------------------------------------------
+# the negative-SNR loss one row at a time
+
+
+def neg_snr_loss_row(est: np.ndarray, ref: np.ndarray):
+    """(loss, gradient) of one 1-D estimate, each row dot a plain ``np.dot``."""
+    err = est - ref
+    denom = float(np.dot(err, err)) + LOSS_EPSILON
+    loss = -10.0 * np.log10(float(np.dot(ref, ref)) / denom)
+    return float(loss), (20.0 / np.log(10.0)) * err / denom
+
+
+# ---------------------------------------------------------------------------
+# Adam one parameter array at a time
+
+
+@dataclass(frozen=True)
+class ReferenceAdamState:
+    """Per-array Adam moments for :func:`reference_adam_step`."""
+
+    first_moment: tuple
+    second_moment: tuple
+    step_count: int
+    learning_rate: float
+
+    @classmethod
+    def init(cls, params, learning_rate: float) -> "ReferenceAdamState":
+        zeros = tuple(np.zeros_like(p) for p in params)
+        return cls(zeros, zeros, 0, float(learning_rate))
+
+
+def reference_adam_step(params, grads, state: ReferenceAdamState):
+    """One bias-corrected Adam update of a list of parameter arrays, one
+    array at a time; returns (new params, new state)."""
+    t = state.step_count + 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    new_params, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment, strict=True):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
+        new_m.append(m)
+        new_v.append(v)
+    return new_params, replace(state, first_moment=tuple(new_m), second_moment=tuple(new_v),
+                               step_count=t)

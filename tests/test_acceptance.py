@@ -591,9 +591,8 @@ def test_criterion_11_gradients_match_finite_differences(report):
         if margin <= 1e-4:
             continue  # too close to a relu or min kink for clean differences
         accepted += 1
-        _, grads = _batch_loss_and_grads(net, kind, clean, noisy, config)
+        _, grad_flat = _batch_loss_and_grads(net, kind, clean, noisy, config)
         flat = net.flatten_parameters()
-        grad_flat = np.concatenate([g.reshape(-1) for g in grads])
 
         def loss_at(vector):
             value, _ = _batch_loss_and_grads(
@@ -626,9 +625,8 @@ def test_criterion_11_gradients_match_finite_differences(report):
         if margin <= 1e-4:
             continue
         accepted += 1
-        grads, grad_x = backward(net, cache, c)
+        grad_flat, grad_x = backward(net, cache, c)
         flat = net.flatten_parameters()
-        grad_flat = np.concatenate([g.reshape(-1) for g in grads])
 
         def value_at(vector):
             o, _ = forward(net.with_parameters(vector), x)

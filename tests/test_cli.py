@@ -556,6 +556,12 @@ def test_usage_errors_exit_1(workdir, capsys):
     assert not (workdir / "validate_bounds.csv").exists()
 
 
+def test_threads_is_a_validate_bounds_option_only(workdir, capsys):
+    assert main(["train", "--threads", "2", "--out-dir", str(workdir)]) == EXIT_USAGE
+    assert "usage error: unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not any(workdir.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # the config table
 

@@ -31,7 +31,13 @@ from lipsam.network import (
     save_net,
     save_weights,
 )
-from oracles import certify_layer, full_spectrum_operator_norm, rewrite_first_layer_header
+from oracles import (
+    ReferenceAdamState,
+    certify_layer,
+    full_spectrum_operator_norm,
+    reference_adam_step,
+    rewrite_first_layer_header,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -319,8 +325,8 @@ def test_layer_rejects_even_kernel():
 def scalar_loss_and_grads(net, x, probe):
     out, cache = forward(net, x)
     loss = float(np.sum(out * probe))
-    grads, input_grad = backward(net, cache, probe)
-    return loss, grads, input_grad
+    grad_theta, input_grad = backward(net, cache, probe)
+    return loss, grad_theta, input_grad
 
 
 def fd_param_gradient(net, x, probe, h=1e-6):
@@ -345,10 +351,9 @@ def test_backward_parameter_gradients_match_fd(activation):
         _, cache = forward(net, x)
         assert all(np.min(np.abs(z)) > 1e-3 for z in cache.preactivations)
     probe = rng.standard_normal((1, 6))
-    _, grads, _ = scalar_loss_and_grads(net, x, probe)
-    flat = np.concatenate([g.reshape(-1) for g in grads])
+    _, grad_theta, _ = scalar_loss_and_grads(net, x, probe)
     fd = fd_param_gradient(net, x, probe)
-    np.testing.assert_allclose(flat, fd, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(grad_theta, fd, rtol=1e-6, atol=1e-8)
 
 
 def test_backward_input_gradient_matches_fd():
@@ -380,10 +385,9 @@ def test_backward_2d_gradients_match_fd():
     net = ConvNet(layers, scale=2.0)
     x = rng.standard_normal((1, 4, 4))
     probe = rng.standard_normal((1, 4, 4))
-    _, grads, _ = scalar_loss_and_grads(net, x, probe)
-    flat = np.concatenate([g.reshape(-1) for g in grads])
+    _, grad_theta, _ = scalar_loss_and_grads(net, x, probe)
     fd = fd_param_gradient(net, x, probe)
-    np.testing.assert_allclose(flat, fd, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(grad_theta, fd, rtol=1e-6, atol=1e-8)
 
 
 def test_backward_batch_sums_item_gradients():
@@ -391,13 +395,10 @@ def test_backward_batch_sums_item_gradients():
     net = make_net_1d(rng, channels=(2, 3, 2), activation=SOFTPLUS)
     batch = rng.standard_normal((4, 2, 6))
     probe = rng.standard_normal((4, 2, 6))
-    _, grads_batch, _ = scalar_loss_and_grads(net, batch, probe)
-    summed = [np.zeros_like(g) for g in grads_batch]
-    for i in range(4):
-        _, grads_i, _ = scalar_loss_and_grads(net, batch[i], probe[i])
-        summed = [s + g for s, g in zip(summed, grads_i)]
-    for got, want in zip(grads_batch, summed):
-        np.testing.assert_allclose(got, want, atol=1e-10)
+    _, grad_batch, _ = scalar_loss_and_grads(net, batch, probe)
+    assert grad_batch.shape == (net.parameter_count,)
+    summed = sum(scalar_loss_and_grads(net, batch[i], probe[i])[1] for i in range(4))
+    np.testing.assert_allclose(grad_batch, summed, atol=1e-10)
 
 
 def test_backward_rejects_stale_cache():
@@ -582,41 +583,63 @@ def test_certified_bound_is_sound_on_random_pairs():
 
 
 def test_adam_single_step_analytic():
-    params = [np.array([0.0])]
-    grads = [np.array([1.0])]
-    state = AdamState.init(params, learning_rate=0.1)
-    new_params, new_state = adam_step(params, grads, state)
+    theta = np.array([0.0, 2.0])
+    grad = np.array([1.0, -4.0])
+    state = AdamState.init(theta, learning_rate=0.1)
+    new_theta, new_state = adam_step(theta, grad, state)
     # bias correction makes the first step exactly -lr * g / (|g| + eps)
-    assert abs(new_params[0][0] + 0.1) < 1e-8
+    np.testing.assert_allclose(new_theta, [-0.1, 2.1], rtol=0.0, atol=1e-8)
     assert new_state.step_count == 1
 
 
 def test_adam_rejects_nan_gradient():
-    params = [np.zeros(3)]
-    state = AdamState.init(params)
+    theta = np.zeros(3)
+    state = AdamState.init(theta)
     with pytest.raises(NonFiniteError):
-        adam_step(params, [np.array([1.0, np.nan, 0.0])], state)
+        adam_step(theta, np.array([1.0, np.nan, 0.0]), state)
 
 
 def test_adam_rejects_shape_mismatch():
-    params = [np.zeros(3)]
-    state = AdamState.init(params)
+    theta = np.zeros(3)
+    state = AdamState.init(theta)
     with pytest.raises(ShapeError):
-        adam_step(params, [np.zeros(4)], state)
+        adam_step(theta, np.zeros(4), state)
+    with pytest.raises(ShapeError):
+        adam_step(np.zeros(4), np.zeros(4), state)
 
 
 def test_adam_deterministic_sequence():
     rng = np.random.default_rng(16)
-    params = [rng.standard_normal((2, 2))]
-    grads = [rng.standard_normal((2, 2))]
-    state_a = AdamState.init(params, learning_rate=0.01)
-    state_b = AdamState.init(params, learning_rate=0.01)
-    pa, sa = adam_step(params, grads, state_a)
-    pb, sb = adam_step(params, grads, state_b)
-    np.testing.assert_array_equal(pa[0], pb[0])
-    pa2, _ = adam_step(pa, grads, sa)
-    pb2, _ = adam_step(pb, grads, sb)
-    np.testing.assert_array_equal(pa2[0], pb2[0])
+    theta = rng.standard_normal(4)
+    grad = rng.standard_normal(4)
+    state_a = AdamState.init(theta, learning_rate=0.01)
+    state_b = AdamState.init(theta, learning_rate=0.01)
+    pa, sa = adam_step(theta, grad, state_a)
+    pb, sb = adam_step(theta, grad, state_b)
+    np.testing.assert_array_equal(pa, pb)
+    pa2, _ = adam_step(pa, grad, sa)
+    pb2, _ = adam_step(pb, grad, sb)
+    np.testing.assert_array_equal(pa2, pb2)
+
+
+def test_flat_adam_matches_the_per_array_reference_bit_for_bit():
+    rng = np.random.default_rng(17)
+    net = make_net_1d(rng, channels=(3, 5, 4, 2))
+    theta = net.flatten_parameters()
+    state = AdamState.init(theta, learning_rate=0.05)
+    params = net.parameters()
+    reference = ReferenceAdamState.init(params, learning_rate=0.05)
+    x = rng.standard_normal((2, 3, 7))
+    for _ in range(5):
+        current = net.with_parameters(theta)
+        out, cache = forward(current, x)
+        grad, _ = backward(current, cache, out - 0.5)
+        grads = current.with_parameters(grad).parameters()  # the same vector, per array
+        theta, state = adam_step(theta, grad, state)
+        params, reference = reference_adam_step(params, grads, reference)
+        flat = np.concatenate([p.reshape(-1) for p in params])
+        assert theta.tobytes() == flat.tobytes()
+    assert state.step_count == reference.step_count == 5
 
 
 # ---------------------------------------------------------------- weights io
@@ -765,6 +788,7 @@ def test_stacked_net_matches_each_trial_bit_for_bit(rank, spatial):
     upstream = rng.standard_normal((3, 2, template.out_channels) + spatial)
     out, cache = forward(stacked, x)
     grads, gx = backward(stacked, cache, upstream)
+    assert grads.shape == thetas.shape
     projected = project_unit_ball(stacked, spatial).flatten_parameters()
     for r, theta in enumerate(thetas):
         net = template.with_parameters(theta)
@@ -772,8 +796,7 @@ def test_stacked_net_matches_each_trial_bit_for_bit(rank, spatial):
         grads_r, gx_r = backward(net, cache_r, upstream[r])
         assert out[r].tobytes() == out_r.tobytes()
         assert gx[r].tobytes() == gx_r.tobytes()
-        for g, g_r in zip(grads, grads_r, strict=True):
-            assert g[r].tobytes() == g_r.tobytes()
+        assert grads[r].tobytes() == grads_r.tobytes()
         for layer, layer_r in zip(stacked.layers, net.layers):
             norm = circulant_operator_norm(layer_r, spatial)
             assert circulant_operator_norm(layer, spatial)[r] == norm
