@@ -11,6 +11,14 @@ stacked projection, Jacobian and SVD for every trial that awaits the
 verdict on a start or a step, and every trial still follows exactly the
 path it would follow alone.
 
+The Jacobians are exact and use the polar structure of the modifier,
+D(z) = A(|z|) sign(z): with R and T the orthonormal radial and tangential
+unit vectors of the coefficients, J = R J_A Rᵀ + T diag(A/|z|) Tᵀ
+(``modifier_jacobian``), so the top singular value of the realified 2n×2n
+Jacobian is the larger of that of the n×n amplitude Jacobian J_A and the
+largest ratio A/|z| (``_objective``).  J_A comes from pushing the n unit
+tangents through the inner map's JVP in one pass.
+
 Modifiers act on complex arrays but are not holomorphic, so all Jacobians
 and quotients are taken of the realified map: ``realify`` interleaves
 complex coefficients into real vectors (Re, Im, Re, Im, ...), ``unrealify``
@@ -44,6 +52,7 @@ from .modifier import (
     ModifierArchitecture,
     NetMap,
     PermutationMap,
+    amplitude_jacobian,
     apply_to_values,
     modifier_backward,
     modifier_forward,
@@ -53,7 +62,7 @@ from .modifier import (
 from .network import IDENTITY, SOFTPLUS, ConvLayer, ConvNet, project_unit_ball
 
 _STEP_FLOOR = 1e-12
-# central-difference step of the Jacobians and of the ascent secant
+# central-difference step of the ascent secant; the Jacobians are exact
 FD_EPSILON = 1e-5
 
 
@@ -86,26 +95,32 @@ def unrealify(vector: np.ndarray, shape: tuple) -> np.ndarray:
 # jacobians and operator norms
 
 
-def _stacked_jacobians(arch: ModifierArchitecture, values: np.ndarray, epsilon: float):
-    """Realified Jacobians at a stack of complex points [trials, *shape],
-    by central differences of step ``epsilon`` in every coordinate.
+def modifier_jacobian(arch: ModifierArchitecture, values: np.ndarray):
+    """The polar parts of the realified modifier Jacobians at a stack of
+    complex points [trials, *shape] of n coefficients each.
 
-    The 2n perturbed points of every trial go through one forward pass;
-    ``arch`` is either shared by the trials or stacked over them.  Returns
-    the [trials, n, n] Jacobians and a [trials] mask of those whose
-    amplitudes and entries are all finite.
+    With x = |z| and s = sign(z), D(z) = A(x) s differentiates to
+    J = R J_A Rᵀ + T diag(A / x) Tᵀ, where column i of R is coefficient i's
+    realified radial unit vector s_i and column i of T its tangential unit
+    vector i s_i.  One forward pass at the points gives the amplitudes and
+    ``amplitude_jacobian`` the exact [trials, n, n] J_A; ``arch`` is either
+    shared by the trials or stacked over them.  A coefficient at exactly 0
+    has sign 0 and so no radial or tangential column: its row and column of
+    J_A and its ratio read 0.
+
+    Returns (J_A, ratios A / x [trials, n], signs [trials, n], and a
+    [trials] mask of the trials whose amplitudes and parts are all finite).
     """
-    trials, shape = values.shape[0], values.shape[1:]
-    base = realify(values, lead=1)[:, None, :]
-    n = base.shape[-1]
-    shifts = epsilon * np.eye(n)
-    points = np.concatenate([base + shifts, base - shifts], axis=1)
-    out, cache = modifier_forward(arch, unrealify(points, shape))
-    flat = realify(out, lead=2)
-    jac = np.swapaxes(flat[:, :n] - flat[:, n:], 1, 2) / (2.0 * epsilon)
-    finite = np.all(np.isfinite(cache.a.reshape(trials, -1)), axis=1)
+    trials = values.shape[0]
+    _, cache = modifier_forward(arch, values)
+    x = cache.x.reshape(trials, -1)
+    a = cache.a.reshape(trials, -1)
+    nonzero = x > 0.0
+    jac = np.where(nonzero[:, :, None] & nonzero[:, None, :], amplitude_jacobian(cache), 0.0)
+    ratio = np.divide(a, x, out=np.zeros_like(a), where=nonzero)
+    finite = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(ratio), axis=1)
     finite &= np.all(np.isfinite(jac.reshape(trials, -1)), axis=1)
-    return jac, finite
+    return jac, ratio, cache.sign.reshape(trials, -1), finite
 
 
 def top_singular_triple(matrix: np.ndarray):
@@ -125,8 +140,9 @@ class SearchConfig:
 
     Ascent directions differentiate a two-point secant surrogate of the top
     singular value through the modifier's backward pass: two forward and
-    two backward passes per step.  The secant and Jacobian step is the
-    fixed ``FD_EPSILON``, and starting points are standard normal draws.
+    two backward passes per step.  The secant step is the fixed
+    ``FD_EPSILON``; the objective's Jacobians are exact and take no step.
+    Starting points are standard normal draws.
     """
 
     restarts: int = 100
@@ -168,8 +184,10 @@ class TrialRecord:
 class LipschitzEstimate:
     """Outcome of one ``estimate_B`` run.
 
-    ``value`` is the largest Jacobian norm found, an empirical lower bound
-    on the true Lipschitz constant.  ``certified_bound`` is the family's
+    ``value`` is the largest exact Jacobian norm found.  Where the modifier
+    is differentiable its Jacobian norm is a limit of difference quotients,
+    so the value is an empirical lower bound on the true Lipschitz
+    constant, up to rounding.  ``certified_bound`` is the family's
     theoretical upper bound, or None when the family certifies nothing.
     """
 
@@ -322,22 +340,28 @@ def fixed_modifier_family(arch: ModifierArchitecture, input_shape: tuple) -> Mod
 # the lockstep search
 
 
-def _objective(family: ModifierFamily, thetas: np.ndarray, z: np.ndarray, epsilon: float):
-    """Top singular triples of the modifier Jacobians at a stack of trials.
+def _objective(family: ModifierFamily, thetas: np.ndarray, z: np.ndarray):
+    """Top singular triples of the realified modifier Jacobians at a stack
+    of trials.
 
-    ``thetas`` is [trials, P] and ``z`` is [trials, *input_shape].  Returns
-    (sigma [trials], u [trials, n], v [trials, n]); sigma is nan for every
-    trial whose parameters, Jacobian or SVD is not finite.
+    ``thetas`` is [trials, P] and ``z`` is [trials, *input_shape] with n
+    coefficients.  [R T] of ``modifier_jacobian`` is orthogonal, so
+    sigma_max(J) is the larger of sigma_max(J_A) and the largest ratio
+    A_i / x_i.  When J_A wins (ties included) its top singular pair maps to
+    u = R u_A and v = R v_A; when coefficient i's ratio wins, u = v = t_i.
+    One SVD of the [trials, n, n] J_A stack serves every trial.  Returns
+    (sigma [trials], u [trials, 2n], v [trials, 2n]); sigma is nan for
+    every trial whose parameters, Jacobian parts or SVD are not finite.
     """
     trials = z.shape[0]
-    n = 2 * z[0].size
+    n = z[0].size
     sigma = np.full(trials, np.nan)
-    u = np.zeros((trials, n))
-    v = np.zeros((trials, n))
+    u = np.zeros((trials, 2 * n))
+    v = np.zeros((trials, 2 * n))
     rows = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
     if rows.size:
-        jac, finite = _stacked_jacobians(family.build(thetas[rows]), z[rows], epsilon)
-        rows, jac = rows[finite], jac[finite]
+        jac, ratio, sign, finite = modifier_jacobian(family.build(thetas[rows]), z[rows])
+        rows, jac, ratio, sign = rows[finite], jac[finite], ratio[finite], sign[finite]
     if rows.size:
         try:
             top, top_u, top_v = top_singular_triple(jac)
@@ -350,9 +374,20 @@ def _objective(family: ModifierFamily, thetas: np.ndarray, z: np.ndarray, epsilo
                     top[k], top_u[k], top_v[k] = top_singular_triple(matrix)
                 except np.linalg.LinAlgError:
                     pass
+        index = np.arange(rows.size)
+        spin = np.argmax(ratio, axis=1)
+        spin_ratio = ratio[index, spin]
+        # ties go to J_A, and a nan top (failed SVD) stays nan
+        tangential = spin_ratio > top
+        top = np.where(tangential, spin_ratio, top)
+        u_c, v_c = sign * top_u, sign * top_v
+        turn = np.zeros_like(sign)
+        turn[index, spin] = 1j * sign[index, spin]
+        u_c[tangential] = v_c[tangential] = turn[tangential]
         keep = np.isfinite(top)
         rows = rows[keep]
-        sigma[rows], u[rows], v[rows] = top[keep], top_u[keep], top_v[keep]
+        sigma[rows] = top[keep]
+        u[rows], v[rows] = realify(u_c[keep], lead=1), realify(v_c[keep], lead=1)
     return sigma, u, v
 
 
@@ -398,7 +433,7 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
     """Adversarial lower bound on the Lipschitz constant of a modifier family.
 
     Runs ``config.restarts`` trials of projected gradient ascent on the top
-    singular value of the realified Jacobian, each seeded from
+    singular value of the exact realified Jacobian, each seeded from
     ``(config.seed, trial)`` so results are reproducible bit for bit.  A
     trial redraws a start whose Jacobian vanishes, up to 20 times, then
     steps along its normalized ascent direction with an adaptive trust
@@ -479,7 +514,7 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
             break
         if family.project is not None:
             new_theta[pending] = family.project(new_theta[pending])
-        new_sigma, new_u, new_v = _objective(family, new_theta[pending], new_z[pending], eps)
+        new_sigma, new_u, new_v = _objective(family, new_theta[pending], new_z[pending])
         evaluations[pending] += 1
 
         drew = phase[pending] == _DRAW

@@ -19,14 +19,18 @@ The unguarded forms admit no finite bound at all; see the counterexamples in
 
 Every inner map owns its rules: ``forward`` returns its output and a cache,
 ``backward`` turns an output gradient into (flat parameter gradient, input
-gradient), and ``variant`` names its JSON form, whose fields are the map's
-dataclass fields.  ``modifier_forward`` and ``modifier_backward`` are the one
-forward/backward pair of D itself; training and the adversarial bound search
-both differentiate through them.
+gradient), ``jvp`` pushes input tangents through the map, and ``variant``
+names its JSON form, whose fields are the map's dataclass fields.
+``modifier_forward`` and ``modifier_backward`` are the forward/backward pair
+of D itself, which training and the ascent of the adversarial bound search
+differentiate through.  ``amplitude_jacobian`` is the exact Jacobian of A,
+from which the bound search assembles D's Jacobian in polar form; it and
+``amplitude_backward`` share one set of kink rules.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -39,7 +43,7 @@ from .errors import (
     UnboundedModifierError,
     UncertifiedError,
 )
-from .network import ConvNet, backward as net_backward, forward as net_forward
+from .network import ConvNet, backward as net_backward, forward as net_forward, jvp as net_jvp
 from .network import lipschitz_upper_bound, load_net
 
 KINDS = ("am_se", "am_re", "lipsam_se", "lipsam_re")
@@ -50,7 +54,7 @@ class AmplitudeMap:
     """Interface: maps a nonnegative magnitude array to a real array.
 
     Subclasses implement ``__call__``.  A differentiable map overrides
-    ``forward``/``backward``; a serializable one sets ``variant``.
+    ``forward``/``backward`` and ``jvp``; a serializable one sets ``variant``.
     """
 
     lipschitz_bound: float | None = None
@@ -66,6 +70,11 @@ class AmplitudeMap:
     def backward(self, cache, grad):
         """(flat parameter gradient or None, input gradient) from the output gradient."""
         raise ShapeError(f"no gradient rule for inner map {type(self).__name__}")
+
+    def jvp(self, cache, tangents):
+        """Output tangents from input tangents at the cached point.  For an
+        input [*batch, *sample], ``tangents`` is [*batch, k, *sample]."""
+        raise ShapeError(f"no Jacobian rule for inner map {type(self).__name__}")
 
     def to_config(self, net_file: str | None = None) -> dict:
         if self.variant is None:
@@ -89,6 +98,9 @@ class IdentityMap(AmplitudeMap):
     def backward(self, cache, grad):
         return None, grad
 
+    def jvp(self, cache, tangents):
+        return tangents
+
 
 @dataclass(frozen=True)
 class ZeroMap(AmplitudeMap):
@@ -100,6 +112,9 @@ class ZeroMap(AmplitudeMap):
 
     def backward(self, cache, grad):
         return None, np.zeros_like(grad)
+
+    def jvp(self, cache, tangents):
+        return np.zeros_like(tangents)
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,9 @@ class BiasAdd(AmplitudeMap):
     def backward(self, cache, grad):
         return None, grad
 
+    def jvp(self, cache, tangents):
+        return tangents
+
 
 @dataclass(frozen=True)
 class SoftThreshConstant(AmplitudeMap):
@@ -143,6 +161,9 @@ class SoftThreshConstant(AmplitudeMap):
 
     def backward(self, cache, grad):
         return None, np.zeros_like(grad)
+
+    def jvp(self, cache, tangents):
+        return np.zeros_like(tangents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +193,9 @@ class PermutationMap(AmplitudeMap):
         out = np.zeros_like(flat)
         out[:, self.perm] = flat
         return None, out.reshape(grad.shape)
+
+    def jvp(self, cache, tangents):
+        return self(tangents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +238,11 @@ class NetMap(AmplitudeMap):
             grad_theta, gx = net_backward(self.net, cache, np.expand_dims(grad, -3))
             return grad_theta, np.squeeze(gx, -3)
         return net_backward(self.net, cache, grad)
+
+    def jvp(self, cache, tangents):
+        if self.net.is_2d:
+            return np.squeeze(net_jvp(self.net, cache, np.expand_dims(tangents, -3)), -3)
+        return net_jvp(self.net, cache, tangents)
 
     def to_config(self, net_file: str | None = None) -> dict:
         if net_file is None:
@@ -292,33 +321,67 @@ def amplitude_forward(arch: ModifierArchitecture, x: np.ndarray):
     return a, ModifierCache(arch, x, inner_out, inner_cache, a)
 
 
+def _kink_masks(cache: ModifierCache):
+    """The derivative of A as masks: dA/dx = sign * diag(through) J + diag(direct)
+    with J the inner map's Jacobian.
+
+    Returns (through, direct, sign): boolean arrays shaped like x, with
+    ``direct`` None for am_se, which passes no part of x straight through,
+    and ``sign`` -1 for the residual kinds.  Kinks (relu and the safeguard
+    min) use the zero subgradient on their inactive side and route ties to
+    the safeguard branch, matching the forward tie-breaking of
+    np.minimum/np.maximum.
+    """
+    kind, x, inner_out = cache.arch.kind, cache.x, cache.inner_out
+    if kind == "am_se":
+        return inner_out > 0.0, None, 1.0
+    if kind == "lipsam_se":
+        active = np.minimum(inner_out, x) > 0.0
+        take_inner = inner_out < x
+        return active & take_inner, active & ~take_inner, 1.0
+    if kind == "am_re":
+        active = (x - inner_out) > 0.0
+        return active, active, -1.0
+    # lipsam_re
+    active = (x - np.maximum(inner_out, 0.0)) > 0.0
+    return active & (inner_out > 0.0), active, -1.0
+
+
 def amplitude_backward(cache: ModifierCache, grad_a: np.ndarray):
     """Backpropagate through the amplitude path A.
 
     Given d(loss)/dA, returns (the inner map's flat parameter gradient or None,
-    d(loss)/dx) where x is the magnitude input.  Kinks (relu and the
-    safeguard min) use the zero subgradient on their inactive side and route
-    ties to the safeguard branch, matching the forward tie-breaking of
-    np.minimum/np.maximum.
+    d(loss)/dx) where x is the magnitude input, under the kink rules of
+    ``_kink_masks``.
     """
-    kind, inner = cache.arch.kind, cache.arch.inner
-    x, inner_out = cache.x, cache.inner_out
+    through, direct, sign = _kink_masks(cache)
     # float * bool masks give the same bits as float * 0.0/1.0 copies
-    if kind == "am_se":
-        return inner.backward(cache.inner_cache, grad_a * (inner_out > 0.0))
-    if kind == "lipsam_se":
-        g = grad_a * (np.minimum(inner_out, x) > 0.0)
-        take_inner = inner_out < x
-        grad_theta, dx_inner = inner.backward(cache.inner_cache, g * take_inner)
-        return grad_theta, dx_inner + g * ~take_inner
-    if kind == "am_re":
-        g = grad_a * ((x - inner_out) > 0.0)
-        grad_theta, dx_inner = inner.backward(cache.inner_cache, -g)
-        return grad_theta, g + dx_inner
-    # lipsam_re
-    g = grad_a * ((x - np.maximum(inner_out, 0.0)) > 0.0)
-    grad_theta, dx_inner = inner.backward(cache.inner_cache, -g * (inner_out > 0.0))
-    return grad_theta, g + dx_inner
+    g = grad_a * through
+    grad_theta, grad_x = cache.arch.inner.backward(cache.inner_cache, g if sign > 0 else -g)
+    if direct is not None:
+        grad_x = grad_x + grad_a * direct
+    return grad_theta, grad_x
+
+
+def amplitude_jacobian(cache: ModifierCache) -> np.ndarray:
+    """The exact Jacobians dA/dx at a stack of cached magnitudes.
+
+    x is [trials, *sample] with n magnitudes per sample, and the result is
+    [trials, n, n], outputs along the rows.  The n unit tangents of every
+    trial go through the inner map's ``jvp`` in one pass; the kink rules
+    are ``amplitude_backward``'s, so for any g the product J_Aᵀ g is its
+    input gradient.
+    """
+    trials, sample = cache.x.shape[0], cache.x.shape[1:]
+    n = math.prod(sample)
+    through, direct, sign = _kink_masks(cache)
+    eye = np.eye(n).reshape((n,) + sample)
+    columns = cache.arch.inner.jvp(cache.inner_cache, np.broadcast_to(eye, (trials,) + eye.shape))
+    jac = np.swapaxes(columns.reshape(trials, n, n), 1, 2) * (sign * through).reshape(trials, n, 1)
+    if direct is not None:
+        diagonal = np.arange(n)
+        jac[:, diagonal, diagonal] += direct.reshape(trials, n)
+    return jac
 
 
 def modifier_forward(arch: ModifierArchitecture, z: np.ndarray):

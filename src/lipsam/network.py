@@ -22,7 +22,9 @@ trial: its weights carry a leading trial axis, [trials, out, in, *kernel],
 and the inputs it maps carry the same leading axis.  The flag is explicit
 because the rank of the weights cannot tell a stacked 1-D layer from a 2-D
 one.  A stacked net computes, slice by slice, exactly what each trial's own
-net computes, so a search can advance all its trials in one batch.
+net computes, so a search can advance all its trials in one batch.  Besides
+the forward pass and its backward pass, ``jvp`` pushes tangents through the
+linearized net, which is how the bound search takes exact Jacobians.
 
 The linear part of each layer can carry a norm certificate: an upper bound
 on its operator norm for a fixed input geometry (``circulant_operator_norm``).
@@ -402,6 +404,29 @@ def backward(net: ConvNet, cache: ForwardCache, upstream: np.ndarray):
         grads.append(_weight_gradient(layer.weights, x_in, dz, net.stacked))
         g = _conv_linear_transpose(layer.weights, dz, net.stacked)
     return _flatten(grads[::-1], lead), g
+
+
+def jvp(net: ConvNet, cache: ForwardCache, tangents: np.ndarray) -> np.ndarray:
+    """Jacobian-vector products of the network at the cached input.
+
+    For a forward input [..., in_channels, *spatial], ``tangents`` carries
+    one more axis in front of the channel axis, [..., k, in_channels,
+    *spatial], and the result is the k output tangents [..., k,
+    out_channels, *spatial].  Each tangent goes through ``_conv_linear`` and
+    the activation derivatives as one more sample row, so a stacked net's
+    trial slice is exactly what that trial's own net computes.
+    """
+    if cache.net is not net:
+        raise ValueError("cache was produced by a different network instance")
+    rank = net.layers[0].weights.ndim - 1 - int(net.stacked)
+    d = np.asarray(tangents, dtype=np.float64)
+    x = cache.inputs[0]
+    if d.ndim != x.ndim + 1 or d.shape[: -rank - 1] + d.shape[-rank:] != x.shape:
+        raise ShapeError(f"tangents {d.shape} do not carry one axis ahead of input {x.shape}")
+    for layer, z in zip(net.layers, cache.preactivations):
+        d = _conv_linear(layer.weights, d, net.stacked)
+        d *= np.expand_dims(layer.activation.derivative(z), -rank - 1)
+    return net.scale * d
 
 
 def _weight_gradient(

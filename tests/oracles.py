@@ -14,18 +14,11 @@ from typing import Callable
 import numpy as np
 
 from lipsam.errors import DomainError, NonFiniteError, ShapeError
-from lipsam.lipschitz import (
-    FD_EPSILON,
-    TrialRecord,
-    _objective,
-    _stacked_jacobians,
-    realify,
-    top_singular_triple,
-    unrealify,
-)
+from lipsam.lipschitz import FD_EPSILON, TrialRecord, _objective, realify, unrealify
 from lipsam.modifier import (
     ModifierArchitecture,
     amplitude_forward,
+    amplitude_jacobian,
     modifier_backward,
     modifier_forward,
 )
@@ -58,6 +51,28 @@ def jacobian_fd(fn: Callable, point: np.ndarray, epsilon: float = 1e-5) -> np.nd
     return jac
 
 
+def polar_jacobian(arch: ModifierArchitecture, z: np.ndarray) -> np.ndarray:
+    """The full [2n, 2n] realified Jacobian of the modifier at one complex
+    point ``z`` of n coefficients, assembled from its polar parts as
+    R J_A Rᵀ + T diag(A / x) Tᵀ.
+
+    Column i of R is coefficient i's realified sign s_i and column i of T
+    is i s_i, so a coefficient at exactly 0 contributes no column and its
+    0/0 ratio is never formed.
+    """
+    _, cache = modifier_forward(arch, z[None])
+    x, a, s = cache.x.reshape(-1), cache.a.reshape(-1), cache.sign.reshape(-1)
+    radial = np.zeros((2 * s.size, s.size))
+    tangential = np.zeros_like(radial)
+    radial[0::2], radial[1::2] = np.diag(s.real), np.diag(s.imag)
+    tangential[0::2], tangential[1::2] = np.diag(-s.imag), np.diag(s.real)
+    ratio = np.divide(a, x, out=np.zeros_like(a), where=x > 0.0)
+    jac = radial @ amplitude_jacobian(cache)[0] @ radial.T + (tangential * ratio) @ tangential.T
+    if not np.all(np.isfinite(jac)):
+        raise NonFiniteError("jacobian contains non-finite entries")
+    return jac
+
+
 def objective_fd_gradient(family, theta: np.ndarray, z: np.ndarray, h: float):
     """Central differences of the search objective itself, one evaluation
     pair per realified input coordinate and per parameter.
@@ -71,7 +86,7 @@ def objective_fd_gradient(family, theta: np.ndarray, z: np.ndarray, h: float):
     count = zr.size + theta.size
     points = np.concatenate([zr, theta]) + h * np.concatenate([np.eye(count), -np.eye(count)])
     thetas = np.ascontiguousarray(points[:, zr.size :])
-    sigma, _, _ = _objective(family, thetas, unrealify(points[:, : zr.size], shape), h)
+    sigma, _, _ = _objective(family, thetas, unrealify(points[:, : zr.size], shape))
     if not np.all(np.isfinite(sigma)):
         return None, None
     grad_flat = (sigma[:count] - sigma[count:]) / (2.0 * h)
@@ -82,18 +97,13 @@ def objective_fd_gradient(family, theta: np.ndarray, z: np.ndarray, h: float):
 # the bound search one trial at a time
 
 
-def objective(family, theta: np.ndarray, z: np.ndarray, epsilon: float):
-    """(sigma, u, v) of one modifier Jacobian, or (nan, None, None) if sick."""
-    jac, finite = _stacked_jacobians(family.build(theta), z[None], epsilon)
-    if not finite[0]:
+def objective(family, theta: np.ndarray, z: np.ndarray):
+    """(sigma, u, v) of one modifier Jacobian, or (nan, None, None) if sick:
+    the production objective on a batch of this one trial."""
+    sigma, u, v = _objective(family, theta[None], z[None])
+    if not np.isfinite(sigma[0]):
         return float("nan"), None, None
-    try:
-        sigma, u, v = top_singular_triple(jac[0])
-    except np.linalg.LinAlgError:
-        return float("nan"), None, None
-    if not np.isfinite(sigma):
-        return float("nan"), None, None
-    return sigma, u, v
+    return sigma[0], u[0], v[0]
 
 
 def ascent_gradient(family, theta, z, u, v, eps):
@@ -127,7 +137,7 @@ def run_trial(family, config, trial: int):
         if family.project is not None:
             theta = family.project(theta)
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        sigma, u, v = objective(family, theta, z, FD_EPSILON)
+        sigma, u, v = objective(family, theta, z)
         evaluations += 1
         if np.isfinite(sigma) and sigma > 1e-9:
             break
@@ -153,7 +163,7 @@ def run_trial(family, config, trial: int):
             theta_new = theta + (step / norm) * grad_t
             if family.project is not None:
                 theta_new = family.project(theta_new)
-            sigma_new, u_new, v_new = objective(family, theta_new, z_new, FD_EPSILON)
+            sigma_new, u_new, v_new = objective(family, theta_new, z_new)
             evaluations += 1
             if np.isfinite(sigma_new) and sigma_new > sigma:
                 z, theta, sigma, u, v = z_new, theta_new, sigma_new, u_new, v_new

@@ -3,18 +3,17 @@ import pytest
 
 from lipsam.errors import DomainError, NonFiniteError, ShapeError
 from lipsam.lipschitz import (
-    FD_EPSILON,
     LipschitzEstimate,
     SearchConfig,
     TrialRecord,
     _ascent_gradient,
     _objective,
-    _stacked_jacobians,
     conv2d_family,
     counterexample_bias,
     counterexample_permutation,
     estimate_B,
     fixed_modifier_family,
+    modifier_jacobian,
     pairwise_quotient_search,
     realify,
     top_singular_triple,
@@ -25,6 +24,7 @@ from lipsam.modifier import (
     IdentityMap,
     ModifierArchitecture,
     NetMap,
+    PermutationMap,
     SoftThreshConstant,
     apply_to_values,
 )
@@ -36,7 +36,13 @@ from lipsam.network import (
     ConvNet,
     project_unit_ball,
 )
-from oracles import certify_layer, jacobian_fd, objective_fd_gradient, run_trial
+from oracles import (
+    certify_layer,
+    jacobian_fd,
+    objective_fd_gradient,
+    polar_jacobian,
+    run_trial,
+)
 
 # ---------------------------------------------------------------- realify
 
@@ -113,9 +119,9 @@ def test_jacobian_fd_validation():
             jacobian_fd(lambda p: p / 0.0, np.ones(2))
 
 
-def jacobian_at(arch, z):
-    """The realified Jacobian the bound search takes at one point ``z``."""
-    jac, finite = _stacked_jacobians(arch, z[None], FD_EPSILON)
+def amplitude_jacobian_at(arch, z):
+    """The amplitude Jacobian J_A the bound search decomposes at one point ``z``."""
+    jac, _, _, finite = modifier_jacobian(arch, z[None])
     assert finite[0]
     return jac[0]
 
@@ -129,17 +135,85 @@ def _certified_net_2d(seed, scale=1.0):
     return ConvNet(tuple(layers), scale=scale)
 
 
-def test_modifier_jacobian_matches_generic_fd():
-    archs = [
-        ModifierArchitecture("lipsam_re", SoftThreshConstant(0.1)),
-        ModifierArchitecture("lipsam_se", NetMap(_certified_net_2d(4))),
-    ]
+def _polar_cases():
+    """(stacked or shared arch, [trials, *shape] points, each trial's own
+    arch) at smooth points, for every inner map the bound search runs."""
     rng = np.random.default_rng(5)
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    fam = conv2d_family("am_se")
+    thetas = np.stack([fam.sample_parameters(rng) for _ in range(2)])
+    cases = [(fam.build(thetas), draw((2, 4, 4)), [fam.build(t) for t in thetas])]
+    for arch, shape in (
+        (ModifierArchitecture("lipsam_se", NetMap(_certified_net_2d(4))), (4, 4)),
+        (ModifierArchitecture("lipsam_se", NetMap(_smooth_net_1d())), (4, 5)),
+        (ModifierArchitecture("lipsam_re", SoftThreshConstant(0.1)), (4, 4)),
+        (ModifierArchitecture("am_se", IdentityMap()), (3,)),
+        (ModifierArchitecture("am_se", BiasAdd(1.0)), (3,)),
+        (ModifierArchitecture("am_re", PermutationMap(np.array([2, 0, 3, 1]))), (4,)),
+    ):
+        cases.append((arch, draw((2,) + shape), [arch, arch]))
+    return cases
+
+
+def test_modifier_jacobian_matches_generic_fd():
+    for arch, z, singles in _polar_cases():
+        jac, _, _, finite = modifier_jacobian(arch, z)
+        assert finite.all()
+        for r, single in enumerate(singles):
+            fast = polar_jacobian(single, z[r])
+            # Richardson-extrapolated central differences: O(h^4) truncation
+            mapping, point = realified(single, z.shape[1:]), realify(z[r])
+            slow = (4.0 * jacobian_fd(mapping, point, 5e-4) - jacobian_fd(mapping, point, 1e-3)) / 3.0
+            assert np.allclose(fast, slow, atol=1e-10), (arch.kind, type(arch.inner).__name__)
+            # the stacked search path decomposes the J_A of each trial alone
+            assert np.allclose(jac[r], amplitude_jacobian_at(single, z[r]), rtol=0.0, atol=1e-14)
+
+
+def test_objective_sigma_is_the_svd_of_the_polar_jacobian():
+    rng = np.random.default_rng(17)
+    fam = conv2d_family("lipsam_re", scale=1.0)
+    theta = fam.project(fam.sample_parameters(rng))
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    for arch in archs:
-        fast = jacobian_at(arch, z)
-        slow = jacobian_fd(realified(arch, (4, 4)), realify(z), epsilon=1e-5)
-        assert np.allclose(fast, slow, atol=1e-10)
+    bias = ModifierArchitecture("am_se", BiasAdd(1.0))
+    cases = [
+        # J_A wins: every ratio A/x of a safeguarded kind is at most 1
+        (fam, theta, z, fam.build(theta), False),
+        # a tangential ratio wins: A/x = (x + 1)/x is large near zero
+        (fixed_modifier_family(bias, (3,)), np.zeros(0), np.array([0.01j, 1.0, -2.0 + 1j]),
+         bias, True),
+    ]
+    for family, t, point, arch, tangential in cases:
+        sigma, u, v = _objective(family, t[None], point[None])
+        jac = polar_jacobian(arch, point)
+        want = np.linalg.svd(jac, compute_uv=False)[0]
+        assert abs(sigma[0] - want) <= 1e-12 * want
+        assert abs(u[0] @ jac @ v[0] - sigma[0]) <= 1e-12 * want
+        jac_a, ratio, _, _ = modifier_jacobian(arch, point[None])
+        top_a = np.linalg.svd(jac_a[0], compute_uv=False)[0]
+        assert (ratio.max() > top_a) == tangential
+        assert sigma[0] == max(ratio.max(), top_a)
+
+
+def test_objective_masks_a_coefficient_at_exactly_zero():
+    # sign(0) = 0: the coordinate has no radial or tangential column, and
+    # its 0/0 and 1/0 ratios must not reach the SVD
+    for arch in (
+        ModifierArchitecture("am_se", BiasAdd(1.0)),
+        ModifierArchitecture("lipsam_se", NetMap(_certified_net_2d(4))),
+    ):
+        shape = (3,) if isinstance(arch.inner, BiasAdd) else (4, 4)
+        rng = np.random.default_rng(23)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z.reshape(-1)[1] = 0.0
+        with np.errstate(divide="raise", invalid="raise"):
+            sigma, u, v = _objective(fixed_modifier_family(arch, shape), np.zeros((1, 0)), z[None])
+        assert np.isfinite(sigma[0]) and sigma[0] > 0.0
+        assert u[0, 2:4].tolist() == v[0, 2:4].tolist() == [0.0, 0.0]
+        want = np.linalg.svd(polar_jacobian(arch, z), compute_uv=False)[0]
+        assert abs(sigma[0] - want) <= 1e-12 * want
 
 
 def test_modifier_jacobian_bounded_by_certificate():
@@ -151,8 +225,8 @@ def test_modifier_jacobian_bounded_by_certificate():
     for arch, bound in cases:
         for _ in range(10):
             z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            sigma, _, _ = top_singular_triple(jacobian_at(arch, z))
-            assert sigma <= bound + 1e-6
+            sigma, _, _ = top_singular_triple(polar_jacobian(arch, z))
+            assert sigma <= bound + 1e-12
 
 
 # ---------------------------------------------------------------- operator norms
@@ -343,7 +417,7 @@ def test_estimate_b_finds_unguarded_blowup():
     assert any(r.terminated_early for r in est.records)
     # the witness reproduces a Jacobian norm past the threshold
     arch = fam.build(est.witness_parameters)
-    sigma, _, _ = top_singular_triple(jacobian_at(arch, est.witness_values))
+    sigma, _, _ = top_singular_triple(polar_jacobian(arch, est.witness_values))
     assert abs(sigma - est.value) <= 1e-9 * est.value
 
 
@@ -373,7 +447,7 @@ def test_ascent_gradient_modes_agree():
     rng = np.random.default_rng(3)
     theta = fam.project(fam.sample_parameters(rng))
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    sigma, u, v = _objective(fam, theta[None], z[None], 1e-5)
+    sigma, u, v = _objective(fam, theta[None], z[None])
     assert sigma[0] > 0.1
     gz_bp, gt_bp = _ascent_gradient(fam, theta[None], z[None], u, v, 1e-5)
     gz_fd, gt_fd = objective_fd_gradient(fam, theta, z, 1e-5)
@@ -466,8 +540,8 @@ def test_objective_loses_only_the_trial_lapack_fails_on(monkeypatch):
     rng = np.random.default_rng(19)
     thetas = fam.project(np.stack([fam.sample_parameters(rng) for _ in range(3)]))
     z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-    want = _objective(fam, thetas, z, 1e-5)
-    bad = jacobian_at(fam.build(thetas[1]), z[1])
+    want = _objective(fam, thetas, z)
+    bad = amplitude_jacobian_at(fam.build(thetas[1]), z[1])
     real = lipschitz.top_singular_triple
 
     def failing(matrix):
@@ -476,7 +550,7 @@ def test_objective_loses_only_the_trial_lapack_fails_on(monkeypatch):
         return real(matrix)
 
     monkeypatch.setattr(lipschitz, "top_singular_triple", failing)
-    sigma, u, v = _objective(fam, thetas, z, 1e-5)
+    sigma, u, v = _objective(fam, thetas, z)
     assert np.isnan(sigma[1]) and not np.isnan(want[0][1])
     for got, expected in zip((sigma, u, v), want):
         assert got[[0, 2]].tobytes() == expected[[0, 2]].tobytes()

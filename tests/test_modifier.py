@@ -24,6 +24,7 @@ from lipsam.modifier import (
     ZeroMap,
     amplitude_backward,
     amplitude_forward,
+    amplitude_jacobian,
     apply_to_values,
     architecture_from_config,
     architecture_to_config,
@@ -363,6 +364,33 @@ def test_amplitude_backward_matches_fd(kind):
     np.testing.assert_allclose(dx, fdx, rtol=1e-5, atol=1e-7)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_amplitude_jacobian_transpose_is_amplitude_backward(kind):
+    # one set of kink rules: J_A^T g is the input gradient of the backward
+    # pass for any cotangent g, ties and inactive branches included
+    rng = np.random.default_rng(13)
+    x = np.abs(rng.standard_normal((2, 4, 6)))
+    x[0, 1, 2] = 0.0
+    # a linear last layer lets the net's output take either sign
+    mixed = ConvNet(small_net(rng, weight_scale=1.5).layers[:-1] + (
+        ConvLayer(rng.standard_normal((4, 3, 3)), rng.standard_normal(4), activation=IDENTITY),
+    ))
+    active = []
+    for inner in inner_menu(rng) + [BiasAdd(-0.5), NetMap(mixed)]:
+        _, cache = amplitude_forward(ModifierArchitecture(kind, inner), x)
+        active.append(cache.a > 0.0)
+        jac = amplitude_jacobian(cache)
+        assert jac.shape == (2, 24, 24)
+        for _ in range(3):
+            g = rng.standard_normal(x.shape)
+            _, dx = amplitude_backward(cache, g)
+            want = dx.reshape(2, 24)
+            got = np.einsum("toi,to->ti", jac, g.reshape(2, 24))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), type(inner).__name__
+    # the net's outputs sit on both sides of the outer relu
+    assert active[-1].any() and not active[-1].all()
+
+
 # ---------------------------------------------------------------- configs
 
 
@@ -421,11 +449,13 @@ def test_map_without_gradient_rule_raises_on_backward():
             return 2.0 * x
 
     arch = ModifierArchitecture("am_re", CallOnly())
-    z = np.array([1.0 + 1.0j, 2.0 - 0.5j])
+    z = np.array([[1.0 + 1.0j, 2.0 - 0.5j]])
     out, cache = modifier_forward(arch, z)
     np.testing.assert_allclose(out, apply_to_values(arch, z))
     with pytest.raises(ShapeError, match="no gradient rule"):
         modifier_backward(cache, np.ones_like(z))
+    with pytest.raises(ShapeError, match="no Jacobian rule"):
+        amplitude_jacobian(cache)
 
 
 def test_architecture_rejects_unknown_kind():

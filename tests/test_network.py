@@ -24,6 +24,7 @@ from lipsam.network import (
     backward,
     circulant_operator_norm,
     forward,
+    jvp,
     lipschitz_upper_bound,
     load_net,
     load_weights,
@@ -803,6 +804,51 @@ def test_stacked_net_matches_each_trial_bit_for_bit(rank, spatial):
         want = project_unit_ball(net, spatial).flatten_parameters()
         assert projected[r].tobytes() == want.tobytes()
     assert projected[0].tobytes() == thetas[0].tobytes()
+
+
+@pytest.mark.parametrize("rank, spatial", [(1, (6,)), (1, (2,)), (2, (4, 5)), (2, (4, 4))])
+def test_stacked_jvp_matches_each_trial_bit_for_bit(rank, spatial):
+    # the bound search pushes every trial's unit tangents through one
+    # stacked or shared net and must reproduce each trial alone bit for bit
+    rng = np.random.default_rng(37)
+    template = _stack_template(rank)
+    thetas = rng.standard_normal((3, template.parameter_count))
+    stacked = template.with_parameters(thetas)
+    x = rng.standard_normal((3, template.in_channels) + spatial)
+    tangents = rng.standard_normal((3, 5, template.in_channels) + spatial)
+    _, cache = forward(stacked, x)
+    out = jvp(stacked, cache, tangents)
+    assert out.shape == (3, 5, template.out_channels) + spatial
+    shared = template.with_parameters(thetas[0])
+    _, shared_cache = forward(shared, x)
+    shared_out = jvp(shared, shared_cache, tangents)
+    for r, theta in enumerate(thetas):
+        net = template.with_parameters(theta)
+        _, cache_r = forward(net, x[r])
+        assert out[r].tobytes() == jvp(net, cache_r, tangents[r]).tobytes()
+        _, cache_0 = forward(shared, x[r])
+        assert shared_out[r].tobytes() == jvp(shared, cache_0, tangents[r]).tobytes()
+
+
+@pytest.mark.parametrize("rank, spatial", [(1, (6,)), (2, (4, 5))])
+def test_jvp_is_the_adjoint_of_backward(rank, spatial):
+    rng = np.random.default_rng(38)
+    net = _stack_template(rank)
+    net = net.with_parameters(rng.standard_normal(net.parameter_count))
+    x = rng.standard_normal((2, net.in_channels) + spatial)
+    tangents = rng.standard_normal((2, 3, net.in_channels) + spatial)
+    upstream = rng.standard_normal((2, 3, net.out_channels) + spatial)
+    _, cache = forward(net, x)
+    pushed = jvp(net, cache, tangents)
+    for k in range(3):
+        _, pulled = backward(net, cache, upstream[:, k])
+        left = np.vdot(pushed[:, k], upstream[:, k])
+        scale = np.linalg.norm(pushed[:, k]) * np.linalg.norm(upstream[:, k])
+        assert abs(left - np.vdot(tangents[:, k], pulled)) <= 1e-12 * scale
+    with pytest.raises(ShapeError):
+        jvp(net, cache, tangents[:, :, :, :-1])
+    with pytest.raises(ValueError):
+        jvp(_stack_template(rank), cache, tangents)
 
 
 def test_stacked_layer_takes_its_trial_axis_from_the_flag():
