@@ -71,6 +71,11 @@ class Activation:
         if self.kind == "identity":
             return v
         if self.kind == "leaky_relu":
+            if 0.0 < self.slope <= 1.0:
+                # for such a slope, v >= slope * v exactly when v >= 0, so
+                # this picks the np.where form's bits, signed zeros,
+                # infinities and NaN included (slope 0 would turn +inf to NaN)
+                return np.maximum(v, self.slope * v)
             return np.where(v > 0.0, v, self.slope * v)
         return np.logaddexp(0.0, v)
 
@@ -496,7 +501,11 @@ def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
     products = products.swapaxes(-3, -2).reshape(trials + (taps * taps, m * m))
     phases = _phase_table(kernel_shape, tuple(int(size) for size in sizes))
     re, im = np.split(phases @ products, 2, axis=-2)
-    top = np.linalg.eigvalsh((re + 1j * im).reshape(trials + (-1, m, m)))[..., -1]
+    if m == 1:
+        # a 1×1 Hermitian Gram is its own real eigenvalue
+        top = re[..., 0]
+    else:
+        top = np.linalg.eigvalsh((re + 1j * im).reshape(trials + (-1, m, m)))[..., -1]
     norms = np.sqrt(np.maximum(np.max(top, axis=-1), 0.0))
     return norms if layer.stacked else float(norms)
 

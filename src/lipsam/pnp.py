@@ -12,15 +12,25 @@ gives the ADMM recursion
 where the v-proximity operator is replaced by an amplitude-modifier
 denoiser D.  Because the window is Parseval tight, G^H G = I, and H^T H is
 diagonalized by the FFT, so the x-update is one division by |FFT(h)|^2 + 1
-in the frequency domain.  One fused iteration forms the spectrum of x once
-and reads Hx off it, so it runs one STFT and one ISTFT: six FFTs in all.
-The iteration works on plain arrays; signal types appear only where a solve
-starts and ends.
+in the frequency domain.  u and xi1 enter the recursion only linearly and
+only through H, so a solve carries them (and y) as rfft spectra U, Xi1, Y
+and forms HX = X * rfft(h) in the spectrum; x stays in the time domain for
+the STFT.  One iteration is then one rfft of G^H (v - xi2), one irfft of
+X, one STFT and one ISTFT: four FFTs.  The iteration works on plain arrays;
+signal types appear only where a solve starts and ends, and u and xi1 go
+back to the time domain once, when it ends.
 
 Divergence is contained, not fatal: after each iteration one finiteness
-check on the new variables (and a non-finite denoiser output) ends the run
+check on the two duals (and a non-finite denoiser output) ends the run
 with a diverged status; the estimate, the state and the traces are those of
-the last completed iteration.
+the last completed iteration.  Finite duals mean a finite iteration.  A
+non-finite x reaches every bin of Gx and so xi2 = (Gx + xi2) - v, and a
+non-finite v reaches xi2 directly.  In the spectrum, a non-finite bin of X
+makes that bin of W = HX + Xi1 non-finite (an infinite X times a zero bin
+of rfft(h) is NaN); U = c (W - Y) + Y with c = lam / (1 + lam) in (0, 1)
+is then non-finite there too, and Xi1 = W - U is NaN.  A U that overflows
+on its own leaves an infinite Xi1.  So a finite Xi1 means finite W, HX and
+U in every bin.
 """
 
 from dataclasses import dataclass, field, replace
@@ -90,14 +100,16 @@ class AdmmState:
 
 @dataclass(frozen=True, eq=False)
 class AdmmOperators:
-    """What a solve holds fixed: y, the spectrum rfft(h) of the padded
-    impulse response, the x-update filter 1 / (|rfft(h)|^2 + 1) and the STFT.
+    """What a solve holds fixed: y and its spectrum rfft(y), the spectrum
+    rfft(h) of the padded impulse response, the x-update filter
+    1 / (|rfft(h)|^2 + 1) and the STFT.
 
     The filter is real in (0, 1]; the +1 from the tight STFT branch keeps
     its denominator away from zero, so no regularization knob is needed.
     """
 
     y: np.ndarray
+    y_spectrum: np.ndarray
     h_spectrum: np.ndarray
     inverse_filter: np.ndarray
     stft: StftConfig
@@ -105,9 +117,10 @@ class AdmmOperators:
 
 def admm_operators(observation: Observation, stft_config: StftConfig) -> AdmmOperators:
     """Precompute the fixed operators of a solve on ``observation``."""
+    y = observation.y.samples
     h_spectrum = np.fft.rfft(observation.h.samples)
     return AdmmOperators(
-        observation.y.samples, h_spectrum, 1.0 / (np.abs(h_spectrum) ** 2 + 1.0), stft_config
+        y, np.fft.rfft(y), h_spectrum, 1.0 / (np.abs(h_spectrum) ** 2 + 1.0), stft_config
     )
 
 
@@ -120,6 +133,46 @@ def initial_state(observation: Observation, config: SolverConfig) -> AdmmState:
     return AdmmState(x=zero, u=observation.y.samples, v=zero_spec, xi1=zero, xi2=zero_spec)
 
 
+@dataclass(frozen=True, eq=False)
+class _SpectralState:
+    """An :class:`AdmmState` with u and xi1 held as their rfft spectra."""
+
+    x: np.ndarray
+    u_spectrum: np.ndarray
+    v: np.ndarray
+    xi1_spectrum: np.ndarray
+    xi2: np.ndarray
+
+
+def _spectral_iteration(
+    state: _SpectralState, ops: AdmmOperators, denoiser: ModifierArchitecture, lam: float
+) -> _SpectralState:
+    """One ADMM iteration on a spectral state: the x-, u-, v- and dual
+    updates in order."""
+    # H^T a is a multiplication by conj(rfft(h)) in the frequency domain.
+    rhs = (state.u_spectrum - state.xi1_spectrum) * np.conj(ops.h_spectrum) + np.fft.rfft(
+        synthesis(state.v - state.xi2, ops.stft)
+    )
+    x_spectrum = rhs * ops.inverse_filter
+    x = np.fft.irfft(x_spectrum, n=ops.y.size)
+    # HX + Xi1 and Gx + xi2 feed both the primal update and the dual
+    hx_xi1 = x_spectrum * ops.h_spectrum + state.xi1_spectrum
+    gx_xi2 = analysis(x, ops.stft) + state.xi2
+    u = (lam / (1.0 + lam)) * (hx_xi1 - ops.y_spectrum) + ops.y_spectrum
+    v = apply_to_values(denoiser, gx_xi2)
+    return _SpectralState(x, u, v, hx_xi1 - u, gx_xi2 - v)
+
+
+def _time_domain(state: _SpectralState, length: int) -> AdmmState:
+    return AdmmState(
+        x=state.x,
+        u=np.fft.irfft(state.u_spectrum, n=length),
+        v=state.v,
+        xi1=np.fft.irfft(state.xi1_spectrum, n=length),
+        xi2=state.xi2,
+    )
+
+
 def admm_iteration(
     state: AdmmState, ops: AdmmOperators, denoiser: ModifierArchitecture, lam: float
 ) -> AdmmState:
@@ -128,20 +181,19 @@ def admm_iteration(
     The u-update is the closed-form prox of (1/(2 lam))||. - y||^2 at
     Hx + xi1, i.e. multiplication of the residual Hx + xi1 - y by
     lam/(1+lam).  A denoiser that returns non-finite values raises
-    NonFiniteError.
+    NonFiniteError.  This wraps the spectral iteration a solve runs: u and
+    xi1 go through rfft before it and irfft after it, so they carry the
+    rounding of that round trip.
     """
-    n = ops.y.size
-    # H^T a is a multiplication by conj(rfft(h)) in the frequency domain.
-    rhs = np.fft.rfft(state.u - state.xi1) * np.conj(ops.h_spectrum) + np.fft.rfft(
-        synthesis(state.v - state.xi2, ops.stft)
+    spectral = _SpectralState(
+        state.x, np.fft.rfft(state.u), state.v, np.fft.rfft(state.xi1), state.xi2
     )
-    x_spectrum = rhs * ops.inverse_filter
-    x = np.fft.irfft(x_spectrum, n=n)
-    hx = np.fft.irfft(x_spectrum * ops.h_spectrum, n=n)
-    gx = analysis(x, ops.stft)
-    u = (lam / (1.0 + lam)) * (hx + state.xi1 - ops.y) + ops.y
-    v = apply_to_values(denoiser, gx + state.xi2)
-    return AdmmState(x=x, u=u, v=v, xi1=state.xi1 + hx - u, xi2=state.xi2 + gx - v)
+    return _time_domain(_spectral_iteration(spectral, ops, denoiser, lam), ops.y.size)
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    # isfinite on the float64 view of a complex array skips its complex loop
+    return bool(np.isfinite(values.view(np.float64)).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,20 +245,22 @@ def run(
         if not np.any(reference.samples):
             raise UndefinedMetricError("reference signal is identically zero")
     ops = admm_operators(observation, config.stft)
-    state = initial_state(observation, config)
+    start = initial_state(observation, config)
+    # u = y and xi1 = 0 in the spectrum
+    state = _SpectralState(
+        start.x, ops.y_spectrum, start.v, np.zeros_like(ops.y_spectrum), start.xi2
+    )
     delta_x, si_snr_trace = [], []
     status = "completed"
     diverged_at = None
     with np.errstate(all="ignore"):
         for k in range(1, config.max_iterations + 1):
             try:
-                new = admm_iteration(state, ops, denoiser, config.lam)
+                new = _spectral_iteration(state, ops, denoiser, config.lam)
             except NonFiniteError:
                 new = None
-            # Each dual sums the other values of its iteration (Hx and u, Gx and
-            # v), and a non-finite x reaches every bin of Gx, so finite duals
-            # mean a finite iteration.
-            if new is None or not (np.all(np.isfinite(new.xi1)) and np.all(np.isfinite(new.xi2))):
+            # finite duals mean a finite iteration (see the module docstring)
+            if new is None or not (_all_finite(new.xi1_spectrum) and _all_finite(new.xi2)):
                 status = "diverged"
                 diverged_at = k
                 break
@@ -221,7 +275,8 @@ def run(
         status=status,
         diverged_at=diverged_at,
         iterations=len(delta_x),
-        state=state,
+        # before the first completed iteration the state is the warm start
+        state=_time_domain(state, observation.length) if delta_x else start,
     )
 
 

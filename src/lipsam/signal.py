@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io.wavfile
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DomainError,
@@ -101,11 +100,15 @@ class StftConfig:
     geometry compare equal.  The window is always the periodic Hann prototype
     made tight for the hop, derived at construction and checked to satisfy
     the tight-frame condition that makes the x-update of the solver exact.
+    The per-bin DFT scales of :func:`analysis` and :func:`synthesis` are
+    derived once here too; both functions read ``window`` at call time.
     """
 
     window_length: int = 512
     hop: int = 256
     window: np.ndarray = field(init=False, compare=False)
+    analysis_scale: np.ndarray = field(init=False, compare=False, repr=False)
+    synthesis_scale: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.window_length <= 0 or self.hop <= 0:
@@ -121,6 +124,13 @@ class StftConfig:
         if not np.max(np.abs(np.sum(folded * folded, axis=0) - 1.0)) <= 1e-10:
             raise InvalidWindowError("window is not tight: shifted squares must sum to 1")
         object.__setattr__(self, "window", window)
+        # sqrt(2) on interior bins makes one-sided storage an isometry;
+        # DC and Nyquist appear once in the full spectrum, interior bins twice.
+        weights = np.full(self.num_bins, np.sqrt(2.0))
+        weights[0] = 1.0
+        weights[-1] = 1.0
+        object.__setattr__(self, "analysis_scale", weights / np.sqrt(self.window_length))
+        object.__setattr__(self, "synthesis_scale", np.sqrt(self.window_length) / weights)
 
     @property
     def num_bins(self) -> int:
@@ -160,15 +170,6 @@ class Spectrogram:
         return self.values.shape[1]
 
 
-def _bin_weights(config: StftConfig) -> np.ndarray:
-    # sqrt(2) on interior bins makes one-sided storage an isometry;
-    # DC and Nyquist appear once in the full spectrum, interior bins twice.
-    weights = np.full(config.num_bins, np.sqrt(2.0))
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    return weights
-
-
 def analysis(x: np.ndarray, config: StftConfig) -> np.ndarray:
     """Tight-frame analysis of [..., samples] to [..., num_bins, num_frames].
 
@@ -177,18 +178,20 @@ def analysis(x: np.ndarray, config: StftConfig) -> np.ndarray:
     are one strided view of the signal extended by its first samples.
     """
     hop = config.hop
-    # the view below reads past the buffer on any other length
+    # the view below does not fit the buffer on any other length
     config.check_length(x.shape[-1])
     extended = np.concatenate([x, x[..., : config.window_length - hop]], axis=-1)
     step = extended.strides[-1]
-    frames = as_strided(
-        extended,
+    # a view on the fresh contiguous buffer, built with less call overhead
+    # than as_strided
+    frames = np.ndarray(
         extended.shape[:-1] + (x.shape[-1] // hop, config.window_length),
-        extended.strides[:-1] + (hop * step, step),
-        writeable=False,
+        extended.dtype,
+        buffer=extended,
+        strides=extended.strides[:-1] + (hop * step, step),
     )
     spectrum = np.fft.rfft(frames * config.window, n=config.window_length, axis=-1)
-    spectrum *= _bin_weights(config) / np.sqrt(config.window_length)
+    spectrum *= config.analysis_scale
     return np.ascontiguousarray(np.swapaxes(spectrum, -1, -2))
 
 
@@ -196,11 +199,11 @@ def synthesis(values: np.ndarray, config: StftConfig) -> np.ndarray:
     """The exact adjoint of :func:`analysis`: [..., num_bins, num_frames] to
     [..., num_frames * hop]."""
     # Adjoint of the weighted one-sided DFT. Imaginary parts at DC and
-    # Nyquist do not couple to real signals, so the adjoint drops them.
-    scaled = np.swapaxes(values, -1, -2) * (np.sqrt(config.window_length) / _bin_weights(config))
-    scaled[..., 0] = scaled[..., 0].real
-    scaled[..., -1] = scaled[..., -1].real
-    frames = np.fft.irfft(scaled, n=config.window_length, axis=-1) * config.window
+    # Nyquist do not couple to real signals; irfft ignores them.  C order
+    # gives irfft contiguous frames.
+    scaled = np.multiply(np.swapaxes(values, -1, -2), config.synthesis_scale, order="C")
+    frames = np.fft.irfft(scaled, n=config.window_length, axis=-1)
+    frames *= config.window
     hop = config.hop
     count = frames.shape[-2]
     blocks = frames.reshape(frames.shape[:-1] + (config.window_length // hop, hop))

@@ -19,11 +19,35 @@ from lipsam.modifier import (
     ModifierArchitecture,
     amplitude_forward,
     amplitude_jacobian,
+    apply_to_values,
     modifier_backward,
     modifier_forward,
 )
-from lipsam.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, ConvLayer, circulant_operator_norm
-from lipsam.trainer import LOSS_EPSILON
+from lipsam.network import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    ConvLayer,
+    _phase_table,
+    circulant_operator_norm,
+)
+from lipsam.pnp import AdmmOperators, AdmmState, Observation, admm_operators, initial_state
+from lipsam.signal import (
+    StftConfig,
+    add_noise_at_snr,
+    analysis,
+    circular_convolve,
+    si_snr_values,
+    synthesis,
+)
+from lipsam.trainer import (
+    LOSS_EPSILON,
+    SynthCorpusConfig,
+    TrainConfig,
+    synth_rir,
+    synth_speechlike,
+    train_denoiser,
+)
 
 
 def jacobian_fd(fn: Callable, point: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:
@@ -229,6 +253,23 @@ def full_spectrum_operator_norm(layer: ConvLayer, input_shape: tuple):
     return norms if layer.stacked else float(norms)
 
 
+def eigvalsh_operator_norm(layer: ConvLayer, input_shape: tuple):
+    """``circulant_operator_norm`` with every Gram through ``eigvalsh``, the
+    1×1 ones included."""
+    w = layer.weights
+    lead = int(layer.stacked)
+    kernel_shape = w.shape[2 + lead :]
+    w = w.swapaxes(lead, lead + 1) if w.shape[lead] > w.shape[lead + 1] else w
+    trials, (m, c), taps = w.shape[:lead], w.shape[lead : lead + 2], int(np.prod(kernel_shape))
+    stack = np.moveaxis(w.reshape(trials + (m, c, taps)), -1, lead).reshape(trials + (-1, c))
+    products = (stack @ stack.swapaxes(-1, -2)).reshape(trials + (taps, m, taps, m))
+    products = products.swapaxes(-3, -2).reshape(trials + (taps * taps, m * m))
+    re, im = np.split(_phase_table(kernel_shape, tuple(input_shape)) @ products, 2, axis=-2)
+    top = np.linalg.eigvalsh((re + 1j * im).reshape(trials + (-1, m, m)))[..., -1]
+    norms = np.sqrt(np.maximum(np.max(top, axis=-1), 0.0))
+    return norms if layer.stacked else float(norms)
+
+
 def certify_layer(layer: ConvLayer, input_shape: tuple, target: float = 1.0) -> ConvLayer:
     """Rescale ``layer`` to operator norm ``target`` on ``input_shape`` and
     stamp ``target`` as its certificate.
@@ -328,6 +369,84 @@ def check_assumption1(
             quotient = float(np.linalg.norm(gap) / denom)
             empirical = max(empirical, quotient)
     return Assumption1Report(cond2, worst_ratio, empirical, witness)
+
+
+# ---------------------------------------------------------------------------
+# the standard dereverberation instance and its quickly trained denoiser
+
+
+def quick_train(arch, lipschitz, seed=0):
+    """A width-16, k = 5 denoiser net trained for 2 epochs at the 64/32 STFT."""
+    config = TrainConfig(
+        epochs=2,
+        batch_size=8,
+        learning_rate=1e-2,
+        frames=4,
+        arch=arch,
+        lipschitz=lipschitz,
+        channel_width=16,
+        kernel_size=5,
+        seed=seed,
+        stft=StftConfig(window_length=64, hop=32),
+    )
+    corpus = SynthCorpusConfig(item_count=64, duration_seconds=0.128, seed=seed)
+    result = train_denoiser(config, corpus)
+    assert result.status == "completed"
+    return result.net
+
+
+def standard_instance():
+    """(clean, observation): a 4096-sample speech-like item behind a
+    512-tap impulse response with 0.02 s decay, at 30 dB SNR."""
+    corpus = SynthCorpusConfig(item_count=1, duration_seconds=0.512, seed=0)
+    clean = synth_speechlike(corpus, 0)
+    rir = synth_rir(512, 0.02, seed=1)
+    observed = add_noise_at_snr(circular_convolve(clean, rir), 30.0, seed=2)
+    return clean, Observation(observed, rir)
+
+
+# ---------------------------------------------------------------------------
+# the ADMM iteration in the time domain
+
+
+def time_domain_admm_iteration(
+    state: AdmmState, ops: AdmmOperators, denoiser: ModifierArchitecture, lam: float
+) -> AdmmState:
+    """One ADMM iteration with u and xi1 in the time domain: rfft(u - xi1)
+    and irfft(Hx) beside the STFT pair, six FFTs."""
+    n = ops.y.size
+    rhs = np.fft.rfft(state.u - state.xi1) * np.conj(ops.h_spectrum) + np.fft.rfft(
+        synthesis(state.v - state.xi2, ops.stft)
+    )
+    x_spectrum = rhs * ops.inverse_filter
+    x = np.fft.irfft(x_spectrum, n=n)
+    hx = np.fft.irfft(x_spectrum * ops.h_spectrum, n=n)
+    gx = analysis(x, ops.stft)
+    u = (lam / (1.0 + lam)) * (hx + state.xi1 - ops.y) + ops.y
+    v = apply_to_values(denoiser, gx + state.xi2)
+    return AdmmState(x=x, u=u, v=v, xi1=state.xi1 + hx - u, xi2=state.xi2 + gx - v)
+
+
+def time_domain_admm_run(observation, denoiser, config, reference):
+    """``pnp.run`` on :func:`time_domain_admm_iteration`: returns (x_hat
+    samples, delta_x, SI-SNR trace, status, diverged_at)."""
+    ops = admm_operators(observation, config.stft)
+    state = initial_state(observation, config)
+    delta_x, si_snr_trace = [], []
+    status, diverged_at = "completed", None
+    with np.errstate(all="ignore"):
+        for k in range(1, config.max_iterations + 1):
+            try:
+                new = time_domain_admm_iteration(state, ops, denoiser, config.lam)
+            except NonFiniteError:
+                new = None
+            if new is None or not (np.all(np.isfinite(new.xi1)) and np.all(np.isfinite(new.xi2))):
+                status, diverged_at = "diverged", k
+                break
+            delta_x.append(float(np.linalg.norm(new.x - state.x)))
+            state = new
+            si_snr_trace.append(si_snr_values(state.x, reference.samples))
+    return state.x, np.asarray(delta_x), np.asarray(si_snr_trace), status, diverged_at
 
 
 # ---------------------------------------------------------------------------

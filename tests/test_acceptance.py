@@ -55,7 +55,6 @@ from lipsam.pnp import (
 from lipsam.signal import (
     StftConfig,
     TimeSignal,
-    add_noise_at_snr,
     circular_convolve,
     istft,
     si_snr,
@@ -66,10 +65,10 @@ from lipsam.trainer import (
     TrainConfig,
     _batch_loss_and_grads,
     build_denoiser_net,
-    synth_rir,
     synth_speechlike,
-    train_denoiser,
 )
+
+from oracles import quick_train, standard_instance
 
 RATE = 8000
 SOLVER_STFT = StftConfig(window_length=64, hop=32)
@@ -83,25 +82,6 @@ def report(capsys):
             print(f"criterion {number:02d} {label}: {'PASS' if ok else 'FAIL'}{suffix}")
 
     return _line
-
-
-def quick_train(arch, lipschitz, seed=0):
-    config = TrainConfig(
-        epochs=2,
-        batch_size=8,
-        learning_rate=1e-2,
-        frames=4,
-        arch=arch,
-        lipschitz=lipschitz,
-        channel_width=16,
-        kernel_size=5,
-        seed=seed,
-        stft=SOLVER_STFT,
-    )
-    corpus = SynthCorpusConfig(item_count=64, duration_seconds=0.128, seed=seed)
-    result = train_denoiser(config, corpus)
-    assert result.status == "completed"
-    return result.net
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +393,8 @@ def test_criterion_08_prox_matches_numeric_minimizer(report):
 # 9: solver stability and gain on the standard synthetic instance
 
 
-def _standard_instance():
-    corpus = SynthCorpusConfig(item_count=1, duration_seconds=0.512, seed=0)
-    clean = synth_speechlike(corpus, 0)
-    rir = synth_rir(512, 0.02, seed=1)
-    observed = add_noise_at_snr(circular_convolve(clean, rir), 30.0, seed=2)
-    return clean, Observation(observed, rir)
-
-
 def test_criterion_09_solver_stability_on_standard_instance(report):
-    clean, observation = _standard_instance()
+    clean, observation = standard_instance()
     base = si_snr(observation.y, clean)
 
     soft = ModifierArchitecture("lipsam_re", SoftThreshConstant(0.1))

@@ -35,6 +35,7 @@ from lipsam.network import (
 from oracles import (
     ReferenceAdamState,
     certify_layer,
+    eigvalsh_operator_norm,
     full_spectrum_operator_norm,
     reference_adam_step,
     rewrite_first_layer_header,
@@ -490,6 +491,27 @@ def test_half_spectrum_norm_matches_full_spectrum(shape, spatial, stacked):
                 assert got[r] == alone
 
 
+@pytest.mark.parametrize(
+    "shape, spatial",
+    [
+        ((3, 1, 3, 3), (4, 4)),  # the bound-search family's first layer
+        ((1, 3, 3, 3), (4, 4)),  # and its last
+        ((1, 1, 3, 3), (5, 3)),
+        ((1, 4, 5), (16,)),
+        ((4, 1, 3), (7,)),
+        ((2, 3, 3), (8,)),  # a 2×2 Gram still goes through eigvalsh
+    ],
+)
+@pytest.mark.parametrize("stacked", [False, True])
+def test_one_by_one_gram_norm_is_the_eigvalsh_norm(shape, spatial, stacked):
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        weights = rng.standard_normal(((5,) if stacked else ()) + shape)
+        layer = ConvLayer(weights, activation=IDENTITY, stacked=stacked)
+        got = np.asarray(circulant_operator_norm(layer, spatial))
+        assert got.tobytes() == np.asarray(eigvalsh_operator_norm(layer, spatial)).tobytes()
+
+
 @pytest.mark.parametrize("spatial", [(0,), (-2,), (2.5,), (4.0,), ("4",), ()])
 @pytest.mark.parametrize("stacked", [False, True])
 def test_circulant_norm_rejects_sizes_that_are_not_positive_integers(spatial, stacked):
@@ -711,6 +733,17 @@ def test_load_accepts_rechecksummed_valid_header():
     loaded = load_weights(rewrite_first_layer_header(blob, slope=0.2, certificate=0.5))
     assert loaded.layers[0].activation.slope == 0.2
     assert loaded.layers[0].norm_certificate == 0.5
+
+
+@pytest.mark.parametrize("slope", [0.1, 0.5, 1.0, 0.0, 1.5, -0.2])
+def test_leaky_relu_matches_the_where_form_bit_for_bit(slope):
+    rng = np.random.default_rng(25)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308]
+    v = np.concatenate([special, rng.standard_normal(200), rng.standard_normal(200) * 1e-310])
+    with np.errstate(invalid="ignore"):
+        got = Activation("leaky_relu", slope)(v)
+        want = np.where(v > 0.0, v, slope * v)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_layer_rejects_non_finite_certificate_and_slope():

@@ -10,6 +10,7 @@ from lipsam.lipschitz import realify, unrealify
 from lipsam.modifier import (
     AmplitudeMap,
     ModifierArchitecture,
+    NetMap,
     SoftThreshConstant,
     ZeroMap,
     apply_to_values,
@@ -18,6 +19,8 @@ from lipsam.pnp import (
     AdmmState,
     Observation,
     SolverConfig,
+    _spectral_iteration,
+    _SpectralState,
     admm_iteration,
     admm_operators,
     initial_state,
@@ -32,6 +35,8 @@ from lipsam.signal import (
     si_snr,
     stft,
 )
+
+from oracles import quick_train, standard_instance, time_domain_admm_run
 
 RATE = 8000
 SMALL = StftConfig(window_length=16, hop=8)
@@ -253,13 +258,19 @@ def test_u_update_large_lambda_is_identity():
 def test_u_update_fixed_point_returns_y():
     obs = random_observation(10)
     state = random_state(11, obs)
-    # arrange Hx + xi1 = y exactly: u = xi1 and v = xi2 make x, and so Hx,
+    ops = admm_operators(obs, SMALL)
+    # arrange HX + Xi1 = Y exactly: U = Xi1 and v = xi2 make X, and so HX,
     # bitwise zero
+    spectral = _SpectralState(state.x, ops.y_spectrum, state.xi2, ops.y_spectrum, state.xi2)
     state = replace(state, u=obs.y.samples, xi1=obs.y.samples, v=state.xi2)
     for lam in (1e-3, 1.0, 37.0):
+        new = _spectral_iteration(spectral, ops, identity_denoiser(), lam)
+        assert np.all(new.x == 0.0)
+        assert np.array_equal(new.u_spectrum, ops.y_spectrum)
+        # the time-domain adapter returns u = irfft(rfft(y)): y up to rounding
         new = iterate(state, obs, lam=lam)
         assert np.all(new.x == 0.0)
-        assert np.array_equal(new.u, obs.y.samples)
+        assert np.max(np.abs(new.u - obs.y.samples)) <= 1e-15 * np.max(np.abs(obs.y.samples))
 
 
 # ---------------------------------------------------------------- v update
@@ -426,6 +437,66 @@ def test_run_contains_denoiser_nan():
     assert result.x_hat.samples.tobytes() == completed.x_hat.samples.tobytes()
     for name in ("x", "u", "v", "xi1", "xi2"):
         assert getattr(result.state, name).tobytes() == getattr(completed.state, name).tobytes()
+
+
+class _HugeAfter(AmplitudeMap):
+    """Zero map that starts returning 1e308, huge but finite, after a call
+    budget."""
+
+    lipschitz_bound = None
+
+    def __init__(self, healthy_calls):
+        self.healthy_calls = healthy_calls
+
+    def __call__(self, x):
+        if self.healthy_calls <= 0:
+            return np.full(np.shape(x), 1e308)
+        self.healthy_calls -= 1
+        return np.zeros(np.shape(x))
+
+
+def test_run_contains_an_overflowing_x():
+    # iteration 4 takes v = 1e308 sign(z), still finite; iteration 5 forms
+    # v - xi2 = 2e308, so X, x and then Xi1 turn non-finite
+    obs = random_observation(29)
+    config = SolverConfig(lam=1.0, max_iterations=50, stft=SMALL)
+    def denoiser(healthy_calls):
+        return ModifierArchitecture("am_se", _HugeAfter(healthy_calls))
+
+    result = run(obs, denoiser(3), config)
+    assert result.status_text == "diverged(5)"
+    assert result.delta_x.shape == (4,)
+    assert np.all(np.isfinite(result.delta_x))
+    completed = run(obs, denoiser(3), replace(config, max_iterations=4))
+    assert completed.status == "completed"
+    assert result.x_hat.samples.tobytes() == completed.x_hat.samples.tobytes()
+    for name in ("x", "u", "v", "xi1", "xi2"):
+        assert getattr(result.state, name).tobytes() == getattr(completed.state, name).tobytes()
+    assert np.max(np.abs(completed.state.v)) == pytest.approx(1e308)
+    # the spectral dual is what catches iteration 5
+    state = completed.state
+    u, xi1 = np.fft.rfft(state.u), np.fft.rfft(state.xi1)
+    spectral = _SpectralState(state.x, u, state.v, xi1, state.xi2)
+    with np.errstate(all="ignore"):
+        new = _spectral_iteration(spectral, admm_operators(obs, SMALL), denoiser(0), 1.0)
+    assert not np.all(np.isfinite(new.x))
+    assert not np.any(np.isfinite(new.xi1_spectrum))
+
+
+def test_run_matches_the_time_domain_oracle_on_the_standard_instance():
+    clean, obs = standard_instance()
+    denoiser = ModifierArchitecture("lipsam_re", NetMap(quick_train("re", "spectral")))
+    config = SolverConfig(lam=0.1, max_iterations=500, stft=StftConfig(window_length=64, hop=32))
+    result = run(obs, denoiser, config, reference=clean)
+    x_hat, delta_x, si_snr_trace, status, diverged_at = time_domain_admm_run(
+        obs, denoiser, config, clean
+    )
+    assert (result.status, result.diverged_at) == (status, diverged_at) == ("completed", None)
+    # late entries of delta_x are differences of nearly equal iterates, so
+    # they agree normwise, not entry by entry
+    assert np.linalg.norm(result.x_hat.samples - x_hat) <= 1e-12 * np.linalg.norm(x_hat)
+    assert np.linalg.norm(result.delta_x - delta_x) <= 1e-12 * np.linalg.norm(delta_x)
+    assert np.max(np.abs(result.si_snr_trace - si_snr_trace) / np.abs(si_snr_trace)) <= 1e-12
 
 
 def test_run_checks_the_reference_before_iterating():

@@ -210,6 +210,18 @@ def test_stft_core_matches_roll_oracles_and_per_row_calls(geometry, batch_shape)
         assert_core_matches(back[index], istft(Spectrogram(v[index]), config).samples, config)
 
 
+@pytest.mark.parametrize("geometry", [(64, 32), (16, 8), (512, 256), (16, 4)])
+def test_stft_scales_match_the_bin_weight_formula_bit_for_bit(geometry):
+    config = StftConfig(*geometry)
+    # sqrt(2) on the interior bins, 1 at DC and Nyquist
+    weights = np.full(config.num_bins, np.sqrt(2.0))
+    weights[0] = weights[-1] = 1.0
+    want_analysis = weights / np.sqrt(config.window_length)
+    want_synthesis = np.sqrt(config.window_length) / weights
+    assert config.analysis_scale.tobytes() == want_analysis.tobytes()
+    assert config.synthesis_scale.tobytes() == want_synthesis.tobytes()
+
+
 def test_stft_rejects_bad_length_without_pad():
     config = StftConfig(window_length=16, hop=8)
     with pytest.raises(ShapeError):
