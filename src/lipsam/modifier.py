@@ -19,8 +19,9 @@ The unguarded forms admit no finite bound at all; see the counterexamples in
 
 Every inner map owns its rules: ``forward`` returns its output and a cache,
 ``backward`` turns an output gradient into (flat parameter gradient, input
-gradient), ``jvp`` pushes input tangents through the map, and ``variant``
-names its JSON form, whose fields are the map's dataclass fields.
+gradient), ``parameter_gradient`` gives the first of the two alone, ``jvp``
+pushes input tangents through the map, and ``variant`` names its JSON form,
+whose fields are the map's dataclass fields.
 ``modifier_forward`` and ``modifier_backward`` are the forward/backward pair
 of D itself, which training and the ascent of the adversarial bound search
 differentiate through.  ``amplitude_jacobian`` is the exact Jacobian of A,
@@ -70,6 +71,11 @@ class AmplitudeMap:
     def backward(self, cache, grad):
         """(flat parameter gradient or None, input gradient) from the output gradient."""
         raise ShapeError(f"no gradient rule for inner map {type(self).__name__}")
+
+    def parameter_gradient(self, cache, grad):
+        """``backward``'s parameter gradient alone; a map may skip forming
+        the input gradient here."""
+        return self.backward(cache, grad)[0]
 
     def jvp(self, cache, tangents):
         """Output tangents from input tangents at the cached point.  For an
@@ -239,6 +245,11 @@ class NetMap(AmplitudeMap):
             return grad_theta, np.squeeze(gx, -3)
         return net_backward(self.net, cache, grad)
 
+    def parameter_gradient(self, cache, grad):
+        if self.net.is_2d:
+            grad = np.expand_dims(grad, -3)
+        return net_backward(self.net, cache, grad, input_gradient=False)[0]
+
     def jvp(self, cache, tangents):
         if self.net.is_2d:
             return np.squeeze(net_jvp(self.net, cache, np.expand_dims(tangents, -3)), -3)
@@ -309,6 +320,11 @@ def amplitude_forward(arch: ModifierArchitecture, x: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0.0):
         raise DomainError("amplitude maps are defined on nonnegative inputs")
+    return _amplitude_forward(arch, x)
+
+
+def _amplitude_forward(arch: ModifierArchitecture, x: np.ndarray):
+    """``amplitude_forward`` on a float64 ``x`` known to be nonnegative."""
     inner_out, inner_cache = arch.inner.forward(x)
     if arch.kind == "am_se":
         a = np.maximum(inner_out, 0.0)
@@ -347,17 +363,21 @@ def _kink_masks(cache: ModifierCache):
     return active & (inner_out > 0.0), active, -1.0
 
 
-def amplitude_backward(cache: ModifierCache, grad_a: np.ndarray):
+def amplitude_backward(cache: ModifierCache, grad_a: np.ndarray, input_gradient: bool = True):
     """Backpropagate through the amplitude path A.
 
     Given d(loss)/dA, returns (the inner map's flat parameter gradient or None,
     d(loss)/dx) where x is the magnitude input, under the kink rules of
-    ``_kink_masks``.
+    ``_kink_masks``.  With ``input_gradient`` False, d(loss)/dx is not formed
+    and comes back as None.
     """
     through, direct, sign = _kink_masks(cache)
     # float * bool masks give the same bits as float * 0.0/1.0 copies
     g = grad_a * through
-    grad_theta, grad_x = cache.arch.inner.backward(cache.inner_cache, g if sign > 0 else -g)
+    g = g if sign > 0 else -g
+    if not input_gradient:
+        return cache.arch.inner.parameter_gradient(cache.inner_cache, g), None
+    grad_theta, grad_x = cache.arch.inner.backward(cache.inner_cache, g)
     if direct is not None:
         grad_x = grad_x + grad_a * direct
     return grad_theta, grad_x
@@ -390,7 +410,8 @@ def modifier_forward(arch: ModifierArchitecture, z: np.ndarray):
     z = np.asarray(z, dtype=np.complex128)
     x = np.abs(z)
     s = _sign_from(z, x)
-    a, cache = amplitude_forward(arch, x)
+    # |z| is nonnegative, so the public entry's domain check is skipped
+    a, cache = _amplitude_forward(arch, x)
     cache.sign = s
     return a * s, cache
 

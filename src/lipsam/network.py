@@ -46,7 +46,6 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 from .errors import FormatError, NonFiniteError, ShapeError, UncertifiedError
@@ -205,11 +204,13 @@ def _columns(x: np.ndarray, kernel_shape: tuple, channel_axis: int) -> np.ndarra
     ext = x
     for axis, k in zip(range(x.ndim - n, x.ndim), kernel_shape):
         ext = np.take(ext, _wrap_index(k, x.shape[axis]), axis=axis)
-    view = as_strided(
-        ext,
+    # a view on the fresh contiguous extension, built with less call
+    # overhead than as_strided
+    view = np.ndarray(
         ext.shape[: c + 1] + kernel_shape + x.shape[c + 1 :],
-        ext.strides[: c + 1] + ext.strides[-n:] + ext.strides[c + 1 :],
-        writeable=False,
+        ext.dtype,
+        buffer=ext,
+        strides=ext.strides[: c + 1] + ext.strides[-n:] + ext.strides[c + 1 :],
     )
     return view.reshape(x.shape[:c] + (x.shape[c] * math.prod(kernel_shape), -1))
 
@@ -388,12 +389,16 @@ def forward(net: ConvNet, x: np.ndarray):
     return net.scale * x, ForwardCache(net, inputs, preactivations)
 
 
-def backward(net: ConvNet, cache: ForwardCache, upstream: np.ndarray):
+def backward(
+    net: ConvNet, cache: ForwardCache, upstream: np.ndarray, input_gradient: bool = True
+):
     """Backpropagate; returns (parameter gradient, input gradient).
 
     The parameter gradient is laid out exactly like
     ``net.flatten_parameters()``: [P], or [trials, P] for a stacked net.
-    Batch axes in the cache are summed into it.
+    Batch axes in the cache are summed into it.  With ``input_gradient``
+    False the first layer's adjoint is skipped and the input gradient comes
+    back as None; the parameter gradient keeps its bits.
     """
     if cache.net is not net:
         raise ValueError("cache was produced by a different network instance")
@@ -401,13 +406,18 @@ def backward(net: ConvNet, cache: ForwardCache, upstream: np.ndarray):
     spatial = net.layers[0].weights.ndim - 1 - len(lead)
     g = np.asarray(upstream, dtype=np.float64) * net.scale
     grads = []  # in reverse parameter order
+    depth = len(net.layers)
     for layer, x_in, z in zip(net.layers[::-1], cache.inputs[::-1], cache.preactivations[::-1]):
         dz = g * layer.activation.derivative(z)
         if layer.bias is not None:
             axes = tuple(i for i in range(len(lead), dz.ndim) if i != dz.ndim - spatial)
             grads.append(np.sum(dz, axis=axes))
         grads.append(_weight_gradient(layer.weights, x_in, dz, net.stacked))
-        g = _conv_linear_transpose(layer.weights, dz, net.stacked)
+        depth -= 1
+        if depth or input_gradient:
+            g = _conv_linear_transpose(layer.weights, dz, net.stacked)
+        else:
+            g = None
     return _flatten(grads[::-1], lead), g
 
 
@@ -472,6 +482,53 @@ def _phase_table(kernel_shape: tuple, sizes: tuple) -> np.ndarray:
     return _read_only(np.concatenate([np.cos(angles), -np.sin(angles)]))
 
 
+# The screen of ``_largest_top_eigenvalue``: power steps that rank the
+# frequencies, the relative margin below the running top at which a Gram
+# must factor, and the smallest Gram side on which the screen beats one
+# batched eigvalsh (timed at 1 BLAS thread).
+_RANK_STEPS = 8
+_SCREEN_MARGIN = 1e-9
+_SCREEN_MIN_SIDE = 32
+
+
+def _largest_top_eigenvalue(grams: np.ndarray):
+    """``np.max(np.linalg.eigvalsh(grams)[..., -1])`` of a [F, m, m] stack of
+    Hermitian Grams, bit for bit, with an eigensolve only where it can matter.
+
+    A few power steps from the all-ones vector rank the frequencies by an
+    estimate of their top eigenvalue, and the first-ranked Gram gets an
+    eigvalsh: λ.  Every other Gram G, in rank order, must then pass a
+    Cholesky factorization of λ(1 - τ)I - G, τ = ``_SCREEN_MARGIN``; one that
+    fails gets its own eigvalsh, and λ becomes the larger top.
+
+    Why this is exact: Cholesky is backward stable, so a Gram that factors
+    has every eigenvalue below λ(1 - τ) up to a relative error of order m·u
+    (u the unit roundoff), and eigvalsh puts its top within the same order of
+    the truth.  τ is far above m·u, so the top eigvalsh would compute for a
+    Gram that factors lies below λ, which is no larger than the final
+    answer; every top that could reach the answer fails the screen and is
+    computed.  LAPACK solves one matrix at a time, batched or not, so each
+    computed top has the bits the batched call gives it.  A poor ranking
+    only costs extra eigensolves, and a zero λ (a zero layer) fails every
+    Gram, which costs what the batched call costs.
+    """
+    v = np.ones(grams.shape[:-1] + (1,), dtype=grams.dtype)
+    for _ in range(_RANK_STEPS):
+        v = grams @ v
+        size = np.linalg.norm(v, axis=(-2, -1))
+        # a zero Gram keeps a zero vector instead of dividing 0 by 0
+        v /= np.maximum(size, np.finfo(size.dtype).tiny)[:, None, None]
+    order = np.argsort(-size, kind="stable")
+    top = np.linalg.eigvalsh(grams[order[0]])[-1]
+    eye = np.eye(grams.shape[-1])
+    for f in order[1:]:
+        try:
+            np.linalg.cholesky(top * (1.0 - _SCREEN_MARGIN) * eye - grams[f])
+        except np.linalg.LinAlgError:
+            top = max(top, np.linalg.eigvalsh(grams[f])[-1])
+    return top
+
+
 def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
     """Exact operator norm of the layer's linear part on the given geometry.
 
@@ -486,6 +543,13 @@ def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
     Real weights make B(-ω) conjugate to B(ω), so the half spectrum (every
     frequency on the leading spatial axes, 0..N/2 on the last) holds every
     distinct norm.  A stacked layer gets one norm per trial back.
+
+    Only the largest top is needed.  A 1×1 Gram is its own eigenvalue.
+    Stacked layers (the bound search's 3×3 Grams) and Grams with fewer than
+    ``_SCREEN_MIN_SIDE`` rows go through one batched eigvalsh.  Any other
+    layer eigensolves the Gram that power steps rank first and screens the
+    rest with Cholesky factorizations (``_largest_top_eigenvalue``), which
+    gives the batched call's bits for a fraction of its eigensolves.
     """
     w = layer.weights
     lead = int(layer.stacked)
@@ -500,13 +564,19 @@ def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
     products = (stack @ stack.swapaxes(-1, -2)).reshape(trials + (taps, m, taps, m))
     products = products.swapaxes(-3, -2).reshape(trials + (taps * taps, m * m))
     phases = _phase_table(kernel_shape, tuple(int(size) for size in sizes))
-    re, im = np.split(phases @ products, 2, axis=-2)
+    spectrum = phases @ products
+    half = spectrum.shape[-2] // 2
+    re, im = spectrum[..., :half, :], spectrum[..., half:, :]
     if m == 1:
         # a 1×1 Hermitian Gram is its own real eigenvalue
-        top = re[..., 0]
+        top = np.max(re[..., 0], axis=-1)
     else:
-        top = np.linalg.eigvalsh((re + 1j * im).reshape(trials + (-1, m, m)))[..., -1]
-    norms = np.sqrt(np.maximum(np.max(top, axis=-1), 0.0))
+        grams = (re + 1j * im).reshape(trials + (-1, m, m))
+        if layer.stacked or m < _SCREEN_MIN_SIDE:
+            top = np.max(np.linalg.eigvalsh(grams)[..., -1], axis=-1)
+        else:
+            top = _largest_top_eigenvalue(grams)
+    norms = np.sqrt(np.maximum(top, 0.0))
     return norms if layer.stacked else float(norms)
 
 

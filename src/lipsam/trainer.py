@@ -369,7 +369,7 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
     grad_values *= cache.sign
     grad_a = grad_values.real.copy()
     del grad_values
-    grad_theta, _ = amplitude_backward(cache, grad_a)
+    grad_theta, _ = amplitude_backward(cache, grad_a, input_gradient=False)
     return float(np.mean(losses)), grad_theta
 
 

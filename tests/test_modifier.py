@@ -179,6 +179,18 @@ def test_amplitude_part_rejects_negative_input():
         amplitude_forward(arch, np.array([-1.0, 2.0]))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_modifier_forward_is_the_amplitude_forward_of_the_magnitudes(kind):
+    # the modifier skips the public domain check on |z| and keeps its bits
+    rng = np.random.default_rng(5)
+    arch = ModifierArchitecture(kind, NetMap(small_net(rng, weight_scale=1.5)))
+    z = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
+    z[0, 1, 2] = 0.0
+    _, cache = modifier_forward(arch, z)
+    a, _ = amplitude_forward(arch, np.abs(z))
+    assert cache.a.tobytes() == a.tobytes()
+
+
 def test_apply_poisoned_inner_output_raises():
     class PoisonMap(AmplitudeMap):
         lipschitz_bound = None
@@ -362,6 +374,24 @@ def test_amplitude_backward_matches_fd(kind):
         dn[idx] -= h
         fdx[idx] = (loss_at(theta, up) - loss_at(theta, dn)) / (2.0 * h)
     np.testing.assert_allclose(dx, fdx, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_amplitude_backward_can_skip_the_input_gradient(kind):
+    rng = np.random.default_rng(12)
+    net_2d = ConvNet((ConvLayer(rng.standard_normal((1, 1, 3, 3)), activation=SOFTPLUS),))
+    cases = (
+        (NetMap(small_net(rng, weight_scale=1.5)), np.abs(rng.standard_normal((2, 4, 6)))),
+        (NetMap(net_2d), np.abs(rng.standard_normal((2, 4, 4)))),
+        (BiasAdd(-0.5), np.abs(rng.standard_normal((2, 4, 6)))),
+    )
+    for inner, x in cases:
+        _, cache = amplitude_forward(ModifierArchitecture(kind, inner), x)
+        g = rng.standard_normal(x.shape)
+        want, _ = amplitude_backward(cache, g)
+        got, skipped = amplitude_backward(cache, g, input_gradient=False)
+        assert skipped is None
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)

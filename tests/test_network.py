@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,26 @@ def test_backward_batch_sums_item_gradients():
     np.testing.assert_allclose(grad_batch, summed, atol=1e-10)
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_backward_without_input_gradient_keeps_parameter_gradient_bits(rank):
+    rng = np.random.default_rng(9)
+    if rank == 1:
+        net = make_net_1d(rng, channels=(3, 4, 2), activation=SOFTPLUS)
+        x = rng.standard_normal((5, 3, 16))  # the column form
+    else:
+        net = ConvNet((
+            ConvLayer(rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2)),
+            ConvLayer(rng.standard_normal((1, 2, 3, 3)), activation=IDENTITY),
+        ))
+        x = rng.standard_normal((5, 1, 4, 4))  # the dense form
+    out, cache = forward(net, x)
+    probe = rng.standard_normal(out.shape)
+    want, input_grad = backward(net, cache, probe)
+    got, skipped = backward(net, cache, probe, input_gradient=False)
+    assert input_grad.shape == x.shape and skipped is None
+    assert got.tobytes() == want.tobytes()
+
+
 def test_backward_rejects_stale_cache():
     rng = np.random.default_rng(8)
     net_a = make_net_1d(rng)
@@ -510,6 +531,110 @@ def test_one_by_one_gram_norm_is_the_eigvalsh_norm(shape, spatial, stacked):
         layer = ConvLayer(weights, activation=IDENTITY, stacked=stacked)
         got = np.asarray(circulant_operator_norm(layer, spatial))
         assert got.tobytes() == np.asarray(eigvalsh_operator_norm(layer, spatial)).tobytes()
+
+
+@pytest.fixture(scope="module")
+def training_layers():
+    """Every layer a short spectral run at the training geometry hands to
+    the norm (257 -> 64 -> 64 -> 257 channels, kernel 5, 32 frames): the
+    initial layers, each step's and the certificate's."""
+    from lipsam import network as network_module
+    from lipsam.trainer import SynthCorpusConfig, TrainConfig, train_denoiser
+
+    seen = []
+
+    def recording(layer, input_shape):
+        seen.append((layer, input_shape))
+        return circulant_operator_norm(layer, input_shape)
+
+    config = TrainConfig(epochs=1, batch_size=4, lipschitz="spectral", seed=3)
+    corpus = SynthCorpusConfig(item_count=9, seed=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network_module, "circulant_operator_norm", recording)
+        patch.setattr("lipsam.trainer.circulant_operator_norm", recording)
+        train_denoiser(config, corpus)
+    return seen
+
+
+def test_screened_norm_of_training_layers_is_the_eigvalsh_norm(training_layers):
+    shapes = {layer.weights.shape for layer, _ in training_layers}
+    assert shapes == {(64, 257, 5), (64, 64, 5), (257, 64, 5)}
+    assert {sizes for _, sizes in training_layers} == {(32,)}
+    for layer, sizes in training_layers:
+        got = np.float64(circulant_operator_norm(layer, sizes))
+        assert got.tobytes() == np.float64(eigvalsh_operator_norm(layer, sizes)).tobytes()
+
+
+def centre_tap(matrices, kernel=3):
+    """A layer whose only nonzero tap is the centre one, [out, in, kernel]."""
+    weights = np.zeros(matrices.shape + (kernel,))
+    weights[..., kernel // 2] = matrices
+    return ConvLayer(weights, activation=IDENTITY)
+
+
+def paired_channels(first, second, kernel_first, kernel_second, m=32):
+    """A block-diagonal m x m layer: ``first`` maps channels 0 and 1 with the
+    1-D kernel ``kernel_first``, ``second`` maps channels 2 and 3 with
+    ``kernel_second``; every other weight is zero."""
+    weights = np.zeros((m, m, len(kernel_first)))
+    weights[:2, :2] = np.multiply.outer(first, kernel_first)
+    weights[2:4, 2:4] = np.multiply.outer(second, kernel_second)
+    return ConvLayer(weights, activation=IDENTITY)
+
+
+def screened_case(name):
+    rng = np.random.default_rng(25)
+    if name == "tied":
+        # every frequency's Gram is the identity: all tops tie exactly
+        return centre_tap(np.eye(40)), (16,)
+    if name == "within 1e-13":
+        # a DC norm of 1 on channels 0-1 and a Nyquist norm 1e-13 above it
+        # on channels 2-3, both tops' eigenvectors along the ones vector
+        both = np.full((2, 2), 0.5)
+        low, high = np.array([1.0, 2.0, 1.0]) / 4.0, np.array([-1.0, 2.0, -1.0]) / 4.0
+        return paired_channels(both, both * (1.0 + 1e-13), low, high), (8,)
+    if name == "wrong pick":
+        # the DC top (1.0) has an eigenvector orthogonal to the ones vector,
+        # so the power steps see nothing there and rank Nyquist (0.95²) first
+        low, high = np.array([1.0, 2.0, 1.0]) / 4.0, np.array([-1.0, 2.0, -1.0]) / 4.0
+        difference = np.array([[0.5, -0.5], [-0.5, 0.5]])
+        return paired_channels(difference, 0.95 * np.abs(difference), low, high), (8,)
+    if name == "zero":
+        return ConvLayer(np.zeros((64, 64, 5)), activation=IDENTITY), (32,)
+    if name == "2-D kernel":
+        return ConvLayer(rng.standard_normal((40, 36, 3, 3)), activation=IDENTITY), (6, 8)
+    if name == "fine grid":
+        return ConvLayer(rng.standard_normal((64, 257, 5)), activation=IDENTITY), (256,)
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["tied", "within 1e-13", "wrong pick", "zero", "2-D kernel", "fine grid"]
+)
+def test_screened_norm_is_the_eigvalsh_norm_bit_for_bit(name, monkeypatch):
+    layer, sizes = screened_case(name)
+    want = np.float64(eigvalsh_operator_norm(layer, sizes))
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        solved.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = circulant_operator_norm(layer, sizes)
+    # one Gram at a time: the screen ran instead of the batched call
+    assert all(shape == solved[0] and len(shape) == 2 for shape in solved)
+    assert np.float64(got).tobytes() == want.tobytes()
+    if name in ("tied", "within 1e-13", "wrong pick"):
+        # the Grams whose tops reach the answer failed the screen
+        assert len(solved) > 1
+    if name == "wrong pick":
+        assert got == 1.0
+    if name == "zero":
+        assert got == 0.0
 
 
 @pytest.mark.parametrize("spatial", [(0,), (-2,), (2.5,), (4.0,), ("4",), ()])

@@ -23,7 +23,7 @@ from lipsam.trainer import (
     train_denoiser,
 )
 
-from oracles import neg_snr_loss_row
+from oracles import eigvalsh_operator_norm, neg_snr_loss_row
 
 RATE = 8000
 SMALL_STFT = StftConfig(window_length=64, hop=32)
@@ -331,6 +331,25 @@ def test_certify_denoiser_net_stamps_exact_norms():
     for raw, stamped in zip(net.layers, certified.layers):
         assert stamped.norm_certificate == circulant_operator_norm(raw, (config.frames,))
         assert np.array_equal(stamped.weights, raw.weights)
+
+
+def test_spectral_training_with_the_eigvalsh_norm_gives_the_same_bytes(monkeypatch):
+    # the training geometry (257 -> 64 -> 64 -> 257, 32 frames), where the
+    # norm screens its Grams; swapping in one eigvalsh per frequency must
+    # change no weight and no certificate
+    from lipsam import network, trainer
+    from lipsam.network import save_weights
+
+    config = TrainConfig(epochs=1, batch_size=4, lipschitz="spectral", seed=5)
+    corpus = SynthCorpusConfig(item_count=9, seed=5)
+    screened = train_denoiser(config, corpus)
+    monkeypatch.setattr(network, "circulant_operator_norm", eigvalsh_operator_norm)
+    monkeypatch.setattr(trainer, "circulant_operator_norm", eigvalsh_operator_norm)
+    solved = train_denoiser(config, corpus)
+    assert screened.status == solved.status == "completed"
+    assert all(layer.norm_certificate is not None for layer in screened.net.layers)
+    assert save_weights(screened.net) == save_weights(solved.net)
+    assert repr(screened.log) == repr(solved.log)  # NaN-safe, exact for floats
 
 
 # ---------------------------------------------------------------------------
