@@ -35,7 +35,6 @@ from .lipschitz import (
     counterexample_permutation,
     estimate_B,
     fixed_modifier_family,
-    pairwise_quotient_search,
 )
 from .modifier import KINDS, ModifierArchitecture, NetMap, ZeroMap, architecture_from_config
 from .modifier import architecture_to_config
@@ -201,7 +200,7 @@ def _bounds_task(task):
     bound_cell = float("nan") if bound is None else bound
     rows = [
         (kind, constrained, scale, record.trial, record.value, bound_cell,
-         record.terminated_early, record.iterations)
+         record.terminated_early, record.iterations, record.evaluations, record.backtracks)
         for record in estimate.records
     ]
     violated = estimate.violates_bound(BOUND_TOLERANCE)
@@ -226,7 +225,7 @@ def cmd_validate_bounds(args) -> int:
     write_csv(
         csv_path,
         ("architecture", "constrained", "scale", "trial", "empirical_B",
-         "theoretical_bound", "terminated_early", "iterations"),
+         "theoretical_bound", "terminated_early", "iterations", "evaluations", "backtracks"),
         rows,
     )
 
@@ -418,8 +417,8 @@ def _certify_input_shape(arch, config) -> tuple:
         if len(dims) != 2 or min(dims) < 1:
             raise ConfigError("shape must be two positive dimensions, e.g. '4x4'")
         return dims
-    # Default small: the derivative-free fallback for non-smooth nets scales
-    # with the coordinate count, so wide default shapes would crawl.
+    # Default small: every trial forms a dense n×n amplitude Jacobian and its
+    # SVD for n coefficients, so wide default shapes would crawl.
     if isinstance(arch.inner, NetMap) and not arch.inner.net.is_2d:
         return (arch.inner.net.in_channels, config["frames"])
     return (4, 4)
@@ -433,28 +432,19 @@ def cmd_certify(args) -> int:
     family = fixed_modifier_family(arch, shape)
     bound = float("nan") if family.certified_bound is None else family.certified_bound
 
-    search = SearchConfig(**_fields(SearchConfig, config), seed=args.seed)
-    try:
-        estimate = estimate_B(family, search)
-        best = estimate.value
-        rows = [
-            (record.trial, arch.kind, scale, record.value, bound,
-             record.terminated_early, record.wall_time)
-            for record in estimate.records
-        ]
-    except DomainError:
-        # Non-smooth inner nets fall back to the derivative-free search.
-        print("non-smooth inner map: using the pairwise quotient search")
-        quotient = pairwise_quotient_search(arch, shape, search)
-        best = quotient.value
-        rows = [(0, arch.kind, scale, quotient.value, bound, False, float("nan"))]
+    estimate = estimate_B(family, SearchConfig(**_fields(SearchConfig, config), seed=args.seed))
+    best = estimate.value
 
     csv_path = _out_path(args, args.out)
     write_csv(
         csv_path,
         ("trial_id", "architecture", "scale", "empirical_B", "theoretical_bound",
-         "terminated_early", "wall_time"),
-        rows,
+         "terminated_early", "wall_time", "evaluations", "backtracks"),
+        [
+            (record.trial, arch.kind, scale, record.value, bound, record.terminated_early,
+             record.wall_time, record.evaluations, record.backtracks)
+            for record in estimate.records
+        ],
     )
     print(f"wrote {csv_path}")
     if math.isnan(bound):

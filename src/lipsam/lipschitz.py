@@ -25,11 +25,12 @@ complex coefficients into real vectors (Re, Im, Re, Im, ...), ``unrealify``
 undoes it, both keeping any leading batch axes, and derivatives are
 ordinary real ones.  This pair is the only place that interleaves.
 
-Non-smooth inner nets (leaky relu) get no gradient search; for those,
-``pairwise_quotient_search`` hill-climbs the difference quotients of a
-modifier directly, and ``counterexample_bias`` /
-``counterexample_permutation`` reproduce the two analytic blow-up
-constructions for unguarded architectures.
+The same search serves every inner map, piecewise-linear nets (leaky
+relu) included: off every kink such a net is locally linear, so its exact
+Jacobian is the derivative of the modifier there and a limit of difference
+quotients.  ``counterexample_bias`` / ``counterexample_permutation``
+reproduce the two analytic blow-up constructions for unguarded
+architectures.
 """
 
 import time
@@ -185,10 +186,11 @@ class LipschitzEstimate:
     """Outcome of one ``estimate_B`` run.
 
     ``value`` is the largest exact Jacobian norm found.  Where the modifier
-    is differentiable its Jacobian norm is a limit of difference quotients,
-    so the value is an empirical lower bound on the true Lipschitz
-    constant, up to rounding.  ``certified_bound`` is the family's
-    theoretical upper bound, or None when the family certifies nothing.
+    is differentiable, which for a leaky-relu inner net is everywhere off
+    its kinks, the Jacobian norm is a limit of difference quotients, so the
+    value is an empirical lower bound on the true Lipschitz constant, up to
+    rounding.  ``certified_bound`` is the family's theoretical upper bound,
+    or None when the family certifies nothing.
     """
 
     value: float
@@ -261,13 +263,13 @@ def conv2d_family(
 ) -> ModifierFamily:
     """Small 2-D convolutional inner nets on single-channel magnitude patches.
 
-    Hidden layers are SoftPlus (the search needs a smooth map), the final
-    layer is linear, and ``scale`` multiplies the net output.  Constrained
-    families (the default for safeguarded kinds) project every layer onto
-    the unit operator-norm ball, so the inner map is ``scale``-Lipschitz and
-    the family carries the matching certified bound.  Unconstrained
-    families have biased layers, giving the search the offsets it needs to
-    expose unguarded blow-ups near zero; constrained ones have none.
+    Hidden layers are SoftPlus, the final layer is linear, and ``scale``
+    multiplies the net output.  Constrained families (the default for
+    safeguarded kinds) project every layer onto the unit operator-norm ball,
+    so the inner map is ``scale``-Lipschitz and the family carries the
+    matching certified bound.  Unconstrained families have biased layers,
+    giving the search the offsets it needs to expose unguarded blow-ups
+    near zero; constrained ones have none.
     """
     if kind not in KINDS:
         raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -450,17 +452,10 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
     stacked operation computes each trial's slice exactly as it would for
     that trial alone, so each trial follows its own sequential path.
 
-    The ascent gradient needs a smooth inner map, so inner nets must avoid
-    leaky relu activations; certify those with ``pairwise_quotient_search``.
+    Piecewise-linear inner nets (leaky relu) need no special case: off
+    their kinks the net is locally linear, so the exact Jacobian there is
+    the derivative of the modifier and a limit of its difference quotients.
     """
-    probe = family.build(family.sample_parameters(np.random.default_rng([config.seed, 0])))
-    layers = probe.inner.net.layers if isinstance(probe.inner, NetMap) else ()
-    if any(layer.activation.kind == "leaky_relu" for layer in layers):
-        raise DomainError(
-            "estimate_B differentiates the inner net and needs smooth "
-            "activations; use pairwise_quotient_search for leaky relu"
-        )
-
     start = time.perf_counter()
     trials, shape, eps = config.restarts, family.input_shape, FD_EPSILON
     rngs = [np.random.default_rng([config.seed, trial]) for trial in range(trials)]
@@ -557,100 +552,6 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
         witness_parameters=theta[best].copy(),
         witness_trial=best,
         records=records,
-    )
-
-
-# ---------------------------------------------------------------------------
-# difference-quotient search (no smoothness assumptions)
-
-
-@dataclass(frozen=True, eq=False)
-class QuotientEstimate:
-    """Best difference quotient found, with the realified witness pair."""
-
-    value: float
-    left: np.ndarray
-    right: np.ndarray
-    trials: int
-    iterations: int
-
-
-def _quotient(fx: np.ndarray, fy: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    gap = np.linalg.norm(x - y)
-    if gap < 1e-12:
-        return -np.inf
-    return float(np.linalg.norm(fx - fy) / gap)
-
-
-def pairwise_quotient_search(
-    arch: ModifierArchitecture, shape: tuple, config: SearchConfig
-) -> QuotientEstimate:
-    """Coordinate hill climbing on ||D(x) - D(y)|| / ||x - y||.
-
-    Works on the realified modifier D on complex inputs of ``shape``, smooth
-    or not.  Each restart draws a random pair and greedily perturbs single
-    coordinates of either point, halving the step once a sweep yields no
-    improvement.  The result is a lower bound on the Lipschitz constant with
-    the achieving realified pair attached.
-    """
-    shape = tuple(int(s) for s in shape)
-    if not shape or any(s <= 0 for s in shape):
-        raise ShapeError(f"shape must be nonempty and positive, got {shape}")
-
-    def mapping(vector):
-        return realify(apply_to_values(arch, unrealify(vector, shape)))
-
-    dim = 2 * int(np.prod(shape, dtype=np.int64))
-    best_value = -np.inf
-    best_pair = None
-    total_sweeps = 0
-    for restart in range(config.restarts):
-        rng = np.random.default_rng([config.seed, restart])
-        x = rng.standard_normal(dim)
-        y = rng.standard_normal(dim)
-        while np.linalg.norm(x - y) < 1e-9:
-            y = y + rng.standard_normal(dim)
-        fx, fy = mapping(x), mapping(y)
-        value = _quotient(fx, fy, x, y)
-        step = config.step_size
-        for _ in range(config.max_iterations):
-            total_sweeps += 1
-            improved = False
-            for j in range(dim):
-                for sign in (1.0, -1.0):
-                    x_try = x.copy()
-                    x_try[j] += sign * step
-                    fx_try = mapping(x_try)
-                    v = _quotient(fx_try, fy, x_try, y)
-                    if v > value:
-                        x, fx, value = x_try, fx_try, v
-                        improved = True
-                    y_try = y.copy()
-                    y_try[j] += sign * step
-                    fy_try = mapping(y_try)
-                    v = _quotient(fx, fy_try, x, y_try)
-                    if v > value:
-                        y, fy, value = y_try, fy_try, v
-                        improved = True
-            if value > config.termination_threshold:
-                break
-            if not improved:
-                step *= 0.5
-                if step < _STEP_FLOOR:
-                    break
-        if value > best_value:
-            best_value = value
-            best_pair = (x.copy(), y.copy())
-        if best_value > config.termination_threshold:
-            break
-    if best_pair is None:
-        raise NonFiniteError("every quotient search restart produced a non-finite quotient")
-    return QuotientEstimate(
-        value=float(best_value),
-        left=best_pair[0],
-        right=best_pair[1],
-        trials=restart + 1,
-        iterations=total_sweeps,
     )
 
 

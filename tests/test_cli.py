@@ -98,7 +98,7 @@ def test_validate_bounds_small_grid(workdir, capsys):
     rows = read_rows(workdir / "validate_bounds.csv")
     assert rows[0] == [
         "architecture", "constrained", "scale", "trial", "empirical_B",
-        "theoretical_bound", "terminated_early", "iterations",
+        "theoretical_bound", "terminated_early", "iterations", "evaluations", "backtracks",
     ]
     assert len(rows) == 1 + 8 * 3  # 4 kinds x 2 constraints, 3 trials each
     for row in rows[1:]:
@@ -432,7 +432,7 @@ def test_certify_analytic_modifier_passes(workdir, capsys):
     rows = read_rows(workdir / "certify.csv")
     assert rows[0] == [
         "trial_id", "architecture", "scale", "empirical_B", "theoretical_bound",
-        "terminated_early", "wall_time",
+        "terminated_early", "wall_time", "evaluations", "backtracks",
     ]
     assert len(rows) == 5
     for row in rows[1:]:
@@ -491,44 +491,51 @@ def test_certify_rejects_a_corrupt_stored_certificate(workdir, capsys, certifica
     assert "no certified bound" not in captured.out
 
 
-def test_certify_nonsmooth_net_uses_quotient_fallback(workdir, capsys):
-    bins = 4
-    rng = np.random.default_rng(0)
-    net = ConvNet(
-        (ConvLayer(0.3 * rng.standard_normal((bins, bins, 3))),)  # leaky relu default
-    )
-    save_net(workdir / "leaky.npz", net)
-    denoiser = write_json(
+def _leaky_denoiser(workdir):
+    net = ConvNet((ConvLayer(0.3 * np.random.default_rng(0).standard_normal((4, 4, 3))),))
+    save_net(workdir / "leaky.npz", net)  # leaky relu is the layer default
+    return write_json(
         workdir / "leaky.json",
         {"kind": "lipsam_re", "inner": {"variant": "net", "file": "leaky.npz"}},
     )
+
+
+def test_certify_leaky_net_writes_one_row_per_restart(workdir, capsys):
     code = main([
-        "certify", "--modifier", denoiser, "--restarts", "2", "--shape", "4x4",
+        "certify", "--modifier", _leaky_denoiser(workdir), "--restarts", "2", "--shape", "4x4",
         "--out-dir", str(workdir), "--out", "certify.csv", "--seed", "0",
     ])
     assert code == EXIT_OK
-    assert "pairwise quotient search" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "lipsam_re: empirical B" in out and "no certified bound" in out
     rows = read_rows(workdir / "certify.csv")
-    assert len(rows) == 2
-    assert rows[1][6] == "NaN"  # no wall clock for the aggregate fallback row
+    assert [row[0] for row in rows[1:]] == ["0", "1"]
+    for row in rows[1:]:
+        value, wall_time = float(row[3]), float(row[6])
+        evaluations, backtracks = int(row[7]), int(row[8])
+        assert np.isfinite(value) and value > 0.0
+        assert np.isfinite(wall_time) and wall_time >= 0.0
+        assert evaluations >= 1 + backtracks
 
 
-def test_certify_reports_a_non_finite_quotient_search(workdir, capsys, monkeypatch):
-    import lipsam.lipschitz
+def test_certify_reports_a_non_finite_search(workdir, capsys, monkeypatch):
+    import lipsam.modifier
 
-    net = ConvNet((ConvLayer(0.3 * np.random.default_rng(0).standard_normal((4, 4, 3))),))
-    save_net(workdir / "leaky.npz", net)
-    denoiser = write_json(
-        workdir / "leaky.json",
-        {"kind": "lipsam_re", "inner": {"variant": "net", "file": "leaky.npz"}},
-    )
-    monkeypatch.setattr(lipsam.lipschitz, "apply_to_values", lambda arch, z: z * np.nan)
+    denoiser = _leaky_denoiser(workdir)
+    real = lipsam.modifier.net_forward
+
+    def nan_forward(net, x):
+        out, cache = real(net, x)
+        return np.full_like(out, np.nan), cache
+
+    # the inner net reads NaN everywhere, so no trial has a finite objective
+    monkeypatch.setattr(lipsam.modifier, "net_forward", nan_forward)
     code = main([
         "certify", "--modifier", denoiser, "--restarts", "2", "--shape", "4x4",
         "--out-dir", str(workdir), "--out", "certify.csv", "--seed", "0",
     ])
     assert code == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
+    assert "error: every search trial produced a non-finite objective" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from lipsam.lipschitz import (
     estimate_B,
     fixed_modifier_family,
     modifier_jacobian,
-    pairwise_quotient_search,
     realify,
     top_singular_triple,
     unrealify,
@@ -148,7 +149,7 @@ def _polar_cases():
     cases = [(fam.build(thetas), draw((2, 4, 4)), [fam.build(t) for t in thetas])]
     for arch, shape in (
         (ModifierArchitecture("lipsam_se", NetMap(_certified_net_2d(4))), (4, 4)),
-        (ModifierArchitecture("lipsam_se", NetMap(_smooth_net_1d())), (4, 5)),
+        (ModifierArchitecture("lipsam_se", NetMap(_net_1d())), (4, 5)),
         (ModifierArchitecture("lipsam_re", SoftThreshConstant(0.1)), (4, 4)),
         (ModifierArchitecture("am_se", IdentityMap()), (3,)),
         (ModifierArchitecture("am_se", BiasAdd(1.0)), (3,)),
@@ -428,16 +429,32 @@ def test_estimate_b_zero_iterations_reports_start():
     assert all(r.iterations == 0 for r in est.records)
 
 
-def test_estimate_b_rejects_leaky_relu_inner():
-    net = ConvNet(
-        (
-            ConvLayer(np.ones((1, 1, 3)), activation=LEAKY_RELU),
-            ConvLayer(np.ones((1, 1, 3)), activation=IDENTITY),
-        )
+def _witnessed_quotient(family, est, eps=1e-5):
+    """(sigma, quotient) at the search's witness z: the top singular value
+    of the Jacobian there, and ‖D(z + εv) − D(z − εv)‖ / (2ε) along its top
+    right singular vector v."""
+    theta, z = est.witness_parameters, est.witness_values
+    sigma, _, v = _objective(family, theta[None], z[None])
+    arch = family.build(theta)
+    step = eps * unrealify(v[0], family.input_shape)
+    gap = apply_to_values(arch, z + step) - apply_to_values(arch, z - step)
+    return sigma[0], np.linalg.norm(gap) / (2.0 * eps)
+
+
+def test_estimate_b_takes_a_leaky_relu_inner_net():
+    # off its kinks a leaky-relu net is locally linear, so the exact
+    # Jacobian norm at the witness is the quotient of two nearby points
+    fam = fixed_modifier_family(
+        ModifierArchitecture("lipsam_se", NetMap(_net_1d(LEAKY_RELU, channels=6, frames=8))),
+        (6, 8),
     )
-    fam = fixed_modifier_family(ModifierArchitecture("lipsam_se", NetMap(net)), (1, 6))
-    with pytest.raises(DomainError):
-        estimate_B(fam, SearchConfig(restarts=1, max_iterations=5))
+    est = estimate_B(fam, SearchConfig(restarts=4, max_iterations=20, seed=13))
+    assert np.isfinite(est.value) and est.value > 0.5
+    assert est.certified_bound == np.sqrt(2.0)
+    assert est.value <= est.certified_bound + 1e-9
+    sigma, quotient = _witnessed_quotient(fam, est)
+    assert sigma == est.value
+    assert abs(quotient - est.value) <= 1e-6 * est.value
 
 
 def test_ascent_gradient_modes_agree():
@@ -461,10 +478,10 @@ def test_ascent_gradient_modes_agree():
 # ---------------------------------------------------------------- lockstep vs sequential
 
 
-def _smooth_net_1d(channels=4, frames=5):
+def _net_1d(hidden=SOFTPLUS, channels=4, frames=5):
     rng = np.random.default_rng(8)
     layers = []
-    for c_in, c_out, act in ((channels, 3, SOFTPLUS), (3, channels, IDENTITY)):
+    for c_in, c_out, act in ((channels, 3, hidden), (3, channels, IDENTITY)):
         raw = ConvLayer(
             rng.standard_normal((c_out, c_in, 3)), 0.1 * rng.standard_normal(c_out), activation=act
         )
@@ -487,9 +504,15 @@ _ORACLE_CASES = {
     ),
     "fixed_net_1d": (
         lambda: fixed_modifier_family(
-            ModifierArchitecture("lipsam_se", NetMap(_smooth_net_1d())), (4, 5)
+            ModifierArchitecture("lipsam_se", NetMap(_net_1d())), (4, 5)
         ),
         SearchConfig(restarts=4, max_iterations=20, seed=9),
+    ),
+    "fixed_leaky_net_1d": (
+        lambda: fixed_modifier_family(
+            ModifierArchitecture("lipsam_re", NetMap(_net_1d(LEAKY_RELU))), (4, 5)
+        ),
+        SearchConfig(restarts=4, max_iterations=20, seed=10),
     ),
     "fixed_soft_threshold": (
         lambda: fixed_modifier_family(
@@ -556,32 +579,32 @@ def test_objective_loses_only_the_trial_lapack_fails_on(monkeypatch):
         assert got[[0, 2]].tobytes() == expected[[0, 2]].tobytes()
 
 
-# ---------------------------------------------------------------- quotient search
+# ---------------------------------------------------------------- quotients at the witness
+# Each search below is the lockstep ``estimate_B`` on a fixed modifier, and
+# each reported value is checked against a difference quotient at its witness.
 
 
 def test_quotient_search_identity_map():
-    fam_arch = ModifierArchitecture("am_se", IdentityMap())
-    result = pairwise_quotient_search(fam_arch, (3,), SearchConfig(restarts=2, max_iterations=10))
-    assert abs(result.value - 1.0) <= 1e-9
+    fam = fixed_modifier_family(ModifierArchitecture("am_se", IdentityMap()), (3,))
+    est = estimate_B(fam, SearchConfig(restarts=2, max_iterations=10))
+    assert abs(est.value - 1.0) <= 1e-9
+    assert abs(_witnessed_quotient(fam, est)[1] - 1.0) <= 1e-9
 
 
 def test_quotient_search_finds_linear_gain():
     net = ConvNet((ConvLayer(np.array([[[3.0]]]), activation=IDENTITY),))
-    arch = ModifierArchitecture("am_se", NetMap(net))
-    result = pairwise_quotient_search(arch, (1, 4), SearchConfig(restarts=2, max_iterations=10))
-    assert abs(result.value - 3.0) <= 1e-9
-    # the witness pair reproduces the reported quotient
-    mapping = realified(arch, (1, 4))
-    gap = np.linalg.norm(mapping(result.left) - mapping(result.right))
-    assert abs(gap / np.linalg.norm(result.left - result.right) - result.value) <= 1e-12
+    fam = fixed_modifier_family(ModifierArchitecture("am_se", NetMap(net)), (1, 4))
+    est = estimate_B(fam, SearchConfig(restarts=2, max_iterations=10))
+    assert abs(est.value - 3.0) <= 1e-9
+    # the witness reproduces the reported value as a quotient
+    assert abs(_witnessed_quotient(fam, est)[1] - est.value) <= 1e-9
 
 
 def test_quotient_search_soft_threshold_stays_contractive():
-    arch = ModifierArchitecture("lipsam_re", SoftThreshConstant(0.1))
-    result = pairwise_quotient_search(
-        arch, (4,), SearchConfig(restarts=3, max_iterations=40, seed=3)
-    )
-    assert 0.99 <= result.value <= 1.0 + 1e-9
+    fam = fixed_modifier_family(ModifierArchitecture("lipsam_re", SoftThreshConstant(0.1)), (4,))
+    est = estimate_B(fam, SearchConfig(restarts=3, max_iterations=40, seed=3))
+    assert 0.99 <= est.value <= 1.0 + 1e-9
+    assert abs(_witnessed_quotient(fam, est)[1] - est.value) <= 1e-6 * est.value
 
 
 def test_quotient_search_respects_leaky_relu_certificate():
@@ -591,34 +614,29 @@ def test_quotient_search_respects_leaky_relu_certificate():
         raw = ConvLayer(rng.standard_normal((c_out, c_in, 3)), activation=LEAKY_RELU)
         layers.append(certify_layer(raw, (6,)))
     arch = ModifierArchitecture("lipsam_se", NetMap(ConvNet(tuple(layers))))
-    result = pairwise_quotient_search(
-        arch, (1, 6), SearchConfig(restarts=2, max_iterations=15, seed=4)
-    )
-    assert result.value <= np.sqrt(2.0) + 1e-9
+    fam = fixed_modifier_family(arch, (1, 6))
+    est = estimate_B(fam, SearchConfig(restarts=2, max_iterations=15, seed=4))
+    assert est.value <= np.sqrt(2.0) + 1e-9
+    assert abs(_witnessed_quotient(fam, est)[1] - est.value) <= 1e-6 * est.value
 
 
-def test_quotient_search_rejects_a_map_that_is_nan_everywhere(monkeypatch):
-    import lipsam.lipschitz as lipschitz
+@dataclass(frozen=True)
+class _NanMap(IdentityMap):
+    def __call__(self, x):
+        return np.full_like(x, np.nan)
 
-    monkeypatch.setattr(lipschitz, "apply_to_values", lambda arch, z: z * np.nan)
-    arch = ModifierArchitecture("am_se", IdentityMap())
+
+def test_quotient_search_rejects_a_map_that_is_nan_everywhere():
+    fam = fixed_modifier_family(ModifierArchitecture("am_se", _NanMap()), (2,))
     with pytest.raises(NonFiniteError):
-        pairwise_quotient_search(arch, (2,), SearchConfig(restarts=2, max_iterations=3))
+        estimate_B(fam, SearchConfig(restarts=2, max_iterations=3))
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (2, 0), (-1,)])
 def test_quotient_search_rejects_an_empty_shape(shape):
     arch = ModifierArchitecture("am_se", IdentityMap())
     with pytest.raises(ShapeError):
-        pairwise_quotient_search(arch, shape, SearchConfig(restarts=1, max_iterations=1))
-
-
-def test_quotient_search_reports_restarts_run():
-    arch = ModifierArchitecture("am_se", BiasAdd(1.0))
-    config = SearchConfig(restarts=50, max_iterations=10, termination_threshold=2.0)
-    result = pairwise_quotient_search(arch, (3,), config)
-    assert result.value > 2.0
-    assert result.trials == 1
+        fixed_modifier_family(arch, shape)
 
 
 # ---------------------------------------------------------------- records

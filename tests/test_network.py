@@ -216,6 +216,9 @@ def test_conv_ops_match_loop_oracles(wshape, xshape):
         ((3, 3), (4, 4), True),
         ((3, 3), (6, 6), False),
         ((5,), (128,), False),
+        # 27 column rows and a cell count off the GEMM's column blocking: the
+        # 1-D shape where one GEMM over all samples changes the bits
+        ((9,), (20,), False),
     ],
 )
 @pytest.mark.parametrize("stacked", [False, True])
