@@ -474,14 +474,16 @@ def _check_stft_round_trip(fault: bool):
 
 def _identity_iteration(y, h, u, xi1):
     """State, operators and identity denoiser for one fused ADMM iteration
-    on y and h, with v = xi2 = 0."""
+    on y and h, from time-domain u and xi1 with x = v = xi2 = 0."""
     rate = 8000
     small = StftConfig(window_length=16, hop=8)
     observation = Observation(TimeSignal(y, rate), TimeSignal(h, rate))
     ops = admm_operators(observation, small)
     zero = np.zeros(y.size)
     zero_spec = np.zeros((small.num_bins, y.size // small.hop), dtype=np.complex128)
-    state = AdmmState(x=zero, u=u, v=zero_spec, xi1=xi1, xi2=zero_spec)
+    state = AdmmState(
+        x=zero, u_spectrum=np.fft.rfft(u), v=zero_spec, xi1_spectrum=np.fft.rfft(xi1), xi2=zero_spec
+    )
     return state, ops, ModifierArchitecture("lipsam_re", ZeroMap())
 
 
@@ -491,13 +493,14 @@ def _check_prox_closed_form(fault: bool):
     rng = np.random.default_rng(1)
     y = rng.standard_normal(32)
     h = rng.standard_normal(4)
-    state, ops, identity = _identity_iteration(y, h, y, rng.standard_normal(32))
+    xi1 = rng.standard_normal(32)
+    state, ops, identity = _identity_iteration(y, h, y, xi1)
     worst = 0.0
     for lam in (1e-3, 1.0, 1e2):
         result = admm_iteration(state, ops, identity, lam)
         w = (
             circular_convolve(TimeSignal(result.x), TimeSignal(h)).samples
-            + state.xi1
+            + xi1
             - y
         )
         lam_oracle = lam * 1.01 if fault else lam
@@ -509,7 +512,8 @@ def _check_prox_closed_form(fault: bool):
             method="BFGS",
             options={"gtol": 1e-14},
         )
-        worst = max(worst, float(np.max(np.abs((result.u - y) - solution.x))))
+        u = np.fft.irfft(result.u_spectrum, n=y.size)
+        worst = max(worst, float(np.max(np.abs((u - y) - solution.x))))
     return worst < 1e-8, f"max prox deviation {worst:.3e}"
 
 

@@ -19,12 +19,6 @@ Jacobian is the larger of that of the n×n amplitude Jacobian J_A and the
 largest ratio A/|z| (``_objective``).  J_A comes from pushing the n unit
 tangents through the inner map's JVP in one pass.
 
-Modifiers act on complex arrays but are not holomorphic, so all Jacobians
-and quotients are taken of the realified map: ``realify`` interleaves
-complex coefficients into real vectors (Re, Im, Re, Im, ...), ``unrealify``
-undoes it, both keeping any leading batch axes, and derivatives are
-ordinary real ones.  This pair is the only place that interleaves.
-
 The same search serves every inner map, piecewise-linear nets (leaky
 relu) included: off every kink such a net is locally linear, so its exact
 Jacobian is the derivative of the modifier there and a limit of difference
@@ -65,31 +59,6 @@ from .network import IDENTITY, SOFTPLUS, ConvLayer, ConvNet, project_unit_ball
 _STEP_FLOOR = 1e-12
 # central-difference step of the ascent secant; the Jacobians are exact
 FD_EPSILON = 1e-5
-
-
-# ---------------------------------------------------------------------------
-# realified coordinates
-
-
-def realify(values: np.ndarray, lead: int = 0) -> np.ndarray:
-    """Flatten a complex array into interleaved (Re, Im, ...) real vectors,
-    keeping its first ``lead`` axes in front."""
-    values = np.asarray(values, dtype=np.complex128)
-    flat = values.reshape(values.shape[:lead] + (-1,))
-    out = np.empty(flat.shape[:-1] + (2 * flat.shape[-1],))
-    out[..., 0::2] = flat.real
-    out[..., 1::2] = flat.imag
-    return out
-
-
-def unrealify(vector: np.ndarray, shape: tuple) -> np.ndarray:
-    """Inverse of ``realify`` for the given complex shape; leading axes of
-    ``vector`` stay in front of ``shape``."""
-    vector = np.asarray(vector, dtype=np.float64)
-    size = 2 * int(np.prod(shape, dtype=np.int64))
-    if vector.shape[-1:] != (size,):
-        raise ShapeError(f"expected a real vector of length {size}, got {vector.shape}")
-    return (vector[..., 0::2] + 1j * vector[..., 1::2]).reshape(vector.shape[:-1] + tuple(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +320,17 @@ def _objective(family: ModifierFamily, thetas: np.ndarray, z: np.ndarray):
     sigma_max(J) is the larger of sigma_max(J_A) and the largest ratio
     A_i / x_i.  When J_A wins (ties included) its top singular pair maps to
     u = R u_A and v = R v_A; when coefficient i's ratio wins, u = v = t_i.
-    One SVD of the [trials, n, n] J_A stack serves every trial.  Returns
-    (sigma [trials], u [trials, 2n], v [trials, 2n]); sigma is nan for
-    every trial whose parameters, Jacobian parts or SVD are not finite.
+    As complex arrays, R u_A is sign(z) u_A and t_i is i sign(z_i) at
+    coefficient i.  One SVD of the [trials, n, n] J_A stack serves every
+    trial.  Returns (sigma [trials], u, v [trials, *input_shape] complex);
+    sigma is nan for every trial whose parameters, Jacobian parts or SVD
+    are not finite.
     """
     trials = z.shape[0]
     n = z[0].size
     sigma = np.full(trials, np.nan)
-    u = np.zeros((trials, 2 * n))
-    v = np.zeros((trials, 2 * n))
+    u = np.zeros(z.shape, dtype=np.complex128)
+    v = np.zeros(z.shape, dtype=np.complex128)
     rows = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
     if rows.size:
         jac, ratio, sign, finite = modifier_jacobian(family.build(thetas[rows]), z[rows])
@@ -389,7 +360,8 @@ def _objective(family: ModifierFamily, thetas: np.ndarray, z: np.ndarray):
         keep = np.isfinite(top)
         rows = rows[keep]
         sigma[rows] = top[keep]
-        u[rows], v[rows] = realify(u_c[keep], lead=1), realify(v_c[keep], lead=1)
+        shape = (-1,) + z.shape[1:]
+        u[rows], v[rows] = u_c[keep].reshape(shape), v_c[keep].reshape(shape)
     return sigma, u, v
 
 
@@ -402,15 +374,13 @@ def _ascent_gradient(family, thetas, z, u, v, eps):
     pass, with both secant points of every trial in one stacked pass.
     """
     trials, shape = z.shape[0], z.shape[1:]
-    u_c = unrealify(u, shape)
-    v_c = unrealify(v, shape)
     signs = (1.0, -1.0)
-    points = np.stack([z + sign * eps * v_c for sign in signs], axis=1)
+    points = np.stack([z + sign * eps * v for sign in signs], axis=1)
     # rows 2r and 2r + 1 hold trial r's secant points, each with its own copy
     # of the trial's parameters, so that no parameter gradient mixes them
     arch = family.build(np.repeat(thetas, 2, axis=0))
     _, cache = modifier_forward(arch, points.reshape((2 * trials,) + shape))
-    grad_theta, gz = modifier_backward(cache, np.repeat(u_c, 2, axis=0))
+    grad_theta, gz = modifier_backward(cache, np.repeat(u, 2, axis=0))
     gz = gz.reshape((trials, 2) + shape)
     grad_z = np.zeros(z.shape, dtype=np.complex128)
     grad_t = np.zeros(thetas.shape)
@@ -462,8 +432,7 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
     z = np.zeros((trials,) + shape, dtype=np.complex128)
     theta = np.zeros((trials, family.parameter_count))
     sigma = np.full(trials, np.nan)
-    u = np.zeros((trials, 2 * z[0].size))
-    v = np.zeros_like(u)
+    u, v = np.zeros_like(z), np.zeros_like(z)
     new_z, new_theta, grad_z, grad_t = z.copy(), theta.copy(), z.copy(), theta.copy()
     norm = np.ones(trials)
     step = np.full(trials, config.step_size)

@@ -17,8 +17,7 @@ only through H, so a solve carries them (and y) as rfft spectra U, Xi1, Y
 and forms HX = X * rfft(h) in the spectrum; x stays in the time domain for
 the STFT.  One iteration is then one rfft of G^H (v - xi2), one irfft of
 X, one STFT and one ISTFT: four FFTs.  The iteration works on plain arrays;
-signal types appear only where a solve starts and ends, and u and xi1 go
-back to the time domain once, when it ends.
+signal types appear only where a solve starts and ends.
 
 Divergence is contained, not fatal: after each iteration one finiteness
 check on the two duals (and a non-finite denoiser output) ends the run
@@ -88,13 +87,14 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class AdmmState:
-    """The five ADMM variables: x, u, xi1 of shape [samples]; v, xi2 of
-    shape [num_bins, num_frames]."""
+    """The five ADMM variables: x of shape [samples]; u and xi1 as their
+    rfft spectra, of shape [samples // 2 + 1]; v, xi2 of shape
+    [num_bins, num_frames]."""
 
     x: np.ndarray
-    u: np.ndarray
+    u_spectrum: np.ndarray
     v: np.ndarray
-    xi1: np.ndarray
+    xi1_spectrum: np.ndarray
     xi2: np.ndarray
 
 
@@ -124,31 +124,30 @@ def admm_operators(observation: Observation, stft_config: StftConfig) -> AdmmOpe
     )
 
 
-def initial_state(observation: Observation, config: SolverConfig) -> AdmmState:
+def initial_state(ops: AdmmOperators) -> AdmmState:
     """Warm start from the observation: x = 0, u = y, v = 0, duals = 0."""
-    config.stft.check_length(observation.length, "observation")
-    zero = np.zeros(observation.length)
-    frames = observation.length // config.stft.hop
-    zero_spec = np.zeros((config.stft.num_bins, frames), dtype=np.complex128)
-    return AdmmState(x=zero, u=observation.y.samples, v=zero_spec, xi1=zero, xi2=zero_spec)
+    length = ops.y.size
+    ops.stft.check_length(length, "observation")
+    zero_spec = np.zeros((ops.stft.num_bins, length // ops.stft.hop), dtype=np.complex128)
+    return AdmmState(
+        x=np.zeros(length),
+        u_spectrum=ops.y_spectrum,
+        v=zero_spec,
+        xi1_spectrum=np.zeros_like(ops.y_spectrum),
+        xi2=zero_spec,
+    )
 
 
-@dataclass(frozen=True, eq=False)
-class _SpectralState:
-    """An :class:`AdmmState` with u and xi1 held as their rfft spectra."""
+def admm_iteration(
+    state: AdmmState, ops: AdmmOperators, denoiser: ModifierArchitecture, lam: float
+) -> AdmmState:
+    """One ADMM iteration: the x-, u-, v- and dual updates in order.
 
-    x: np.ndarray
-    u_spectrum: np.ndarray
-    v: np.ndarray
-    xi1_spectrum: np.ndarray
-    xi2: np.ndarray
-
-
-def _spectral_iteration(
-    state: _SpectralState, ops: AdmmOperators, denoiser: ModifierArchitecture, lam: float
-) -> _SpectralState:
-    """One ADMM iteration on a spectral state: the x-, u-, v- and dual
-    updates in order."""
+    The u-update is the closed-form prox of (1/(2 lam))||. - y||^2 at
+    Hx + xi1, i.e. multiplication of the residual Hx + xi1 - y by
+    lam/(1+lam), taken in the spectrum.  A denoiser that returns non-finite
+    values raises NonFiniteError.
+    """
     # H^T a is a multiplication by conj(rfft(h)) in the frequency domain.
     rhs = (state.u_spectrum - state.xi1_spectrum) * np.conj(ops.h_spectrum) + np.fft.rfft(
         synthesis(state.v - state.xi2, ops.stft)
@@ -160,35 +159,7 @@ def _spectral_iteration(
     gx_xi2 = analysis(x, ops.stft) + state.xi2
     u = (lam / (1.0 + lam)) * (hx_xi1 - ops.y_spectrum) + ops.y_spectrum
     v = apply_to_values(denoiser, gx_xi2)
-    return _SpectralState(x, u, v, hx_xi1 - u, gx_xi2 - v)
-
-
-def _time_domain(state: _SpectralState, length: int) -> AdmmState:
-    return AdmmState(
-        x=state.x,
-        u=np.fft.irfft(state.u_spectrum, n=length),
-        v=state.v,
-        xi1=np.fft.irfft(state.xi1_spectrum, n=length),
-        xi2=state.xi2,
-    )
-
-
-def admm_iteration(
-    state: AdmmState, ops: AdmmOperators, denoiser: ModifierArchitecture, lam: float
-) -> AdmmState:
-    """One ADMM iteration: the x-, u-, v- and dual updates in order.
-
-    The u-update is the closed-form prox of (1/(2 lam))||. - y||^2 at
-    Hx + xi1, i.e. multiplication of the residual Hx + xi1 - y by
-    lam/(1+lam).  A denoiser that returns non-finite values raises
-    NonFiniteError.  This wraps the spectral iteration a solve runs: u and
-    xi1 go through rfft before it and irfft after it, so they carry the
-    rounding of that round trip.
-    """
-    spectral = _SpectralState(
-        state.x, np.fft.rfft(state.u), state.v, np.fft.rfft(state.xi1), state.xi2
-    )
-    return _time_domain(_spectral_iteration(spectral, ops, denoiser, lam), ops.y.size)
+    return AdmmState(x, u, v, hx_xi1 - u, gx_xi2 - v)
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -245,18 +216,14 @@ def run(
         if not np.any(reference.samples):
             raise UndefinedMetricError("reference signal is identically zero")
     ops = admm_operators(observation, config.stft)
-    start = initial_state(observation, config)
-    # u = y and xi1 = 0 in the spectrum
-    state = _SpectralState(
-        start.x, ops.y_spectrum, start.v, np.zeros_like(ops.y_spectrum), start.xi2
-    )
+    state = initial_state(ops)
     delta_x, si_snr_trace = [], []
     status = "completed"
     diverged_at = None
     with np.errstate(all="ignore"):
         for k in range(1, config.max_iterations + 1):
             try:
-                new = _spectral_iteration(state, ops, denoiser, config.lam)
+                new = admm_iteration(state, ops, denoiser, config.lam)
             except NonFiniteError:
                 new = None
             # finite duals mean a finite iteration (see the module docstring)
@@ -275,8 +242,7 @@ def run(
         status=status,
         diverged_at=diverged_at,
         iterations=len(delta_x),
-        # before the first completed iteration the state is the warm start
-        state=_time_domain(state, observation.length) if delta_x else start,
+        state=state,
     )
 
 
@@ -291,20 +257,22 @@ def lambda_sweep(
 
     Returns one row per weight: final SI-SNR (NaN when the run diverged or
     no reference was given), the status text, and a marker on the best
-    finite SI-SNR.  Divergence at one weight never aborts the sweep.
+    finite SI-SNR.  Every weight is checked before the first run; divergence
+    at one weight never aborts the sweep.
     """
     grid = [float(g) for g in np.atleast_1d(lambda_grid)]
     if not grid:
         raise DomainError("lambda grid must be non-empty")
+    configs = [replace(config, lam=lam) for lam in grid]
     rows = []
-    for lam in grid:
-        result = run(observation, denoiser, replace(config, lam=lam), reference)
+    for solver in configs:
+        result = run(observation, denoiser, solver, reference)
         final = float("nan")
         if result.si_snr_trace is not None and result.si_snr_trace.size and not result.diverged:
             final = float(result.si_snr_trace[-1])
         rows.append(
             {
-                "lambda": lam,
+                "lambda": solver.lam,
                 "final_si_snr": final,
                 "status": result.status_text,
                 "best": False,

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from lipsam.errors import DomainError, NonFiniteError, ShapeError
-from lipsam.lipschitz import FD_EPSILON, TrialRecord, _objective, realify, unrealify
+from lipsam.lipschitz import FD_EPSILON, TrialRecord, _objective
 from lipsam.modifier import (
     ModifierArchitecture,
     amplitude_forward,
@@ -31,7 +31,7 @@ from lipsam.network import (
     _phase_table,
     circulant_operator_norm,
 )
-from lipsam.pnp import AdmmOperators, AdmmState, Observation, admm_operators, initial_state
+from lipsam.pnp import AdmmOperators, Observation, admm_operators, initial_state
 from lipsam.signal import (
     StftConfig,
     add_noise_at_snr,
@@ -48,6 +48,27 @@ from lipsam.trainer import (
     synth_speechlike,
     train_denoiser,
 )
+
+
+def realify(values: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Flatten a complex array into interleaved (Re, Im, ...) real vectors,
+    keeping its first ``lead`` axes in front."""
+    values = np.asarray(values, dtype=np.complex128)
+    flat = values.reshape(values.shape[:lead] + (-1,))
+    out = np.empty(flat.shape[:-1] + (2 * flat.shape[-1],))
+    out[..., 0::2] = flat.real
+    out[..., 1::2] = flat.imag
+    return out
+
+
+def unrealify(vector: np.ndarray, shape: tuple) -> np.ndarray:
+    """Inverse of ``realify`` for the given complex shape; leading axes of
+    ``vector`` stay in front of ``shape``."""
+    vector = np.asarray(vector, dtype=np.float64)
+    size = 2 * int(np.prod(shape, dtype=np.int64))
+    if vector.shape[-1:] != (size,):
+        raise ShapeError(f"expected a real vector of length {size}, got {vector.shape}")
+    return (vector[..., 0::2] + 1j * vector[..., 1::2]).reshape(vector.shape[:-1] + tuple(shape))
 
 
 def jacobian_fd(fn: Callable, point: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:
@@ -133,15 +154,12 @@ def objective(family, theta: np.ndarray, z: np.ndarray):
 def ascent_gradient(family, theta, z, u, v, eps):
     """Ascent direction of one trial, complex z part plus flat theta part:
     the secant surrogate differentiated one secant point at a time."""
-    shape = family.input_shape
-    u_c = unrealify(u, shape)
-    v_c = unrealify(v, shape)
-    grad_z = np.zeros(shape, dtype=np.complex128)
+    grad_z = np.zeros(family.input_shape, dtype=np.complex128)
     grad_t = np.zeros(family.parameter_count)
     arch = family.build(theta)
     for sign in (1.0, -1.0):
-        _, cache = modifier_forward(arch, z + sign * eps * v_c)
-        grad_theta, gz = modifier_backward(cache, u_c)
+        _, cache = modifier_forward(arch, z + sign * eps * v)
+        grad_theta, gz = modifier_backward(cache, u)
         grad_z += (sign / (2.0 * eps)) * gz
         if grad_t.size and grad_theta is not None:
             grad_t += (sign / (2.0 * eps)) * grad_theta
@@ -409,9 +427,21 @@ def standard_instance():
 # the ADMM iteration in the time domain
 
 
+@dataclass(frozen=True, eq=False)
+class TimeDomainState:
+    """The five ADMM variables with u and xi1 in the time domain: x, u, xi1
+    of shape [samples]; v, xi2 of shape [num_bins, num_frames]."""
+
+    x: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    xi1: np.ndarray
+    xi2: np.ndarray
+
+
 def time_domain_admm_iteration(
-    state: AdmmState, ops: AdmmOperators, denoiser: ModifierArchitecture, lam: float
-) -> AdmmState:
+    state: TimeDomainState, ops: AdmmOperators, denoiser: ModifierArchitecture, lam: float
+) -> TimeDomainState:
     """One ADMM iteration with u and xi1 in the time domain: rfft(u - xi1)
     and irfft(Hx) beside the STFT pair, six FFTs."""
     n = ops.y.size
@@ -424,14 +454,15 @@ def time_domain_admm_iteration(
     gx = analysis(x, ops.stft)
     u = (lam / (1.0 + lam)) * (hx + state.xi1 - ops.y) + ops.y
     v = apply_to_values(denoiser, gx + state.xi2)
-    return AdmmState(x=x, u=u, v=v, xi1=state.xi1 + hx - u, xi2=state.xi2 + gx - v)
+    return TimeDomainState(x=x, u=u, v=v, xi1=state.xi1 + hx - u, xi2=state.xi2 + gx - v)
 
 
 def time_domain_admm_run(observation, denoiser, config, reference):
     """``pnp.run`` on :func:`time_domain_admm_iteration`: returns (x_hat
     samples, delta_x, SI-SNR trace, status, diverged_at)."""
     ops = admm_operators(observation, config.stft)
-    state = initial_state(observation, config)
+    start = initial_state(ops)
+    state = TimeDomainState(start.x, ops.y, start.v, np.zeros_like(ops.y), start.xi2)
     delta_x, si_snr_trace = [], []
     status, diverged_at = "completed", None
     with np.errstate(all="ignore"):

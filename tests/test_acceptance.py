@@ -21,8 +21,6 @@ from lipsam.lipschitz import (
     counterexample_bias,
     counterexample_permutation,
     estimate_B,
-    realify,
-    unrealify,
 )
 from lipsam.modifier import (
     BiasAdd,
@@ -68,7 +66,7 @@ from lipsam.trainer import (
     synth_speechlike,
 )
 
-from oracles import quick_train, standard_instance
+from oracles import quick_train, realify, standard_instance, unrealify
 
 RATE = 8000
 SOLVER_STFT = StftConfig(window_length=64, hop=32)
@@ -300,17 +298,12 @@ def test_criterion_07_dense_admm_oracle(report):
     def random_spec():
         return rng.standard_normal(spec_shape) + 1j * rng.standard_normal(spec_shape)
 
-    state = AdmmState(
-        x=rng.standard_normal(length),
-        u=rng.standard_normal(length),
-        v=random_spec(),
-        xi1=rng.standard_normal(length),
-        xi2=random_spec(),
-    )
+    x0, u0, v0 = rng.standard_normal(length), rng.standard_normal(length), random_spec()
+    xi10, xi20 = rng.standard_normal(length), random_spec()
+    state = AdmmState(x0, np.fft.rfft(u0), v0, np.fft.rfft(xi10), xi20)
 
     H = np.stack([np.roll(observation.h.samples, j) for j in range(length)], axis=1)
     G = _dense_analysis(stft_config, length)
-    u0, v0, xi10, xi20 = state.u, state.v, state.xi1, state.xi2
 
     operators = admm_operators(observation, stft_config)
     state = admm_iteration(state, operators, denoiser, lam)
@@ -325,9 +318,9 @@ def test_criterion_07_dense_admm_oracle(report):
 
     errors = {
         "x": float(np.max(np.abs(state.x - x_d))),
-        "u": float(np.max(np.abs(state.u - u_d))),
+        "u": float(np.max(np.abs(np.fft.irfft(state.u_spectrum, n=length) - u_d))),
         "v": float(np.max(np.abs(state.v - v_d))),
-        "xi1": float(np.max(np.abs(state.xi1 - xi1_d))),
+        "xi1": float(np.max(np.abs(np.fft.irfft(state.xi1_spectrum, n=length) - xi1_d))),
         "xi2": float(np.max(np.abs(state.xi2 - xi2_d))),
     }
 
@@ -356,11 +349,12 @@ def test_criterion_08_prox_matches_numeric_minimizer(report):
     # the x-update runs first, from u = 0 and v = xi2 = 0; the prox then
     # acts at w = Hx + xi1 - y with that x
     zero_spec = np.zeros((stft_config.num_bins, length // stft_config.hop), dtype=np.complex128)
+    xi1 = rng.standard_normal(length)
     state = AdmmState(
         x=np.zeros(length),
-        u=np.zeros(length),
+        u_spectrum=np.zeros(length // 2 + 1, dtype=np.complex128),
         v=zero_spec,
-        xi1=rng.standard_normal(length),
+        xi1_spectrum=np.fft.rfft(xi1),
         xi2=zero_spec,
     )
     operators = admm_operators(observation, stft_config)
@@ -370,8 +364,8 @@ def test_criterion_08_prox_matches_numeric_minimizer(report):
     for lam in (1e-3, 1.0, 1e2):
         new = admm_iteration(state, operators, denoiser, lam)
         hx = circular_convolve(TimeSignal(new.x, RATE), observation.h).samples
-        w = hx + state.xi1 - y.samples
-        fast = new.u - y.samples
+        w = hx + xi1 - y.samples
+        fast = np.fft.irfft(new.u_spectrum, n=length) - y.samples
 
         def objective(p):
             return 0.5 / lam * np.sum(p**2) + 0.5 * np.sum((p - w) ** 2)

@@ -179,6 +179,7 @@ def test_amplitude_part_rejects_negative_input():
         amplitude_forward(arch, np.array([-1.0, 2.0]))
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("kind", KINDS)
 def test_modifier_forward_is_the_amplitude_forward_of_the_magnitudes(kind):
     # the modifier skips the public domain check on |z| and keeps its bits
@@ -376,6 +377,7 @@ def test_amplitude_backward_matches_fd(kind):
     np.testing.assert_allclose(dx, fdx, rtol=1e-5, atol=1e-7)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("kind", KINDS)
 def test_amplitude_backward_can_skip_the_input_gradient(kind):
     rng = np.random.default_rng(12)

@@ -181,6 +181,7 @@ CONV_CASES = [
 ]
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("wshape,xshape", CONV_CASES)
 def test_conv_ops_match_loop_oracles(wshape, xshape):
     rng = np.random.default_rng(9)
@@ -208,6 +209,7 @@ def test_conv_ops_match_loop_oracles(wshape, xshape):
     )
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "kernel,spatial,dense",
     [
@@ -268,6 +270,7 @@ def test_cached_tables_are_read_only():
     assert index.tolist() == [0, 1, 2, 3] * 3
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "kernel,xshape,channel_axis",
     [
@@ -407,6 +410,7 @@ def test_backward_batch_sums_item_gradients():
     np.testing.assert_allclose(grad_batch, summed, atol=1e-10)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("rank", [1, 2])
 def test_backward_without_input_gradient_keeps_parameter_gradient_bits(rank):
     rng = np.random.default_rng(9)
@@ -515,6 +519,7 @@ def test_half_spectrum_norm_matches_full_spectrum(shape, spatial, stacked):
                 assert got[r] == alone
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "shape, spatial",
     [
@@ -559,6 +564,7 @@ def training_layers():
     return seen
 
 
+@pytest.mark.bitwise
 def test_screened_norm_of_training_layers_is_the_eigvalsh_norm(training_layers):
     shapes = {layer.weights.shape for layer, _ in training_layers}
     assert shapes == {(64, 257, 5), (64, 64, 5), (257, 64, 5)}
@@ -611,6 +617,7 @@ def screened_case(name):
     raise ValueError(name)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize(
     "name", ["tied", "within 1e-13", "wrong pick", "zero", "2-D kernel", "fine grid"]
 )
@@ -863,6 +870,7 @@ def test_load_accepts_rechecksummed_valid_header():
     assert loaded.layers[0].norm_certificate == 0.5
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("slope", [0.1, 0.5, 1.0, 0.0, 1.5, -0.2])
 def test_leaky_relu_matches_the_where_form_bit_for_bit(slope):
     rng = np.random.default_rng(25)
@@ -937,6 +945,7 @@ def _stack_template(rank):
     return ConvNet(layers, scale=1.5)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("rank, spatial", [(1, (6,)), (2, (4, 5))])
 def test_stacked_net_matches_each_trial_bit_for_bit(rank, spatial):
     rng = np.random.default_rng(31)
@@ -967,6 +976,7 @@ def test_stacked_net_matches_each_trial_bit_for_bit(rank, spatial):
     assert projected[0].tobytes() == thetas[0].tobytes()
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("rank, spatial", [(1, (6,)), (1, (2,)), (2, (4, 5)), (2, (4, 4))])
 def test_stacked_jvp_matches_each_trial_bit_for_bit(rank, spatial):
     # the bound search pushes every trial's unit tangents through one

@@ -6,7 +6,6 @@ import scipy.optimize
 
 from lipsam.errors import DomainError, ShapeError, UndefinedMetricError
 from lipsam.cli import parse_lambda_grid
-from lipsam.lipschitz import realify, unrealify
 from lipsam.modifier import (
     AmplitudeMap,
     ModifierArchitecture,
@@ -15,12 +14,11 @@ from lipsam.modifier import (
     ZeroMap,
     apply_to_values,
 )
+import lipsam.pnp as pnp
 from lipsam.pnp import (
     AdmmState,
     Observation,
     SolverConfig,
-    _spectral_iteration,
-    _SpectralState,
     admm_iteration,
     admm_operators,
     initial_state,
@@ -36,7 +34,7 @@ from lipsam.signal import (
     stft,
 )
 
-from oracles import quick_train, standard_instance, time_domain_admm_run
+from oracles import quick_train, realify, standard_instance, time_domain_admm_run, unrealify
 
 RATE = 8000
 SMALL = StftConfig(window_length=16, hop=8)
@@ -73,17 +71,26 @@ def random_state(seed, observation, config=SMALL):
 
     return AdmmState(
         x=rng.standard_normal(length),
-        u=rng.standard_normal(length),
+        u_spectrum=np.fft.rfft(rng.standard_normal(length)),
         v=spec(),
-        xi1=rng.standard_normal(length),
+        xi1_spectrum=np.fft.rfft(rng.standard_normal(length)),
         xi2=spec(),
     )
+
+
+def warm_start(obs, config=SMALL):
+    return initial_state(admm_operators(obs, config))
 
 
 def iterate(state, obs, denoiser=None, lam=1.0, config=SMALL):
     """One fused ADMM iteration on ``obs`` from ``state``."""
     ops = admm_operators(obs, config)
     return admm_iteration(state, ops, denoiser or identity_denoiser(), lam)
+
+
+def samples(spectrum):
+    """The time-domain signal of an even-length rfft spectrum."""
+    return np.fft.irfft(spectrum)
 
 
 def convolve(x, h):
@@ -149,11 +156,11 @@ def test_solver_config_validation():
 
 def test_initial_state_is_warm_start():
     obs = random_observation(1)
-    state = initial_state(obs, SolverConfig(lam=1.0, stft=SMALL))
+    state = warm_start(obs)
     assert np.all(state.x == 0.0)
-    assert np.array_equal(state.u, obs.y.samples)
+    assert np.array_equal(state.u_spectrum, np.fft.rfft(obs.y.samples))
     assert state.v.shape == (SMALL.num_bins, 8) and np.all(state.v == 0.0)
-    assert np.all(state.xi1 == 0.0)
+    assert state.xi1_spectrum.shape == (33,) and np.all(state.xi1_spectrum == 0.0)
     assert np.all(state.xi2 == 0.0)
 
 
@@ -162,7 +169,7 @@ def test_initial_state_rejects_lengths_off_the_frame_grid():
     for length in (60, 8):
         obs = Observation(TimeSignal(rng.standard_normal(length), RATE), delta_signal(1))
         with pytest.raises(ShapeError):
-            initial_state(obs, SolverConfig(lam=1.0, stft=SMALL))
+            warm_start(obs)
 
 
 # ---------------------------------------------------------------- inverse filter
@@ -194,8 +201,7 @@ def test_inverse_filter_range_and_length():
 
 def test_x_update_delta_channel_example():
     obs = Observation(TimeSignal(np.zeros(64) + 1e-12, RATE), delta_signal(1))
-    state = initial_state(obs, SolverConfig(lam=1.0, stft=SMALL))
-    state = replace(state, u=delta_signal(64, gain=2.0).samples)
+    state = replace(warm_start(obs), u_spectrum=np.fft.rfft(delta_signal(64, gain=2.0).samples))
     want = np.zeros(64)
     want[0] = 1.0
     assert np.allclose(iterate(state, obs).x, want, atol=1e-12)
@@ -203,8 +209,7 @@ def test_x_update_delta_channel_example():
 
 def test_x_update_zero_state_is_zero():
     obs = random_observation(3)
-    state = initial_state(obs, SolverConfig(lam=1.0, stft=SMALL))
-    state = replace(state, u=np.zeros(64))
+    state = replace(warm_start(obs), u_spectrum=np.zeros(33, dtype=np.complex128))
     assert np.allclose(iterate(state, obs).x, 0.0, atol=1e-15)
 
 
@@ -216,7 +221,7 @@ def test_x_update_matches_dense_solve():
     H = dense_circulant(obs.h.samples)
     G = dense_analysis_matrix(SMALL, obs.length)
     assert np.allclose(G.T @ G, np.eye(obs.length), atol=1e-9)
-    rhs = H.T @ (state.u - state.xi1) + G.T @ realify(state.v - state.xi2)
+    rhs = H.T @ samples(state.u_spectrum - state.xi1_spectrum) + G.T @ realify(state.v - state.xi2)
     dense = np.linalg.solve(H.T @ H + np.eye(obs.length), rhs)
     assert np.allclose(fast, dense, atol=1e-8)
 
@@ -229,8 +234,9 @@ def test_u_update_closed_form_and_prox_oracle():
     state = random_state(7, obs)
     for lam in (1e-3, 1.0, 1e2):
         new = iterate(state, obs, lam=lam)
-        w = convolve(new.x, obs.h) + state.xi1 - obs.y.samples
-        assert np.allclose(new.u, (lam / (1.0 + lam)) * w + obs.y.samples, atol=1e-12)
+        w = convolve(new.x, obs.h) + samples(state.xi1_spectrum) - obs.y.samples
+        want = (lam / (1.0 + lam)) * w + obs.y.samples
+        assert np.allclose(samples(new.u_spectrum), want, atol=1e-12)
 
         # independent numeric minimization of the prox objective
         target = w[:6]
@@ -251,26 +257,22 @@ def test_u_update_large_lambda_is_identity():
     obs = random_observation(8)
     state = random_state(9, obs)
     new = iterate(state, obs, lam=1e9)
-    hx_xi = convolve(new.x, obs.h) + state.xi1
-    assert np.allclose(new.u, hx_xi, atol=1e-7)
+    hx_xi = convolve(new.x, obs.h) + samples(state.xi1_spectrum)
+    assert np.allclose(samples(new.u_spectrum), hx_xi, atol=1e-7)
 
 
+@pytest.mark.bitwise
 def test_u_update_fixed_point_returns_y():
     obs = random_observation(10)
     state = random_state(11, obs)
     ops = admm_operators(obs, SMALL)
     # arrange HX + Xi1 = Y exactly: U = Xi1 and v = xi2 make X, and so HX,
     # bitwise zero
-    spectral = _SpectralState(state.x, ops.y_spectrum, state.xi2, ops.y_spectrum, state.xi2)
-    state = replace(state, u=obs.y.samples, xi1=obs.y.samples, v=state.xi2)
+    state = AdmmState(state.x, ops.y_spectrum, state.xi2, ops.y_spectrum, state.xi2)
     for lam in (1e-3, 1.0, 37.0):
-        new = _spectral_iteration(spectral, ops, identity_denoiser(), lam)
+        new = admm_iteration(state, ops, identity_denoiser(), lam)
         assert np.all(new.x == 0.0)
         assert np.array_equal(new.u_spectrum, ops.y_spectrum)
-        # the time-domain adapter returns u = irfft(rfft(y)): y up to rounding
-        new = iterate(state, obs, lam=lam)
-        assert np.all(new.x == 0.0)
-        assert np.max(np.abs(new.u - obs.y.samples)) <= 1e-15 * np.max(np.abs(obs.y.samples))
 
 
 # ---------------------------------------------------------------- v update
@@ -315,22 +317,24 @@ def test_dual_update_fixed_point_unchanged():
     obs = Observation(TimeSignal(hx, RATE), h)
     gx = stft(TimeSignal(x, RATE), SMALL).values
     zero_spec = np.zeros_like(gx)
-    state = AdmmState(x=x, u=hx, v=gx, xi1=np.zeros(64), xi2=zero_spec)
+    state = AdmmState(
+        x=x, u_spectrum=np.fft.rfft(hx), v=gx, xi1_spectrum=np.zeros(33, complex), xi2=zero_spec
+    )
     new = iterate(state, obs, lam=rng.uniform(0.1, 10.0))
-    assert np.allclose(new.xi1, 0.0, atol=1e-12)
+    assert np.allclose(samples(new.xi1_spectrum), 0.0, atol=1e-12)
     assert np.allclose(new.xi2, 0.0, atol=1e-12)
-    for name in ("x", "u", "v"):
-        assert np.allclose(getattr(new, name), getattr(state, name), atol=1e-12), name
+    assert np.allclose(new.x, x, atol=1e-12)
+    assert np.allclose(samples(new.u_spectrum), hx, atol=1e-12)
+    assert np.allclose(new.v, gx, atol=1e-12)
 
 
 def test_dual_update_from_warm_start():
     obs = random_observation(20)
     lam = 0.5
-    state = initial_state(obs, SolverConfig(lam=lam, stft=SMALL))
-    new = iterate(state, obs, soft_thresh_denoiser(0.1), lam=lam)
+    new = iterate(warm_start(obs), obs, soft_thresh_denoiser(0.1), lam=lam)
     # from u = y and xi1 = 0, the first dual is the scaled data residual
     residual = convolve(new.x, obs.h) - obs.y.samples
-    assert np.allclose(new.xi1, residual / (1.0 + lam), atol=1e-12)
+    assert np.allclose(samples(new.xi1_spectrum), residual / (1.0 + lam), atol=1e-12)
     gx = stft(TimeSignal(new.x, RATE), SMALL).values
     assert np.allclose(new.xi2, gx - new.v, atol=1e-12)
 
@@ -341,9 +345,9 @@ def test_dual_update_matches_dense_operators():
     new = iterate(state, obs, soft_thresh_denoiser(0.05), lam=0.7)
     H = dense_circulant(obs.h.samples)
     G = dense_analysis_matrix(SMALL, obs.length)
-    want1 = state.xi1 + H @ new.x - new.u
+    want1 = samples(state.xi1_spectrum) + H @ new.x - samples(new.u_spectrum)
     want2 = state.xi2 + unrealify(G @ new.x, state.v.shape) - new.v
-    assert np.allclose(new.xi1, want1, atol=1e-10)
+    assert np.allclose(samples(new.xi1_spectrum), want1, atol=1e-10)
     assert np.allclose(new.xi2, want2, atol=1e-10)
 
 
@@ -354,7 +358,7 @@ def test_one_iteration_matches_dense_reference():
     obs = random_observation(23)
     lam = 0.7
     denoiser = soft_thresh_denoiser(0.05)
-    state = initial_state(obs, SolverConfig(lam=lam, stft=SMALL))
+    state = warm_start(obs)
     new = iterate(state, obs, denoiser, lam=lam)
 
     T = obs.length
@@ -370,9 +374,9 @@ def test_one_iteration_matches_dense_reference():
     xi2_d = gx - v_d
 
     assert np.allclose(new.x, x_d, atol=1e-8)
-    assert np.allclose(new.u, u_d, atol=1e-8)
+    assert np.allclose(samples(new.u_spectrum), u_d, atol=1e-8)
     assert np.allclose(new.v, v_d, atol=1e-8)
-    assert np.allclose(new.xi1, xi1_d, atol=1e-8)
+    assert np.allclose(samples(new.xi1_spectrum), xi1_d, atol=1e-8)
     assert np.allclose(new.xi2, xi2_d, atol=1e-8)
 
 
@@ -419,6 +423,7 @@ class _PoisonAfter(AmplitudeMap):
         return np.zeros(np.shape(x))
 
 
+@pytest.mark.bitwise
 def test_run_contains_denoiser_nan():
     obs = random_observation(25)
     denoiser = ModifierArchitecture("am_se", _PoisonAfter(healthy_calls=4))
@@ -435,7 +440,7 @@ def test_run_contains_denoiser_nan():
     completed = run(obs, fresh, replace(config, max_iterations=4), reference=obs.y)
     assert completed.status == "completed"
     assert result.x_hat.samples.tobytes() == completed.x_hat.samples.tobytes()
-    for name in ("x", "u", "v", "xi1", "xi2"):
+    for name in ("x", "u_spectrum", "v", "xi1_spectrum", "xi2"):
         assert getattr(result.state, name).tobytes() == getattr(completed.state, name).tobytes()
 
 
@@ -455,6 +460,7 @@ class _HugeAfter(AmplitudeMap):
         return np.zeros(np.shape(x))
 
 
+@pytest.mark.bitwise
 def test_run_contains_an_overflowing_x():
     # iteration 4 takes v = 1e308 sign(z), still finite; iteration 5 forms
     # v - xi2 = 2e308, so X, x and then Xi1 turn non-finite
@@ -470,15 +476,12 @@ def test_run_contains_an_overflowing_x():
     completed = run(obs, denoiser(3), replace(config, max_iterations=4))
     assert completed.status == "completed"
     assert result.x_hat.samples.tobytes() == completed.x_hat.samples.tobytes()
-    for name in ("x", "u", "v", "xi1", "xi2"):
+    for name in ("x", "u_spectrum", "v", "xi1_spectrum", "xi2"):
         assert getattr(result.state, name).tobytes() == getattr(completed.state, name).tobytes()
     assert np.max(np.abs(completed.state.v)) == pytest.approx(1e308)
     # the spectral dual is what catches iteration 5
-    state = completed.state
-    u, xi1 = np.fft.rfft(state.u), np.fft.rfft(state.xi1)
-    spectral = _SpectralState(state.x, u, state.v, xi1, state.xi2)
     with np.errstate(all="ignore"):
-        new = _spectral_iteration(spectral, admm_operators(obs, SMALL), denoiser(0), 1.0)
+        new = admm_iteration(completed.state, admm_operators(obs, SMALL), denoiser(0), 1.0)
     assert not np.all(np.isfinite(new.x))
     assert not np.any(np.isfinite(new.xi1_spectrum))
 
@@ -497,6 +500,24 @@ def test_run_matches_the_time_domain_oracle_on_the_standard_instance():
     assert np.linalg.norm(result.x_hat.samples - x_hat) <= 1e-12 * np.linalg.norm(x_hat)
     assert np.linalg.norm(result.delta_x - delta_x) <= 1e-12 * np.linalg.norm(delta_x)
     assert np.max(np.abs(result.si_snr_trace - si_snr_trace) / np.abs(si_snr_trace)) <= 1e-12
+
+
+def test_run_steps_the_public_iteration(monkeypatch):
+    # a run steps pnp.admm_iteration once per iteration, and its state is
+    # the last iterate that call returned
+    returned = []
+    step = pnp.admm_iteration
+
+    def counted(*args):
+        returned.append(step(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(pnp, "admm_iteration", counted)
+    obs = random_observation(33)
+    result = run(obs, soft_thresh_denoiser(), SolverConfig(lam=1.0, max_iterations=6, stft=SMALL))
+    assert result.status == "completed"
+    assert len(returned) == result.iterations == 6
+    assert result.state is returned[-1]
 
 
 def test_run_checks_the_reference_before_iterating():
@@ -580,6 +601,15 @@ def test_lambda_sweep_records_divergence_and_continues():
     assert rows[0]["status"] == "completed" or rows[0]["status"].startswith("diverged")
     assert rows[1]["status"].startswith("diverged")
     assert not np.isfinite(rows[1]["final_si_snr"])
+
+
+def test_lambda_sweep_checks_every_weight_before_the_first_solve():
+    obs = random_observation(34)
+    config = SolverConfig(lam=1.0, max_iterations=5, stft=SMALL)
+    denoiser = ModifierArchitecture("am_se", _PoisonAfter(healthy_calls=100))
+    with pytest.raises(DomainError):
+        lambda_sweep(obs, denoiser, [1.0, 0.0], config)
+    assert denoiser.inner.healthy_calls == 100
 
 
 def test_lambda_sweep_rejects_empty_grid():

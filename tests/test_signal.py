@@ -210,6 +210,7 @@ def test_stft_core_matches_roll_oracles_and_per_row_calls(geometry, batch_shape)
         assert_core_matches(back[index], istft(Spectrogram(v[index]), config).samples, config)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("geometry", [(64, 32), (16, 8), (512, 256), (16, 4)])
 def test_stft_scales_match_the_bin_weight_formula_bit_for_bit(geometry):
     config = StftConfig(*geometry)

@@ -223,6 +223,7 @@ def test_neg_snr_loss_rejects_bad_inputs():
         _neg_snr_loss(np.ones((3, 64)), ref)
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("shape", [(32, 8192), (57, 8192), (8, 128), (6, 128), (2, 3, 128)])
 def test_batched_neg_snr_loss_matches_row_calls_bit_for_bit(shape):
     rng = np.random.default_rng(shape[-2])
@@ -333,6 +334,7 @@ def test_certify_denoiser_net_stamps_exact_norms():
         assert np.array_equal(stamped.weights, raw.weights)
 
 
+@pytest.mark.bitwise
 def test_spectral_training_with_the_eigvalsh_norm_gives_the_same_bytes(monkeypatch):
     # the training geometry (257 -> 64 -> 64 -> 257, 32 frames), where the
     # norm screens its Grams; swapping in one eigvalsh per frequency must
