@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
@@ -214,6 +213,8 @@ def cmd_validate_bounds(args) -> int:
     tasks = [(*cell, replace(search, seed=args.seed + index)) for index, cell in enumerate(cells)]
 
     if args.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all its workers up front, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(args.threads, len(tasks))) as pool:
             outcomes = list(pool.map(_bounds_task, tasks))

@@ -46,7 +46,6 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import FormatError, NonFiniteError, ShapeError, UncertifiedError
 
@@ -83,6 +82,12 @@ class Activation:
             return np.ones_like(v)
         if self.kind == "leaky_relu":
             return np.where(v > 0.0, 1.0, self.slope)
+        # imported here: scipy.special takes longer to import than numpy, and
+        # only SoftPlus nets' backward and jvp reach this line.  Its expit is
+        # kept over 1 / (1 + np.exp(-v)), which rounds differently in the
+        # last bit on about 1-2% of random doubles.
+        from scipy.special import expit
+
         return expit(v)
 
     @property

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io.wavfile
 
 from .errors import (
     DomainError,
@@ -324,6 +323,8 @@ def add_scaled_noise(x: np.ndarray, snr_db: float, noise: np.ndarray) -> np.ndar
 
 def read_wav(path) -> TimeSignal:
     """Read a mono WAV file (16-bit PCM or 32-bit float) as float64 in [-1, 1]."""
+    import scipy.io.wavfile  # here, not at module level: only WAV I/O needs scipy.io
+
     rate, data = scipy.io.wavfile.read(path)
     if data.ndim != 1:
         raise FormatError("only mono WAV files are supported")
@@ -349,4 +350,6 @@ def write_wav(path, signal: TimeSignal, encoding: str = "float32") -> None:
         data = np.round(clipped * 32767.0).astype(np.int16)
     else:
         raise FormatError(f"unknown WAV encoding {encoding!r}")
+    import scipy.io.wavfile
+
     scipy.io.wavfile.write(path, signal.sample_rate, data)

@@ -142,7 +142,7 @@ def test_validate_bounds_threads_do_not_change_output(workdir):
 
 
 def test_validate_bounds_starts_no_more_workers_than_cells(workdir, monkeypatch):
-    import lipsam.cli as cli
+    import concurrent.futures
 
     started = []
 
@@ -159,7 +159,7 @@ def test_validate_bounds_starts_no_more_workers_than_cells(workdir, monkeypatch)
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = write_json(
         workdir / "vb.json", {"restarts": 1, "max_iterations": 2, "scales": [1.0]}
     )

@@ -350,6 +350,23 @@ def fd_param_gradient(net, x, probe, h=1e-6):
     return grad / (2.0 * h)
 
 
+@pytest.mark.bitwise
+def test_softplus_derivative_is_scipy_expit_bit_for_bit():
+    # the derivative calls scipy's expit: 1 / (1 + np.exp(-v)) rounds
+    # differently in the last bit on about 1-2% of random doubles
+    from scipy.special import expit
+
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+             709.0, -709.0, 745.0, -745.0, 1e308, -1e308]
+    rng = np.random.default_rng(21)
+    normals = rng.standard_normal(10**5) * np.geomspace(1e-3, 800.0, 10**5)
+    strided = normals.reshape(-1, 4)[:, 1:3]
+    for v in (np.array(edges), normals, strided):
+        got = SOFTPLUS.derivative(v)
+        assert got.dtype == np.float64 and got.shape == v.shape
+        assert got.tobytes() == expit(v).tobytes()
+
+
 @pytest.mark.parametrize("activation", [SOFTPLUS, LEAKY_RELU, IDENTITY])
 def test_backward_parameter_gradients_match_fd(activation):
     rng = np.random.default_rng(4)

@@ -1,6 +1,10 @@
-"""Static checks over the package source."""
+"""Checks over the package as a whole: its source and its import."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,39 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# pytest itself imports scipy, so the import is checked in a fresh interpreter
+IMPORT_PROBE = """
+import json, os, sys, tempfile
+import numpy as np
+import lipsam, lipsam.cli
+from lipsam.network import SOFTPLUS
+from lipsam.signal import TimeSignal, read_wav, write_wav
+
+report = {"after_import": sorted(
+    m for m in ("scipy.special", "scipy.io", "concurrent.futures.process") if m in sys.modules)}
+SOFTPLUS.derivative(np.zeros(3))
+with tempfile.TemporaryDirectory() as folder:
+    path = os.path.join(folder, "probe.wav")
+    write_wav(path, TimeSignal(np.zeros(8)))
+    read_wav(path)
+report["after_use"] = sorted(m for m in ("scipy.special", "scipy.io.wavfile") if m in sys.modules)
+print(json.dumps(report))
+"""
+
+
+def test_import_defers_scipy_and_the_process_pool_until_used():
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    paths = [str(PACKAGE.parent)] + [p for p in inherited if p]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["after_import"] == []
+    assert report["after_use"] == ["scipy.io.wavfile", "scipy.special"]
