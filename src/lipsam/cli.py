@@ -360,7 +360,10 @@ def parse_lambda_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return np.array([float(parts[0])])
+            value = float(parts[0])
+            if not math.isfinite(value):
+                raise ValueError
+            return np.array([value])
         if len(parts) != 3:
             raise ValueError
         lo, hi = float(parts[0]), float(parts[1])
@@ -371,14 +374,17 @@ def parse_lambda_grid(text: str) -> np.ndarray:
         elif count_text.endswith("lin"):
             count_text = count_text[:-3]
         count = int(count_text)
-        if count < 1 or lo <= 0.0 and spacing == "log":
+        if count < 1 or not math.isfinite(lo) or not math.isfinite(hi):
             raise ValueError
         if spacing == "log":
+            if min(lo, hi) <= 0.0:
+                raise ValueError
             return np.logspace(np.log10(lo), np.log10(hi), count)
         return np.linspace(lo, hi, count)
     except ValueError:
         raise ConfigError(
-            f"cannot parse lambda grid {text!r}; expected 'lo:hi:Nlog', 'lo:hi:Nlin', or a number"
+            f"cannot parse lambda grid {text!r}; expected 'lo:hi:Nlog' (lo, hi > 0), "
+            "'lo:hi:Nlin', or a number, with finite ends"
         )
 
 

@@ -82,13 +82,13 @@ class Activation:
             return np.ones_like(v)
         if self.kind == "leaky_relu":
             return np.where(v > 0.0, 1.0, self.slope)
-        # imported here: scipy.special takes longer to import than numpy, and
-        # only SoftPlus nets' backward and jvp reach this line.  Its expit is
-        # kept over 1 / (1 + np.exp(-v)), which rounds differently in the
-        # last bit on about 1-2% of random doubles.
-        from scipy.special import expit
-
-        return expit(v)
+        # the logistic function 1 / (1 + exp(-v)), in place; for v < -709
+        # exp(-v) overflows to inf and the quotient is the exact 0
+        s = np.negative(v)
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += 1.0
+        return np.divide(1.0, s, out=s)
 
     @property
     def lipschitz(self) -> float:

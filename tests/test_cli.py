@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -412,6 +413,15 @@ def test_grid_parser():
         parse_lambda_grid("abc")
     with pytest.raises(ConfigError):
         parse_lambda_grid("-1:10:5log")
+
+
+@pytest.mark.parametrize("text", ["1:-1:3log", "1:0:3log", "1:inf:3lin", "nan:1:3",
+                                  "1:inf:3log", "inf"])
+def test_parse_lambda_grid_rejects_a_grid_it_cannot_build(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="cannot parse lambda grid"):
+            parse_lambda_grid(text)
 
 
 # ---------------------------------------------------------------------------
