@@ -1,7 +1,7 @@
 """Empirical Lipschitz analysis of amplitude modifiers.
 
 The headline tool is ``estimate_B``: a multi-restart projected gradient
-ascent that searches input coefficients (and, for parametric families, the
+ascent that searches input magnitudes (and, for parametric families, the
 inner-network weights) for large Jacobian operator norms.  The resulting
 maximum is a lower bound on the true Lipschitz constant, to be compared
 against the certified upper bound of safeguarded architectures.  The
@@ -12,12 +12,14 @@ verdict on a start or a step, and every trial still follows exactly the
 path it would follow alone.
 
 The Jacobians are exact and use the polar structure of the modifier,
-D(z) = A(|z|) sign(z): with R and T the orthonormal radial and tangential
-unit vectors of the coefficients, J = R J_A Rᵀ + T diag(A/|z|) Tᵀ
-(``modifier_jacobian``), so the top singular value of the realified 2n×2n
-Jacobian is the larger of that of the n×n amplitude Jacobian J_A and the
-largest ratio A/|z| (``_objective``).  J_A comes from pushing the n unit
-tangents through the inner map's JVP in one pass.
+D(z) = A(|z|) sign(z): at x = |z| the realified Jacobian is the amplitude
+Jacobian J_A(x) on the radial directions and diag(A/x) on the tangential
+ones, so ‖J_D(z)‖ = max(‖J_A(x)‖, maxᵢ Aᵢ(x)/xᵢ), the two terms of the
+paper's sufficient condition (A Lipschitz on the nonnegative orthant, and
+0 ≤ A(x) ≤ x for the safeguarded kinds).  The search therefore climbs on
+real magnitudes x ≥ 0, and its witness x is the point z = x with zero
+phase.  J_A comes from pushing the n unit tangents through the inner map's
+JVP in one pass.
 
 The same search serves every inner map, piecewise-linear nets (leaky
 relu) included: off every kink such a net is locally linear, so its exact
@@ -47,10 +49,10 @@ from .modifier import (
     ModifierArchitecture,
     NetMap,
     PermutationMap,
+    amplitude_backward,
+    amplitude_forward,
     amplitude_jacobian,
     apply_to_values,
-    modifier_backward,
-    modifier_forward,
     safeguard_bound,
     theoretical_bound,
 )
@@ -65,32 +67,23 @@ FD_EPSILON = 1e-5
 # jacobians and operator norms
 
 
-def modifier_jacobian(arch: ModifierArchitecture, values: np.ndarray):
-    """The polar parts of the realified modifier Jacobians at a stack of
-    complex points [trials, *shape] of n coefficients each.
+def modifier_jacobian(arch: ModifierArchitecture, x: np.ndarray):
+    """(J_A [trials, n, n], ratios A / x [trials, n], and a [trials] mask of
+    the finite trials) at a stack of magnitudes x [trials, *shape].
 
-    With x = |z| and s = sign(z), D(z) = A(x) s differentiates to
-    J = R J_A Rᵀ + T diag(A / x) Tᵀ, where column i of R is coefficient i's
-    realified radial unit vector s_i and column i of T its tangential unit
-    vector i s_i.  One forward pass at the points gives the amplitudes and
-    ``amplitude_jacobian`` the exact [trials, n, n] J_A; ``arch`` is either
-    shared by the trials or stacked over them.  A coefficient at exactly 0
-    has sign 0 and so no radial or tangential column: its row and column of
-    J_A and its ratio read 0.
-
-    Returns (J_A, ratios A / x [trials, n], signs [trials, n], and a
-    [trials] mask of the trials whose amplitudes and parts are all finite).
+    ``arch`` is either shared by the trials or stacked over them.  D has no
+    direction to differentiate along at a coefficient at exactly 0, so its
+    row and column of J_A and its ratio read 0.
     """
-    trials = values.shape[0]
-    _, cache = modifier_forward(arch, values)
-    x = cache.x.reshape(trials, -1)
-    a = cache.a.reshape(trials, -1)
+    trials = x.shape[0]
+    a, cache = amplitude_forward(arch, x)
+    x, a = cache.x.reshape(trials, -1), a.reshape(trials, -1)
     nonzero = x > 0.0
     jac = np.where(nonzero[:, :, None] & nonzero[:, None, :], amplitude_jacobian(cache), 0.0)
     ratio = np.divide(a, x, out=np.zeros_like(a), where=nonzero)
     finite = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(ratio), axis=1)
     finite &= np.all(np.isfinite(jac.reshape(trials, -1)), axis=1)
-    return jac, ratio, cache.sign.reshape(trials, -1), finite
+    return jac, ratio, finite
 
 
 def top_singular_triple(matrix: np.ndarray):
@@ -108,11 +101,11 @@ def top_singular_triple(matrix: np.ndarray):
 class SearchConfig:
     """Knobs for the adversarial bound search.
 
-    Ascent directions differentiate a two-point secant surrogate of the top
-    singular value through the modifier's backward pass: two forward and
-    two backward passes per step.  The secant step is the fixed
-    ``FD_EPSILON``; the objective's Jacobians are exact and take no step.
-    Starting points are standard normal draws.
+    Ascent directions differentiate a two-point secant surrogate of ‖J_A‖
+    through the amplitude map's backward pass: two forward and two backward
+    passes per step.  The secant step is the fixed ``FD_EPSILON``; the
+    objective's Jacobians are exact and take no step.  Starting points are
+    the magnitudes of complex standard normal draws.
     """
 
     restarts: int = 100
@@ -122,11 +115,14 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.restarts, self.max_iterations, self.seed)
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in counts):
+            raise DomainError(f"restarts, max_iterations and seed must be integers, got {counts}")
         if self.restarts < 1 or self.max_iterations < 0:
             raise DomainError("restarts must be >= 1 and max_iterations >= 0")
         if not all(0.0 < knob < np.inf for knob in (self.step_size, self.termination_threshold)):
             raise DomainError("step_size and termination_threshold must be positive and finite")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
 
 
@@ -154,12 +150,13 @@ class TrialRecord:
 class LipschitzEstimate:
     """Outcome of one ``estimate_B`` run.
 
-    ``value`` is the largest exact Jacobian norm found.  Where the modifier
-    is differentiable, which for a leaky-relu inner net is everywhere off
-    its kinks, the Jacobian norm is a limit of difference quotients, so the
-    value is an empirical lower bound on the true Lipschitz constant, up to
-    rounding.  ``certified_bound`` is the family's theoretical upper bound,
-    or None when the family certifies nothing.
+    ``value`` is the largest exact Jacobian norm found, at the magnitudes
+    ``witness_values``, which are coefficients with zero phase.  Where the
+    modifier is differentiable, which for a leaky-relu inner net is
+    everywhere off its kinks, the Jacobian norm is a limit of difference
+    quotients, so the value is an empirical lower bound on the true
+    Lipschitz constant, up to rounding.  ``certified_bound`` is the family's
+    theoretical upper bound, or None when the family certifies nothing.
     """
 
     value: float
@@ -311,89 +308,76 @@ def fixed_modifier_family(arch: ModifierArchitecture, input_shape: tuple) -> Mod
 # the lockstep search
 
 
-def _objective(family: ModifierFamily, thetas: np.ndarray, z: np.ndarray):
-    """Top singular triples of the realified modifier Jacobians at a stack
-    of trials.
+def _objective(family: ModifierFamily, thetas: np.ndarray, x: np.ndarray):
+    """The Jacobian norms max(sigma_max(J_A), max_i A_i / x_i) at a stack of
+    trials, ties going to J_A, from one SVD of the [trials, n, n] J_A stack.
 
-    ``thetas`` is [trials, P] and ``z`` is [trials, *input_shape] with n
-    coefficients.  [R T] of ``modifier_jacobian`` is orthogonal, so
-    sigma_max(J) is the larger of sigma_max(J_A) and the largest ratio
-    A_i / x_i.  When J_A wins (ties included) its top singular pair maps to
-    u = R u_A and v = R v_A; when coefficient i's ratio wins, u = v = t_i.
-    As complex arrays, R u_A is sign(z) u_A and t_i is i sign(z_i) at
-    coefficient i.  One SVD of the [trials, n, n] J_A stack serves every
-    trial.  Returns (sigma [trials], u, v [trials, *input_shape] complex);
-    sigma is nan for every trial whose parameters, Jacobian parts or SVD
-    are not finite.
+    ``thetas`` is [trials, P] and ``x`` is [trials, *input_shape].  Returns
+    (sigma [trials], J_A's top singular vectors u and v shaped like x, and
+    the index i of the winning ratio [trials], or -1 where J_A wins); sigma
+    is nan for every trial whose parameters, terms or SVD are not finite.
     """
-    trials = z.shape[0]
-    n = z[0].size
-    sigma = np.full(trials, np.nan)
-    u = np.zeros(z.shape, dtype=np.complex128)
-    v = np.zeros(z.shape, dtype=np.complex128)
+    trials = x.shape[0]
+    sigma, term = np.full(trials, np.nan), np.full(trials, -1)
+    u, v = np.zeros((2,) + x.shape)
     rows = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
     if rows.size:
-        jac, ratio, sign, finite = modifier_jacobian(family.build(thetas[rows]), z[rows])
-        rows, jac, ratio, sign = rows[finite], jac[finite], ratio[finite], sign[finite]
+        jac, ratio, finite = modifier_jacobian(family.build(thetas[rows]), x[rows])
+        rows, jac, ratio = rows[finite], jac[finite], ratio[finite]
     if rows.size:
         try:
             top, top_u, top_v = top_singular_triple(jac)
         except np.linalg.LinAlgError:
             # a matrix LAPACK cannot decompose costs only its own trial
             top = np.full(rows.size, np.nan)
-            top_u, top_v = np.zeros((2, rows.size, n))
+            top_u, top_v = np.zeros((2,) + jac.shape[:2])
             for k, matrix in enumerate(jac):
                 try:
                     top[k], top_u[k], top_v[k] = top_singular_triple(matrix)
                 except np.linalg.LinAlgError:
                     pass
-        index = np.arange(rows.size)
-        spin = np.argmax(ratio, axis=1)
-        spin_ratio = ratio[index, spin]
+        best = np.argmax(ratio, axis=1)
+        best_ratio = ratio[np.arange(rows.size), best]
         # ties go to J_A, and a nan top (failed SVD) stays nan
-        tangential = spin_ratio > top
-        top = np.where(tangential, spin_ratio, top)
-        u_c, v_c = sign * top_u, sign * top_v
-        turn = np.zeros_like(sign)
-        turn[index, spin] = 1j * sign[index, spin]
-        u_c[tangential] = v_c[tangential] = turn[tangential]
+        wins = best_ratio > top
+        top = np.where(wins, best_ratio, top)
         keep = np.isfinite(top)
         rows = rows[keep]
-        sigma[rows] = top[keep]
-        shape = (-1,) + z.shape[1:]
-        u[rows], v[rows] = u_c[keep].reshape(shape), v_c[keep].reshape(shape)
-    return sigma, u, v
+        sigma[rows], term[rows] = top[keep], np.where(wins, best, -1)[keep]
+        shape = (-1,) + x.shape[1:]
+        u[rows], v[rows] = top_u[keep].reshape(shape), top_v[keep].reshape(shape)
+    return sigma, u, v, term
 
 
-def _ascent_gradient(family, thetas, z, u, v, eps):
-    """Ascent directions at a stack of trials: the complex z parts
-    [trials, *input_shape] and the flat theta parts [trials, P].
-
-    Differentiates the secant surrogate Re<u, D(z + eps v) - D(z - eps v)>
-    / (2 eps) of each top singular value through the modifier's backward
-    pass, with both secant points of every trial in one stacked pass.
+def _ascent_gradient(family, thetas, x, u, v, term, eps):
+    """Ascent directions at a stack of trials, x parts [trials, *input_shape]
+    and flat theta parts [trials, P], from one stacked amplitude pass: the
+    gradient of the secant <u, A(|x + eps v|) - A(|x - eps v|)> / (2 eps)
+    where J_A wins, and of A_i(x) / x_i where ratio i wins.
     """
-    trials, shape = z.shape[0], z.shape[1:]
-    signs = (1.0, -1.0)
-    points = np.stack([z + sign * eps * v for sign in signs], axis=1)
-    # rows 2r and 2r + 1 hold trial r's secant points, each with its own copy
+    trials, shape = x.shape[0], x.shape[1:]
+    r = np.flatnonzero(term >= 0)
+    step = eps * v
+    weights = np.stack([u, -u], axis=1).reshape(2 * trials, -1) / (2.0 * eps)
+    if r.size:
+        # a ratio trial needs one pass at x, so its second row carries no weight
+        i, x_i = term[r], x.reshape(trials, -1)[r, term[r]]
+        step[r] = 0.0
+        weights[2 * r] = weights[2 * r + 1] = 0.0
+        weights[2 * r, i] = 1.0 / x_i
+    # rows 2t and 2t + 1 hold trial t's two points, each with its own copy
     # of the trial's parameters, so that no parameter gradient mixes them
-    arch = family.build(np.repeat(thetas, 2, axis=0))
-    _, cache = modifier_forward(arch, points.reshape((2 * trials,) + shape))
-    grad_theta, gz = modifier_backward(cache, np.repeat(u, 2, axis=0))
-    gz = gz.reshape((trials, 2) + shape)
-    grad_z = np.zeros(z.shape, dtype=np.complex128)
-    grad_t = np.zeros(thetas.shape)
+    points = np.stack([x + step, x - step], axis=1).reshape((2 * trials,) + shape)
+    a, cache = amplitude_forward(family.build(np.repeat(thetas, 2, axis=0)), np.abs(points))
+    grad_theta, gx = amplitude_backward(cache, weights.reshape(points.shape))
+    grad_x = np.sum((gx * np.sign(points)).reshape(trials, 2, -1), axis=1)
+    if r.size:
+        grad_x[r, i] -= a.reshape(2 * trials, -1)[2 * r, i] / x_i**2
     # a fixed family carries no search parameters even when the wrapped net
-    # itself has weights, so key off grad_t, not grad_theta
-    with_t = grad_t.size and grad_theta is not None
-    if with_t:
-        gt = grad_theta.reshape(trials, 2, -1)
-    for k, sign in enumerate(signs):
-        grad_z += (sign / (2.0 * eps)) * gz[:, k]
-        if with_t:
-            grad_t += (sign / (2.0 * eps)) * gt[:, k]
-    return grad_z, grad_t
+    # itself has weights, so key off thetas, not grad_theta
+    if not thetas.size or grad_theta is None:
+        return grad_x.reshape(x.shape), np.zeros(thetas.shape)
+    return grad_x.reshape(x.shape), np.sum(grad_theta.reshape(trials, 2, -1), axis=1)
 
 
 # what a trial waits for in the next round of the lockstep search
@@ -404,14 +388,15 @@ _START_DRAWS = 20
 def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimate:
     """Adversarial lower bound on the Lipschitz constant of a modifier family.
 
-    Runs ``config.restarts`` trials of projected gradient ascent on the top
-    singular value of the exact realified Jacobian, each seeded from
+    Runs ``config.restarts`` trials of projected gradient ascent on the
+    exact Jacobian norm over magnitudes x, each seeded from
     ``(config.seed, trial)`` so results are reproducible bit for bit.  A
     trial redraws a start whose Jacobian vanishes, up to 20 times, then
     steps along its normalized ascent direction with an adaptive trust
     region: the step doubles after a success and halves while the objective
-    refuses to climb.  Trials stop early once the objective clears
-    ``termination_threshold``: by then the family is already past every
+    refuses to climb.  |.| reflects a step back onto the orthant, which
+    loses nothing, as the norm at z depends on |z| only.  Trials stop early
+    once the objective clears ``termination_threshold``, past every
     certificate of interest.
 
     The trials advance in lockstep as one batch.  Each round draws the
@@ -429,11 +414,11 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
     start = time.perf_counter()
     trials, shape, eps = config.restarts, family.input_shape, FD_EPSILON
     rngs = [np.random.default_rng([config.seed, trial]) for trial in range(trials)]
-    z = np.zeros((trials,) + shape, dtype=np.complex128)
+    x = np.zeros((trials,) + shape)
     theta = np.zeros((trials, family.parameter_count))
     sigma = np.full(trials, np.nan)
-    u, v = np.zeros_like(z), np.zeros_like(z)
-    new_z, new_theta, grad_z, grad_t = z.copy(), theta.copy(), z.copy(), theta.copy()
+    u, v, term = np.zeros_like(x), np.zeros_like(x), np.full(trials, -1)
+    new_x, new_theta, grad_x, grad_t = x.copy(), theta.copy(), x.copy(), theta.copy()
     norm = np.ones(trials)
     step = np.full(trials, config.step_size)
     phase = np.full(trials, _DRAW)
@@ -450,27 +435,27 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
         # zero Jacobian and no ascent direction, so it is drawn again
         for r in np.flatnonzero(phase == _DRAW):
             new_theta[r] = family.sample_parameters(rngs[r])
-            new_z[r] = rngs[r].standard_normal(shape) + 1j * rngs[r].standard_normal(shape)
+            new_x[r] = np.abs(rngs[r].standard_normal(shape) + 1j * rngs[r].standard_normal(shape))
 
         climbing = np.flatnonzero(phase == _CLIMB)
         if climbing.size:
             iterations[climbing] += 1
-            gz, gt = _ascent_gradient(
-                family, theta[climbing], z[climbing], u[climbing], v[climbing], eps
-            )
-            axes = tuple(range(1, gz.ndim))
-            size = np.sqrt(np.sum(np.abs(gz) ** 2, axis=axes) + np.sum(gt**2, axis=1))
-            finite = np.all(np.isfinite(gz), axis=axes) & np.all(np.isfinite(gt), axis=1)
+            gx, gt = _ascent_gradient(family, theta[climbing], x[climbing], u[climbing],
+                                      v[climbing], term[climbing], eps)
+            axes = tuple(range(1, gx.ndim))
+            size = np.sqrt(np.sum(gx**2, axis=axes) + np.sum(gt**2, axis=1))
+            finite = np.all(np.isfinite(gx), axis=axes) & np.all(np.isfinite(gt), axis=1)
             moving = finite & (size != 0.0) & (step[climbing] >= _STEP_FLOOR)
             go = climbing[moving]
-            grad_z[go], grad_t[go], norm[go] = gz[moving], gt[moving], size[moving]
+            grad_x[go], grad_t[go], norm[go] = gx[moving], gt[moving], size[moving]
             phase[go] = _TRY
             settle(climbing[~moving])
 
         # normalized direction with an adaptive trust region
         trying = phase == _TRY
         ratio = step[trying] / norm[trying]
-        new_z[trying] = z[trying] + ratio.reshape((-1,) + (1,) * len(shape)) * grad_z[trying]
+        spread = ratio.reshape((-1,) + (1,) * len(shape))
+        new_x[trying] = np.abs(x[trying] + spread * grad_x[trying])
         new_theta[trying] = theta[trying] + ratio[:, None] * grad_t[trying]
 
         pending = np.flatnonzero((phase == _DRAW) | trying)
@@ -478,7 +463,7 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
             break
         if family.project is not None:
             new_theta[pending] = family.project(new_theta[pending])
-        new_sigma, new_u, new_v = _objective(family, new_theta[pending], new_z[pending])
+        new_sigma, new_u, new_v, new_term = _objective(family, new_theta[pending], new_x[pending])
         evaluations[pending] += 1
 
         drew = phase[pending] == _DRAW
@@ -487,8 +472,9 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
         accepted = ~drew & (new_sigma > sigma[pending])
         taken = started | accepted
         moved = pending[taken]
-        z[moved], theta[moved] = new_z[moved], new_theta[moved]
+        x[moved], theta[moved] = new_x[moved], new_theta[moved]
         sigma[moved], u[moved], v[moved] = new_sigma[taken], new_u[taken], new_v[taken]
+        term[moved] = new_term[taken]
 
         step[pending[accepted]] *= 2.0
         rejected = pending[~drew & ~accepted]
@@ -517,7 +503,7 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
     return LipschitzEstimate(
         value=float(sigma[best]),
         certified_bound=family.certified_bound,
-        witness_values=z[best].copy(),
+        witness_values=x[best].copy(),
         witness_parameters=theta[best].copy(),
         witness_trial=best,
         records=records,

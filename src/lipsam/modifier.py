@@ -22,11 +22,11 @@ Every inner map owns its rules: ``forward`` returns its output and a cache,
 gradient), ``parameter_gradient`` gives the first of the two alone, ``jvp``
 pushes input tangents through the map, and ``variant`` names its JSON form,
 whose fields are the map's dataclass fields.
-``modifier_forward`` and ``modifier_backward`` are the forward/backward pair
-of D itself, which training and the ascent of the adversarial bound search
-differentiate through.  ``amplitude_jacobian`` is the exact Jacobian of A,
-from which the bound search assembles D's Jacobian in polar form; it and
-``amplitude_backward`` share one set of kink rules.
+``modifier_forward`` is the forward pass of D itself, which training
+differentiates through ``amplitude_backward`` and the cached phase.  The
+bound search works on magnitudes alone, through ``amplitude_forward``,
+``amplitude_backward`` and ``amplitude_jacobian``, the exact Jacobian of A,
+which shares its kink rules with ``amplitude_backward``.
 """
 
 from __future__ import annotations
@@ -414,30 +414,6 @@ def modifier_forward(arch: ModifierArchitecture, z: np.ndarray):
     a, cache = _amplitude_forward(arch, x)
     cache.sign = s
     return a * s, cache
-
-
-def modifier_backward(cache: ModifierCache, u: np.ndarray):
-    """Gradients of Re<u, D(z)> with respect to the inner map's parameters and z.
-
-    The modifier splits into amplitude times phase, D(z) = A(|z|) * sign(z),
-    so with c = Re(conj(u) * sign(z)) the objective is sum(c * A(|z|)).  The
-    amplitude path backpropagates through the architecture; the phase path
-    contributes a * (u - c * sign(z)) / |z| on nonzero coordinates, and the
-    zero subgradient is used at z = 0 where sign is flat.  The phase factor
-    does not depend on the parameters, so their gradient is the amplitude
-    path's alone.
-
-    Returns (flat parameter gradient or None, complex z gradient) where the
-    complex array packs d/dRe as the real part and d/dIm as the imaginary part.
-    """
-    x, a, s = cache.x, cache.a, cache.sign
-    c = np.real(np.conj(u) * s)
-    grad_theta, grad_x = amplitude_backward(cache, c)
-    grad_z = grad_x * s
-    nonzero = x > 0.0
-    phase = np.divide(a * (u - c * s), x, out=np.zeros_like(grad_z), where=nonzero)
-    np.add(grad_z, phase, out=grad_z, where=nonzero)
-    return grad_theta, grad_z
 
 
 def apply_to_values(arch: ModifierArchitecture, values: np.ndarray) -> np.ndarray:

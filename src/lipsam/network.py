@@ -124,6 +124,8 @@ class ConvLayer:
         lead = int(self.stacked)
         if weights.ndim - lead not in (3, 4):
             raise ShapeError("weights must be [out, in, k] or [out, in, k1, k2]")
+        if 0 in weights.shape[lead : lead + 2]:
+            raise ShapeError("a layer needs at least one input and one output channel")
         if any(k % 2 == 0 for k in weights.shape[2 + lead :]):
             raise ShapeError("kernel sizes must be odd (centered circular padding)")
         if not np.all(np.isfinite(weights)):

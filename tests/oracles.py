@@ -17,10 +17,10 @@ from lipsam.errors import DomainError, NonFiniteError, ShapeError
 from lipsam.lipschitz import FD_EPSILON, TrialRecord, _objective
 from lipsam.modifier import (
     ModifierArchitecture,
+    amplitude_backward,
     amplitude_forward,
     amplitude_jacobian,
     apply_to_values,
-    modifier_backward,
     modifier_forward,
 )
 from lipsam.network import (
@@ -118,57 +118,67 @@ def polar_jacobian(arch: ModifierArchitecture, z: np.ndarray) -> np.ndarray:
     return jac
 
 
-def objective_fd_gradient(family, theta: np.ndarray, z: np.ndarray, h: float):
-    """Central differences of the search objective itself, one evaluation
-    pair per realified input coordinate and per parameter.
+def objective_fd_gradient(family, theta: np.ndarray, x: np.ndarray, h: float):
+    """Central differences of the search objective itself at the magnitudes
+    |x|, one evaluation pair per input coordinate and per parameter.
 
     Every perturbed point is one trial of a stacked objective evaluation.
-    Returns (complex z part, flat theta part) like the production ascent
-    gradient, or (None, None) when an evaluation is non-finite.
+    Returns (x part, flat theta part) like the production ascent gradient,
+    or (None, None) when an evaluation is non-finite.
     """
-    shape = family.input_shape
-    zr = realify(z)
-    count = zr.size + theta.size
-    points = np.concatenate([zr, theta]) + h * np.concatenate([np.eye(count), -np.eye(count)])
-    thetas = np.ascontiguousarray(points[:, zr.size :])
-    sigma, _, _ = _objective(family, thetas, unrealify(points[:, : zr.size], shape))
+    count = x.size + theta.size
+    points = np.concatenate([x.reshape(-1), theta])
+    points = points + h * np.concatenate([np.eye(count), -np.eye(count)])
+    thetas = np.ascontiguousarray(points[:, x.size :])
+    magnitudes = np.abs(points[:, : x.size]).reshape((-1,) + x.shape)
+    sigma = _objective(family, thetas, magnitudes)[0]
     if not np.all(np.isfinite(sigma)):
         return None, None
     grad_flat = (sigma[:count] - sigma[count:]) / (2.0 * h)
-    return unrealify(grad_flat[: zr.size], shape), grad_flat[zr.size :]
+    return grad_flat[: x.size].reshape(x.shape), grad_flat[x.size :]
 
 
 # ---------------------------------------------------------------------------
 # the bound search one trial at a time
 
 
-def objective(family, theta: np.ndarray, z: np.ndarray):
-    """(sigma, u, v) of one modifier Jacobian, or (nan, None, None) if sick:
-    the production objective on a batch of this one trial."""
-    sigma, u, v = _objective(family, theta[None], z[None])
+def objective(family, theta: np.ndarray, x: np.ndarray):
+    """(sigma, u, v, term) at one point of magnitudes, or (nan, None, None,
+    -1) if sick: the production objective on a batch of this one trial."""
+    sigma, u, v, term = _objective(family, theta[None], x[None])
     if not np.isfinite(sigma[0]):
-        return float("nan"), None, None
-    return sigma[0], u[0], v[0]
+        return float("nan"), None, None, -1
+    return sigma[0], u[0], v[0], term[0]
 
 
-def ascent_gradient(family, theta, z, u, v, eps):
-    """Ascent direction of one trial, complex z part plus flat theta part:
-    the secant surrogate differentiated one secant point at a time."""
-    grad_z = np.zeros(family.input_shape, dtype=np.complex128)
+def ascent_gradient(family, theta, x, u, v, term, eps):
+    """Ascent direction of one trial, x part plus flat theta part: the
+    secant surrogate differentiated one secant point at a time, or, when
+    ratio ``term`` wins, the gradient of A_i / x_i at x."""
+    if term >= 0:
+        weight = np.zeros(x.shape)
+        weight.reshape(-1)[term] = 1.0 / x.reshape(-1)[term]
+        passes = [(x, weight)]
+    else:
+        weight = u / (2.0 * eps)
+        passes = [(x + eps * v, weight), (x - eps * v, -weight)]
+    grad_x = np.zeros(x.shape)
     grad_t = np.zeros(family.parameter_count)
     arch = family.build(theta)
-    for sign in (1.0, -1.0):
-        _, cache = modifier_forward(arch, z + sign * eps * v)
-        grad_theta, gz = modifier_backward(cache, u)
-        grad_z += (sign / (2.0 * eps)) * gz
+    for point, weight in passes:
+        a, cache = amplitude_forward(arch, np.abs(point))
+        grad_theta, gx = amplitude_backward(cache, weight)
+        grad_x += gx * np.sign(point)
         if grad_t.size and grad_theta is not None:
-            grad_t += (sign / (2.0 * eps)) * grad_theta
-    return grad_z, grad_t
+            grad_t += grad_theta
+    if term >= 0:
+        grad_x.reshape(-1)[term] -= a.reshape(-1)[term] / x.reshape(-1)[term] ** 2
+    return grad_x, grad_t
 
 
 def run_trial(family, config, trial: int):
     """One ``estimate_B`` restart on its own, with the same draws, steps and
-    verdicts: returns (TrialRecord, z, theta).  ``wall_time`` is this
+    verdicts: returns (TrialRecord, x, theta).  ``wall_time`` is this
     trial's own run time."""
     start = time.perf_counter()
     rng = np.random.default_rng([config.seed, trial])
@@ -178,8 +188,8 @@ def run_trial(family, config, trial: int):
         theta = family.sample_parameters(rng)
         if family.project is not None:
             theta = family.project(theta)
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        sigma, u, v = objective(family, theta, z)
+        x = np.abs(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        sigma, u, v, term = objective(family, theta, x)
         evaluations += 1
         if np.isfinite(sigma) and sigma > 1e-9:
             break
@@ -187,28 +197,28 @@ def run_trial(family, config, trial: int):
         record = TrialRecord(
             trial, float("nan"), 0, False, time.perf_counter() - start, evaluations, 0
         )
-        return record, z, theta
+        return record, x, theta
     iterations = 0
     early = sigma > config.termination_threshold
     step = config.step_size
     while not early and iterations < config.max_iterations:
         iterations += 1
-        grad_z, grad_t = ascent_gradient(family, theta, z, u, v, FD_EPSILON)
-        if not (np.all(np.isfinite(grad_z)) and np.all(np.isfinite(grad_t))):
+        grad_x, grad_t = ascent_gradient(family, theta, x, u, v, term, FD_EPSILON)
+        if not (np.all(np.isfinite(grad_x)) and np.all(np.isfinite(grad_t))):
             break
-        norm = np.sqrt(np.sum(np.abs(grad_z) ** 2) + np.sum(grad_t**2))
+        norm = np.sqrt(np.sum(grad_x**2) + np.sum(grad_t**2))
         if norm == 0.0:
             break
         accepted = False
         while step >= 1e-12:
-            z_new = z + (step / norm) * grad_z
+            x_new = np.abs(x + (step / norm) * grad_x)
             theta_new = theta + (step / norm) * grad_t
             if family.project is not None:
                 theta_new = family.project(theta_new)
-            sigma_new, u_new, v_new = objective(family, theta_new, z_new)
+            sigma_new, u_new, v_new, term_new = objective(family, theta_new, x_new)
             evaluations += 1
             if np.isfinite(sigma_new) and sigma_new > sigma:
-                z, theta, sigma, u, v = z_new, theta_new, sigma_new, u_new, v_new
+                x, theta, sigma, u, v, term = x_new, theta_new, sigma_new, u_new, v_new, term_new
                 accepted = True
                 step *= 2.0
                 break
@@ -222,7 +232,7 @@ def run_trial(family, config, trial: int):
         trial, float(sigma), iterations, bool(early), time.perf_counter() - start,
         evaluations, backtracks,
     )
-    return record, z, theta
+    return record, x, theta
 
 
 def roll_stft(x: np.ndarray, config) -> np.ndarray:

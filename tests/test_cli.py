@@ -501,6 +501,23 @@ def test_certify_rejects_a_corrupt_stored_certificate(workdir, capsys, certifica
     assert "no certified bound" not in captured.out
 
 
+def test_certify_rejects_a_zero_width_layer(workdir, capsys):
+    # a checksum-valid file whose hidden layer has no channels: the run must
+    # stop with an error, not a traceback from deep inside the search
+    layers = (ConvLayer(np.ones((1, 4, 3))), ConvLayer(np.ones((4, 1, 3))))
+    object.__setattr__(layers[0], "weights", np.ones((0, 4, 3)))
+    object.__setattr__(layers[1], "weights", np.ones((4, 0, 3)))
+    save_net(workdir / "hollow.npz", ConvNet(layers))
+    denoiser = write_json(
+        workdir / "hollow.json",
+        {"kind": "lipsam_re", "inner": {"variant": "net", "file": "hollow.npz"}},
+    )
+    code = main(["certify", "--modifier", denoiser, "--restarts", "1", "--out-dir", str(workdir)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and "channel" in err
+
+
 def _leaky_denoiser(workdir):
     net = ConvNet((ConvLayer(0.3 * np.random.default_rng(0).standard_normal((4, 4, 3))),))
     save_net(workdir / "leaky.npz", net)  # leaky relu is the layer default

@@ -122,7 +122,7 @@ def test_jacobian_fd_validation():
 
 def amplitude_jacobian_at(arch, z):
     """The amplitude Jacobian J_A the bound search decomposes at one point ``z``."""
-    jac, _, _, finite = modifier_jacobian(arch, z[None])
+    jac, _, finite = modifier_jacobian(arch, np.abs(z)[None])
     assert finite[0]
     return jac[0]
 
@@ -161,7 +161,7 @@ def _polar_cases():
 
 def test_modifier_jacobian_matches_generic_fd():
     for arch, z, singles in _polar_cases():
-        jac, _, _, finite = modifier_jacobian(arch, z)
+        jac, _, finite = modifier_jacobian(arch, np.abs(z))
         assert finite.all()
         for r, single in enumerate(singles):
             fast = polar_jacobian(single, z[r])
@@ -188,12 +188,17 @@ def test_objective_sigma_is_the_svd_of_the_polar_jacobian():
          bias, True),
     ]
     for family, t, point, arch, tangential in cases:
-        sigma, u, v = _objective(family, t[None], point[None])
-        jac = polar_jacobian(arch, point)
-        want = np.linalg.svd(jac, compute_uv=False)[0]
+        x = np.abs(point)
+        sigma, u, v, term = _objective(family, t[None], x[None])
+        want = np.linalg.svd(polar_jacobian(arch, point), compute_uv=False)[0]
         assert abs(sigma[0] - want) <= 1e-12 * want
-        assert abs(realify(u[0]) @ jac @ realify(v[0]) - sigma[0]) <= 1e-12 * want
-        jac_a, ratio, _, _ = modifier_jacobian(arch, point[None])
+        assert (term[0] >= 0) == tangential
+        # at the zero-phase point z = x the radial directions are the real
+        # axes and the tangential ones the imaginary axes
+        left, right = _top_directions(u[0], v[0], term[0])
+        jac = polar_jacobian(arch, x)
+        assert abs(realify(left) @ jac @ realify(right) - sigma[0]) <= 1e-12 * want
+        jac_a, ratio, _ = modifier_jacobian(arch, x[None])
         top_a = np.linalg.svd(jac_a[0], compute_uv=False)[0]
         assert (ratio.max() > top_a) == tangential
         assert sigma[0] == max(ratio.max(), top_a)
@@ -211,9 +216,13 @@ def test_objective_masks_a_coefficient_at_exactly_zero():
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         z.reshape(-1)[1] = 0.0
         with np.errstate(divide="raise", invalid="raise"):
-            sigma, u, v = _objective(fixed_modifier_family(arch, shape), np.zeros((1, 0)), z[None])
+            sigma, u, v, term = _objective(
+                fixed_modifier_family(arch, shape), np.zeros((1, 0)), np.abs(z)[None]
+            )
         assert np.isfinite(sigma[0]) and sigma[0] > 0.0
-        assert realify(u[0])[2:4].tolist() == realify(v[0])[2:4].tolist() == [0.0, 0.0]
+        # J_A's row and column there are zero, so its singular pair is too
+        assert abs(u[0].reshape(-1)[1]) <= 1e-12 and abs(v[0].reshape(-1)[1]) <= 1e-12
+        assert term[0] != 1
         want = np.linalg.svd(polar_jacobian(arch, z), compute_uv=False)[0]
         assert abs(sigma[0] - want) <= 1e-12 * want
 
@@ -268,6 +277,26 @@ def test_search_config_validation():
         for value in (float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 SearchConfig(**{field: value})
+    # numpy integers are integers
+    config = SearchConfig(restarts=np.int64(3), max_iterations=np.uint8(0), seed=np.int32(1))
+    assert config.restarts == 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("restarts", 2.5),
+        ("restarts", np.float64(4.0)),
+        ("restarts", True),
+        ("restarts", "3"),
+        ("max_iterations", 1.5),
+        ("max_iterations", False),
+        ("seed", True),
+    ],
+)
+def test_search_config_requires_integer_counts(field, value):
+    with pytest.raises(DomainError, match=field):
+        SearchConfig(**{field: value})
 
 
 # ---------------------------------------------------------------- counterexamples
@@ -364,6 +393,10 @@ def test_conv2d_family_validation():
         conv2d_family("lipsam_se", scale=0.0)
     with pytest.raises(ShapeError):
         conv2d_family("lipsam_se", input_shape=(4,))
+    # a zero-width hidden layer is refused where the family is made, not
+    # mid-search
+    with pytest.raises(ShapeError, match="channel"):
+        conv2d_family("lipsam_se", hidden_channels=(0,))
 
 
 def test_fixed_family_soft_threshold():
@@ -430,15 +463,26 @@ def test_estimate_b_zero_iterations_reports_start():
     assert all(r.iterations == 0 for r in est.records)
 
 
+def _top_directions(u, v, term):
+    """The top singular pair of the modifier Jacobian at the complex point
+    z = x, from ``_objective``'s J_A pair and winning ratio index: u and v
+    on the real axes, or i e_i twice when ratio i wins."""
+    if term < 0:
+        return u.astype(np.complex128), v.astype(np.complex128)
+    turn = np.zeros(v.shape, dtype=np.complex128)
+    turn.reshape(-1)[term] = 1j
+    return turn, turn
+
+
 def _witnessed_quotient(family, est, eps=1e-5):
-    """(sigma, quotient) at the search's witness z: the top singular value
-    of the Jacobian there, and ‖D(z + εv) − D(z − εv)‖ / (2ε) along its top
-    right singular vector v."""
-    theta, z = est.witness_parameters, est.witness_values
-    sigma, _, v = _objective(family, theta[None], z[None])
+    """(sigma, quotient) at the search's witness, the complex point z = x:
+    the top singular value of the Jacobian there, and
+    ‖D(z + εw) − D(z − εw)‖ / (2ε) along its top right singular vector w."""
+    theta, x = est.witness_parameters, est.witness_values
+    sigma, u, v, term = _objective(family, theta[None], x[None])
+    _, w = _top_directions(u[0], v[0], term[0])
     arch = family.build(theta)
-    step = eps * v[0]
-    gap = apply_to_values(arch, z + step) - apply_to_values(arch, z - step)
+    gap = apply_to_values(arch, x + eps * w) - apply_to_values(arch, x - eps * w)
     return sigma[0], np.linalg.norm(gap) / (2.0 * eps)
 
 
@@ -459,21 +503,29 @@ def test_estimate_b_takes_a_leaky_relu_inner_net():
 
 
 def test_ascent_gradient_modes_agree():
-    fam = conv2d_family(
-        "lipsam_re", scale=1.0, hidden_channels=(2,), kernel_size=3, input_shape=(3, 3)
-    )
-    rng = np.random.default_rng(3)
-    theta = fam.project(fam.sample_parameters(rng))
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    sigma, u, v = _objective(fam, theta[None], z[None])
-    assert sigma[0] > 0.1
-    gz_bp, gt_bp = _ascent_gradient(fam, theta[None], z[None], u, v, 1e-5)
-    gz_fd, gt_fd = objective_fd_gradient(fam, theta, z, 1e-5)
-    g_bp = np.concatenate([realify(gz_bp[0]), gt_bp[0]])
-    g_fd = np.concatenate([realify(gz_fd), gt_fd])
-    assert np.linalg.norm(g_bp - g_fd) <= 1e-4 * np.linalg.norm(g_fd)
-    cosine = g_bp @ g_fd / (np.linalg.norm(g_bp) * np.linalg.norm(g_fd))
-    assert cosine > 1.0 - 1e-8
+    # J_A wins on the safeguarded kind; on the unguarded one a small
+    # magnitude makes its ratio A_i / x_i win
+    for kind, ratio_wins in (("lipsam_re", False), ("am_se", True)):
+        fam = conv2d_family(
+            kind, scale=1.0, hidden_channels=(2,), kernel_size=3, input_shape=(3, 3)
+        )
+        rng = np.random.default_rng(3)
+        theta = fam.sample_parameters(rng)
+        if fam.project is not None:
+            theta = fam.project(theta)
+        x = np.abs(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        if ratio_wins:
+            x[0, 0] = 0.01
+        sigma, u, v, term = _objective(fam, theta[None], x[None])
+        assert sigma[0] > 0.1
+        assert term[0] == (0 if ratio_wins else -1)
+        gx_bp, gt_bp = _ascent_gradient(fam, theta[None], x[None], u, v, term, 1e-5)
+        gx_fd, gt_fd = objective_fd_gradient(fam, theta, x, 1e-5)
+        g_bp = np.concatenate([gx_bp[0].reshape(-1), gt_bp[0]])
+        g_fd = np.concatenate([gx_fd.reshape(-1), gt_fd])
+        assert np.linalg.norm(g_bp - g_fd) <= 1e-4 * np.linalg.norm(g_fd), kind
+        cosine = g_bp @ g_fd / (np.linalg.norm(g_bp) * np.linalg.norm(g_fd))
+        assert cosine > 1.0 - 1e-8, kind
 
 
 # ---------------------------------------------------------------- lockstep vs sequential
@@ -565,9 +617,9 @@ def test_objective_loses_only_the_trial_lapack_fails_on(monkeypatch):
     fam = conv2d_family("lipsam_re")
     rng = np.random.default_rng(19)
     thetas = fam.project(np.stack([fam.sample_parameters(rng) for _ in range(3)]))
-    z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-    want = _objective(fam, thetas, z)
-    bad = amplitude_jacobian_at(fam.build(thetas[1]), z[1])
+    x = np.abs(rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+    want = _objective(fam, thetas, x)
+    bad = amplitude_jacobian_at(fam.build(thetas[1]), x[1])
     real = lipschitz.top_singular_triple
 
     def failing(matrix):
@@ -576,9 +628,9 @@ def test_objective_loses_only_the_trial_lapack_fails_on(monkeypatch):
         return real(matrix)
 
     monkeypatch.setattr(lipschitz, "top_singular_triple", failing)
-    sigma, u, v = _objective(fam, thetas, z)
-    assert np.isnan(sigma[1]) and not np.isnan(want[0][1])
-    for got, expected in zip((sigma, u, v), want):
+    got = _objective(fam, thetas, x)
+    assert np.isnan(got[0][1]) and not np.isnan(want[0][1])
+    for got, expected in zip(got, want, strict=True):
         assert got[[0, 2]].tobytes() == expected[[0, 2]].tobytes()
 
 
@@ -650,7 +702,7 @@ def test_estimate_dataclasses():
     est = LipschitzEstimate(
         value=1.5,
         certified_bound=1.4,
-        witness_values=np.zeros(2, dtype=np.complex128),
+        witness_values=np.zeros(2),
         witness_parameters=np.zeros(0),
         witness_trial=0,
         records=(record,),

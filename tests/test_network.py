@@ -328,6 +328,15 @@ def test_layer_rejects_even_kernel():
         ConvLayer(np.zeros((1, 1, 4)))
 
 
+@pytest.mark.parametrize(
+    "shape, stacked",
+    [((0, 4, 5), False), ((3, 0, 5), False), ((0, 1, 3, 3), False), ((2, 1, 0, 3), True)],
+)
+def test_layer_rejects_zero_channels(shape, stacked):
+    with pytest.raises(ShapeError, match="channel"):
+        ConvLayer(np.zeros(shape), stacked=stacked)
+
+
 # ---------------------------------------------------------------- backward
 
 
