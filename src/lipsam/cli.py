@@ -28,6 +28,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .lipschitz import (
+    BOUND_TOLERANCE,
     SearchConfig,
     conv2d_family,
     counterexample_bias,
@@ -47,8 +48,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_DIVERGED = 3
-
-BOUND_TOLERANCE = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +439,6 @@ def cmd_certify(args) -> int:
     bound = float("nan") if family.certified_bound is None else family.certified_bound
 
     estimate = estimate_B(family, SearchConfig(**_fields(SearchConfig, config), seed=args.seed))
-    best = estimate.value
 
     csv_path = _out_path(args, args.out)
     write_csv(
@@ -455,10 +453,10 @@ def cmd_certify(args) -> int:
     )
     print(f"wrote {csv_path}")
     if math.isnan(bound):
-        print(f"{arch.kind}: empirical B {best:.6f}, no certified bound")
+        print(f"{arch.kind}: empirical B {estimate.value:.6f}, no certified bound")
         return EXIT_OK
-    verdict = "PASS" if best <= bound + BOUND_TOLERANCE else "FAIL"
-    print(f"{arch.kind}: empirical B {best:.6f} vs bound {bound:.6f} {verdict}")
+    verdict = "FAIL" if estimate.violates_bound(BOUND_TOLERANCE) else "PASS"
+    print(f"{arch.kind}: empirical B {estimate.value:.6f} vs bound {bound:.6f} {verdict}")
     return EXIT_OK if verdict == "PASS" else EXIT_VIOLATION
 
 

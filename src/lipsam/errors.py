@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types, and the type rule the config objects share.
 
 Error classes are deliberately coarse: each names a contract violation that
 callers may want to catch, not an implementation detail.
 """
+
+from numbers import Integral, Real
 
 
 class ShapeError(ValueError):
@@ -39,3 +41,17 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration document failed schema validation."""
+
+
+def check_field_types(config, integers=(), numbers=()) -> None:
+    """Raise DomainError unless each field of ``config`` named in ``integers``
+    holds an integer and each named in ``numbers`` a real number.
+
+    numpy scalars count; a bool is neither, so a flag cannot pass for a
+    count or a knob.  Range checks stay with each config.
+    """
+    for names, kind, what in ((integers, Integral, "an integer"), (numbers, Real, "a number")):
+        for name in names:
+            value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise DomainError(f"{name} must be {what}, got {value!r}")

@@ -41,6 +41,7 @@ from .errors import (
     ShapeError,
     UnboundedModifierError,
     UncertifiedError,
+    check_field_types,
 )
 from .modifier import (
     KINDS,
@@ -61,6 +62,8 @@ from .network import IDENTITY, SOFTPLUS, ConvLayer, ConvNet, project_unit_ball
 _STEP_FLOOR = 1e-12
 # central-difference step of the ascent secant; the Jacobians are exact
 FD_EPSILON = 1e-5
+# how far an empirical value may pass its certificate before it violates it
+BOUND_TOLERANCE = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +118,9 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.restarts, self.max_iterations, self.seed)
-        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in counts):
-            raise DomainError(f"restarts, max_iterations and seed must be integers, got {counts}")
+        check_field_types(
+            self, ("restarts", "max_iterations", "seed"), ("step_size", "termination_threshold")
+        )
         if self.restarts < 1 or self.max_iterations < 0:
             raise DomainError("restarts must be >= 1 and max_iterations >= 0")
         if not all(0.0 < knob < np.inf for knob in (self.step_size, self.termination_threshold)):
@@ -174,7 +177,7 @@ class LipschitzEstimate:
     def total_iterations(self) -> int:
         return sum(r.iterations for r in self.records)
 
-    def violates_bound(self, tolerance: float = 0.01) -> bool:
+    def violates_bound(self, tolerance: float = BOUND_TOLERANCE) -> bool:
         """True when the empirical value exceeds the certificate it should obey."""
         if self.certified_bound is None:
             return False
@@ -514,16 +517,10 @@ def estimate_B(family: ModifierFamily, config: SearchConfig) -> LipschitzEstimat
 # analytic counterexamples for the unguarded architectures
 
 
-def _checked_quotient(name, arch, z, w, expected: float) -> float:
-    """The difference quotient of ``arch`` at the pair (z, w), asserted
-    against its analytic value."""
+def _quotient(arch, z, w) -> float:
+    """The difference quotient ||D(z) - D(w)|| / ||z - w|| of ``arch``."""
     num = np.linalg.norm(apply_to_values(arch, z) - apply_to_values(arch, w))
-    measured = float(num / np.linalg.norm(z - w))
-    if abs(measured - expected) > 1e-9 * expected:
-        raise AssertionError(
-            f"{name} counterexample drifted: measured {measured!r}, expected {expected!r}"
-        )
-    return measured
+    return float(num / np.linalg.norm(z - w))
 
 
 def counterexample_bias(epsilon: float = 1e-3) -> float:
@@ -531,15 +528,15 @@ def counterexample_bias(epsilon: float = 1e-3) -> float:
 
     The inner map adds the constant 1, so amplitudes near zero stay pinned
     at 1 while the phase flips sign across the origin: the quotient at the
-    pair (eps, -eps) grows without bound as eps shrinks.  The analytic
-    value is asserted against the measured one before returning it.
+    pair (eps, -eps) grows without bound as eps shrinks.  The value is
+    measured, not taken from the formula; ``lipsam selfcheck`` compares them.
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     arch = ModifierArchitecture("am_se", BiasAdd(1.0))
     z = np.array([complex(epsilon, 0.0)])
     w = np.array([complex(-epsilon, 0.0)])
-    return _checked_quotient("bias", arch, z, w, (1.0 + epsilon) / epsilon)
+    return _quotient(arch, z, w)
 
 
 def counterexample_permutation(epsilon: float = 1e-3) -> float:
@@ -547,12 +544,12 @@ def counterexample_permutation(epsilon: float = 1e-3) -> float:
 
     Swapping two bins hands the small coordinate's phase to the large
     coordinate's amplitude: at the pair ((eps, 1), (-eps, 1)) the outputs
-    differ by 2 while the inputs differ by 2 eps.  The analytic value is
-    asserted against the measured one before returning it.
+    differ by 2 while the inputs differ by 2 eps.  The value is measured,
+    not computed from the formula.
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     arch = ModifierArchitecture("am_se", PermutationMap(np.array([1, 0])))
     z = np.array([complex(epsilon, 0.0), 1.0 + 0.0j])
     w = np.array([complex(-epsilon, 0.0), 1.0 + 0.0j])
-    return _checked_quotient("permutation", arch, z, w, 1.0 / epsilon)
+    return _quotient(arch, z, w)

@@ -20,16 +20,17 @@ X, one STFT and one ISTFT: four FFTs.  The iteration works on plain arrays;
 signal types appear only where a solve starts and ends.
 
 Divergence is contained, not fatal: after each iteration one finiteness
-check on the two duals (and a non-finite denoiser output) ends the run
-with a diverged status; the estimate, the state and the traces are those of
-the last completed iteration.  Finite duals mean a finite iteration.  A
-non-finite x reaches every bin of Gx and so xi2 = (Gx + xi2) - v, and a
-non-finite v reaches xi2 directly.  In the spectrum, a non-finite bin of X
-makes that bin of W = HX + Xi1 non-finite (an infinite X times a zero bin
-of rfft(h) is NaN); U = c (W - Y) + Y with c = lam / (1 + lam) in (0, 1)
-is then non-finite there too, and Xi1 = W - U is NaN.  A U that overflows
-on its own leaves an infinite Xi1.  So a finite Xi1 means finite W, HX and
-U in every bin.
+check on the two duals ends the run with a diverged status; the estimate,
+the state and the traces are those of the last completed iteration.
+Finite duals mean a finite iteration.  A non-finite x reaches every bin of
+Gx and so xi2 = (Gx + xi2) - v, and a non-finite v reaches xi2 directly;
+a non-finite denoiser amplitude A makes v = A sign(z) non-finite, as
+inf * 0 is NaN.  In the spectrum, a non-finite bin of X makes that bin of
+W = HX + Xi1 non-finite (an infinite X times a zero bin of rfft(h) is
+NaN); U = c (W - Y) + Y with c = lam / (1 + lam) in (0, 1) is then
+non-finite there too, and Xi1 = W - U is NaN.  A U that overflows on its
+own leaves an infinite Xi1.  So a finite Xi1 means finite W, HX and U in
+every bin.
 """
 
 from dataclasses import dataclass, field, replace
@@ -37,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ShapeError, UndefinedMetricError
-from .modifier import ModifierArchitecture, apply_to_values
+from .errors import DomainError, ShapeError, UndefinedMetricError, check_field_types
+from .modifier import ModifierArchitecture, modifier_forward
 from .signal import StftConfig, TimeSignal, analysis, si_snr_values, synthesis
 
 
@@ -79,6 +80,7 @@ class SolverConfig:
     stft: StftConfig = field(default_factory=StftConfig)
 
     def __post_init__(self):
+        check_field_types(self, ("max_iterations",), ("lam",))
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise DomainError("lam must be positive and finite")
         if self.max_iterations < 1:
@@ -145,8 +147,8 @@ def admm_iteration(
 
     The u-update is the closed-form prox of (1/(2 lam))||. - y||^2 at
     Hx + xi1, i.e. multiplication of the residual Hx + xi1 - y by
-    lam/(1+lam), taken in the spectrum.  A denoiser that returns non-finite
-    values raises NonFiniteError.
+    lam/(1+lam), taken in the spectrum.  A non-finite denoiser output
+    reaches v and xi2 and raises nothing; the caller's dual check sees it.
     """
     # H^T a is a multiplication by conj(rfft(h)) in the frequency domain.
     rhs = (state.u_spectrum - state.xi1_spectrum) * np.conj(ops.h_spectrum) + np.fft.rfft(
@@ -158,7 +160,7 @@ def admm_iteration(
     hx_xi1 = x_spectrum * ops.h_spectrum + state.xi1_spectrum
     gx_xi2 = analysis(x, ops.stft) + state.xi2
     u = (lam / (1.0 + lam)) * (hx_xi1 - ops.y_spectrum) + ops.y_spectrum
-    v = apply_to_values(denoiser, gx_xi2)
+    v = modifier_forward(denoiser, gx_xi2)[0]
     return AdmmState(x, u, v, hx_xi1 - u, gx_xi2 - v)
 
 
@@ -222,12 +224,9 @@ def run(
     diverged_at = None
     with np.errstate(all="ignore"):
         for k in range(1, config.max_iterations + 1):
-            try:
-                new = admm_iteration(state, ops, denoiser, config.lam)
-            except NonFiniteError:
-                new = None
+            new = admm_iteration(state, ops, denoiser, config.lam)
             # finite duals mean a finite iteration (see the module docstring)
-            if new is None or not (_all_finite(new.xi1_spectrum) and _all_finite(new.xi2)):
+            if not (_all_finite(new.xi1_spectrum) and _all_finite(new.xi2)):
                 status = "diverged"
                 diverged_at = k
                 break

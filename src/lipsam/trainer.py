@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, ShapeError, UndefinedMetricError
+from .errors import check_field_types
 from .modifier import (
     ModifierArchitecture,
     NetMap,
@@ -37,8 +38,7 @@ from .network import (
     circulant_operator_norm,
     project_unit_ball,
 )
-from .signal import Spectrogram, StftConfig, TimeSignal, add_scaled_noise, analysis, istft, si_snr
-from .signal import snr, stft, synthesis
+from .signal import StftConfig, TimeSignal, add_scaled_noise, analysis, si_snr, snr, synthesis
 
 LOSS_EPSILON = 1e-12
 
@@ -77,6 +77,9 @@ class SynthCorpusConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(
+            self, ("item_count", "seed"), ("duration_seconds", "silence_probability")
+        )
         if self.item_count <= 0:
             raise DomainError("item_count must be positive")
         if not 0.0 < self.duration_seconds < np.inf:
@@ -92,7 +95,7 @@ class SynthCorpusConfig:
             raise DomainError("f0_range must lie below the Nyquist frequency")
         if not 0.0 <= self.silence_probability <= 1.0:
             raise DomainError("silence_probability must lie in [0, 1]")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
         object.__setattr__(self, "f0_range", (float(f_low), float(f_high)))
 
@@ -251,6 +254,11 @@ class TrainConfig:
     stft: StftConfig = field(default_factory=StftConfig)
 
     def __post_init__(self) -> None:
+        check_field_types(
+            self,
+            ("epochs", "batch_size", "frames", "channel_width", "kernel_size", "seed"),
+            ("learning_rate",),
+        )
         if not 0 <= self.epochs <= 20:
             raise DomainError("epochs must lie in [0, 20]")
         if self.batch_size < 1:
@@ -271,7 +279,7 @@ class TrainConfig:
             raise DomainError("channel_width must be at least 1")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise DomainError("kernel_size must be odd and positive")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
         object.__setattr__(self, "snr_range", (float(low), float(high)))
 
@@ -409,8 +417,10 @@ def train_denoiser(
     Items whose training segment is silent are skipped.  10% of the rest (at
     least one item) is held out with fixed validation noise; the returned
     checkpoint minimizes validation loss over epoch 0 (untrained) and every
-    completed epoch.  A non-finite loss or gradient
-    aborts the run and returns the best checkpoint seen so far.  Identical
+    completed epoch.  A blow-up anywhere in an epoch, in a step's loss,
+    gradient, update, rebuild or projection or in the epoch's validation
+    pass, aborts the run at that step (the epoch's last step for the
+    validation pass) and returns the best checkpoint seen so far.  Identical
     configurations reproduce bitwise-identical results.
 
     ``initial_net`` warm-starts from existing weights instead of a fresh
@@ -456,34 +466,34 @@ def train_denoiser(
         rng_epoch = np.random.default_rng([train_config.seed, _EPOCH_STREAM, epoch])
         order = rng_epoch.permutation(train_clean.shape[0])
         epoch_losses = []
-        for start in range(0, order.size, train_config.batch_size):
-            chosen = order[start : start + train_config.batch_size]
-            clean = train_clean[chosen]
-            snrs = rng_epoch.uniform(low, high, size=chosen.size)
-            noise = rng_epoch.standard_normal(clean.shape)
-            noisy = np.stack(
-                [add_scaled_noise(c, s, n) for c, s, n in zip(clean, snrs, noise)]
-            )
-            try:
-                # Blow-ups surface as exceptions from the loss check below
-                # and from adam_step's gradient check, not as numpy warnings.
-                with np.errstate(all="ignore"):
+        try:
+            # Blow-ups surface as exceptions, not as numpy warnings: from the
+            # loss check below, adam_step's gradient check, the rebuilt
+            # layers' finiteness checks, the projection's eigensolver and
+            # the validation pass's amplitude check.
+            with np.errstate(all="ignore"):
+                for step, start in enumerate(range(0, order.size, train_config.batch_size)):
+                    chosen = order[start : start + train_config.batch_size]
+                    clean = train_clean[chosen]
+                    snrs = rng_epoch.uniform(low, high, size=chosen.size)
+                    noise = rng_epoch.standard_normal(clean.shape)
+                    noisy = np.stack(
+                        [add_scaled_noise(c, s, n) for c, s, n in zip(clean, snrs, noise)]
+                    )
                     loss, grad = _batch_loss_and_grads(net, kind, clean, noisy, train_config)
                     if not np.isfinite(loss):
                         raise NonFiniteError("training loss is not finite")
                     theta, state = adam_step(theta, grad, state)
-            except (DomainError, NonFiniteError, FloatingPointError, OverflowError):
-                status = "aborted"
-                poisoned_at = (epoch, start // train_config.batch_size)
-                break
-            net = net.with_parameters(theta)
-            if train_config.lipschitz == "spectral":
-                net = project_unit_ball(net, (train_config.frames,))
-                theta = net.flatten_parameters()
-            epoch_losses.append(loss)
-        if status == "aborted":
+                    net = net.with_parameters(theta)
+                    if train_config.lipschitz == "spectral":
+                        net = project_unit_ball(net, (train_config.frames,))
+                        theta = net.flatten_parameters()
+                    epoch_losses.append(loss)
+                val = _validation_loss(net, kind, val_clean, val_noisy, train_config)
+        except (NonFiniteError, np.linalg.LinAlgError):
+            status = "aborted"
+            poisoned_at = (epoch, step)
             break
-        val = _validation_loss(net, kind, val_clean, val_noisy, train_config)
         log.append(
             {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)), "val_loss": val}
         )
@@ -534,20 +544,12 @@ def evaluate_denoiser(
         snrs = []
         si_snrs = []
         for item_index, clean in enumerate(items):
-            noisy = TimeSignal(
-                add_scaled_noise(
-                    clean.samples,
-                    level,
-                    np.random.default_rng(
-                        [seed, level_index, item_index]
-                    ).standard_normal(len(clean)),
-                ),
-                clean.sample_rate,
+            noise = np.random.default_rng([seed, level_index, item_index]).standard_normal(
+                len(clean)
             )
-            denoised = apply_to_values(arch, stft(noisy, stft_config).values)
-            estimate = istft(
-                Spectrogram(denoised, stft_config), stft_config, clean.sample_rate
-            )
+            noisy = add_scaled_noise(clean.samples, level, noise)
+            denoised = apply_to_values(arch, analysis(noisy, stft_config))
+            estimate = TimeSignal(synthesis(denoised, stft_config), clean.sample_rate)
             snrs.append(snr(estimate, clean))
             si_snrs.append(si_snr(estimate, clean))
         rows.append(

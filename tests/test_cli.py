@@ -15,7 +15,7 @@ import lipsam
 from lipsam.cli import CONFIG_KEYS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION
 from lipsam.cli import build_parser, main, parse_lambda_grid
 from lipsam.errors import ConfigError
-from lipsam.modifier import architecture_from_config
+from lipsam.modifier import BiasAdd, architecture_from_config
 from lipsam.network import IDENTITY, ConvLayer, ConvNet, load_net, save_net, save_weights
 from lipsam.signal import TimeSignal, circular_convolve, add_noise_at_snr, read_wav, write_wav
 from lipsam.trainer import SynthCorpusConfig, synth_rir, synth_speechlike
@@ -77,6 +77,15 @@ def test_selfcheck_fault_injection_names_the_failing_check(capsys, fault):
     for name in ("stft-round-trip", "prox-closed-form", "inverse-filter", "counterexamples"):
         if name != fault:
             assert f"check {name}: ok" in out
+
+
+def test_selfcheck_reports_a_drifted_counterexample_as_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(BiasAdd, "__call__", lambda self, x: x + 1.001 * self.b)
+    assert main(["selfcheck"]) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    assert "check counterexamples: FAIL (bias 1e-3 -> 1002.0," in out
+    for name in ("stft-round-trip", "prox-closed-form", "inverse-filter"):
+        assert f"check {name}: ok" in out
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +270,22 @@ def test_train_writes_weights_and_log(workdir, capsys):
     arch = architecture_from_config(deploy, base_dir=workdir)
     assert arch.kind == "lipsam_re"
     assert arch.inner.net.in_channels == 33
+
+
+def test_a_diverging_train_writes_its_last_good_checkpoint(workdir, capsys):
+    # at this learning rate the projection's eigensolver fails on the first update
+    config = write_json(workdir / "train.json", {
+        "window_length": 64, "hop": 32, "frames": 4, "channel_width": 4, "kernel_size": 3,
+        "arch": "se", "item_count": 8, "duration_seconds": 0.128, "epochs": 2,
+        "batch_size": 4, "learning_rate": 1e160, "lipschitz": "spectral",
+    })
+    assert main(["train", "--config", config, "--out-dir", str(workdir)]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert "status aborted: best epoch 0" in captured.out
+    assert "training aborted at (1, 0)" in captured.err
+    for name in ("denoiser.npz", "denoiser.deploy.json", "train_log.csv"):
+        assert (workdir / name).exists()
+    assert [row[0] for row in read_rows(workdir / "train_log.csv")[1:]] == ["0"]
 
 
 def test_train_log_is_byte_identical_across_runs(workdir):

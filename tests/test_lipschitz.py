@@ -25,6 +25,7 @@ from lipsam.modifier import (
     NetMap,
     PermutationMap,
     SoftThreshConstant,
+    ZeroMap,
     apply_to_values,
 )
 from lipsam.network import (
@@ -299,6 +300,15 @@ def test_search_config_requires_integer_counts(field, value):
         SearchConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("step_size", True), ("step_size", "0.1"), ("termination_threshold", True)],
+)
+def test_search_config_requires_numeric_knobs(field, value):
+    with pytest.raises(DomainError, match=field):
+        SearchConfig(**{field: value})
+
+
 # ---------------------------------------------------------------- counterexamples
 
 
@@ -542,6 +552,14 @@ def _net_1d(hidden=SOFTPLUS, channels=4, frames=5):
     return ConvNet(tuple(layers))
 
 
+@dataclass(frozen=True)
+class _NanAbove(IdentityMap):
+    """x, but NaN where x > 0.2: most start draws are non-finite."""
+
+    def __call__(self, x):
+        return np.where(x > 0.2, np.nan, x)
+
+
 _ORACLE_CASES = {
     "lipsam_se": (
         lambda: conv2d_family("lipsam_se", scale=2.0),
@@ -581,6 +599,16 @@ _ORACLE_CASES = {
         lambda: conv2d_family("lipsam_re"),
         SearchConfig(restarts=1, max_iterations=30, seed=5),
     ),
+    # every start has a zero Jacobian, so every trial spends all its draws
+    "zero_map": (
+        lambda: fixed_modifier_family(ModifierArchitecture("am_se", ZeroMap()), (3,)),
+        SearchConfig(restarts=3, max_iterations=5, seed=1),
+    ),
+    # trials that never draw a finite start end NaN beside finite ones
+    "nan_above": (
+        lambda: fixed_modifier_family(ModifierArchitecture("am_se", _NanAbove()), (1,)),
+        SearchConfig(restarts=4, max_iterations=5, seed=0),
+    ),
 }
 
 
@@ -606,6 +634,11 @@ def test_estimate_b_matches_trials_run_one_at_a_time(case):
         assert est.total_iterations > 0
     if case == "am_se_unconstrained":
         assert any(r.terminated_early for r in got)
+    if case == "zero_map":
+        assert [(r.evaluations, r.iterations, r.value) for r in got] == [(20, 1, 0.0)] * 3
+    if case == "nan_above":
+        assert [r.value for r in got[:2]] == [1.0, 1.0]
+        assert all(np.isnan(r.value) and r.evaluations == 20 for r in got[2:])
     # wall times run from the start of the search, so none passes the end
     assert all(0.0 <= r.wall_time for r in got)
 

@@ -154,6 +154,15 @@ def test_solver_config_validation():
         SolverConfig(lam=1.0, max_iterations=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iterations", 2.5), ("max_iterations", True), ("lam", True), ("lam", "1.0")],
+)
+def test_solver_config_requires_typed_fields(field, value):
+    with pytest.raises(DomainError, match=field):
+        SolverConfig(**{field: value})
+
+
 def test_initial_state_is_warm_start():
     obs = random_observation(1)
     state = warm_start(obs)
@@ -442,6 +451,12 @@ def test_run_contains_denoiser_nan():
     assert result.x_hat.samples.tobytes() == completed.x_hat.samples.tobytes()
     for name in ("x", "u_spectrum", "v", "xi1_spectrum", "xi2"):
         assert getattr(result.state, name).tobytes() == getattr(completed.state, name).tobytes()
+    # the iteration itself raises nothing: the NaN reaches v and xi2, where
+    # the dual check sees it
+    poisoned = ModifierArchitecture("am_se", _PoisonAfter(healthy_calls=0))
+    ops = admm_operators(obs, SMALL)
+    new = admm_iteration(initial_state(ops), ops, poisoned, 1.0)
+    assert np.all(np.isnan(new.v)) and np.all(np.isnan(new.xi2))
 
 
 class _HugeAfter(AmplitudeMap):

@@ -1,6 +1,7 @@
 """Corpus synthesis, negative-SNR loss, training loop, and evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,39 @@ def test_train_config_validation():
             small_train_config(seed=seed)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epochs", 1.5),
+        ("epochs", True),
+        ("batch_size", 2.5),
+        ("frames", 4.0),
+        ("channel_width", 4.5),
+        ("kernel_size", 3.0),
+        ("learning_rate", True),
+        ("seed", True),
+    ],
+)
+def test_train_config_requires_typed_fields(field, value):
+    with pytest.raises(DomainError, match=field):
+        small_train_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("item_count", 8.5),
+        ("item_count", True),
+        ("duration_seconds", True),
+        ("silence_probability", True),
+        ("seed", True),
+    ],
+)
+def test_corpus_config_requires_typed_fields(field, value):
+    with pytest.raises(DomainError, match=field):
+        SynthCorpusConfig(**{field: value})
+
+
 def test_train_config_properties():
     config = small_train_config()
     assert config.segment_samples == 32 * 32
@@ -425,6 +459,32 @@ def test_training_aborts_on_poisoned_loss_with_last_good_checkpoint():
     assert np.all(np.isfinite(result.net.flatten_parameters()))
     # only fully completed epochs are logged
     assert all(row["epoch"] < epoch for row in result.log)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # the epoch's validation pass meets a non-finite amplitude
+        {"learning_rate": 1e120},
+        # the projection's eigensolver fails on the updated weights
+        {"learning_rate": 1e160, "lipschitz": "spectral", "batch_size": 4},
+        # the rebuilt layers refuse a non-finite bias
+        {"learning_rate": 1e308},
+    ],
+)
+def test_a_blow_up_after_the_update_aborts_with_the_last_good_checkpoint(overrides):
+    config = small_train_config(
+        **{"batch_size": 64, "frames": 4, "channel_width": 4, "kernel_size": 3, "arch": "se",
+           **overrides}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = train_denoiser(config, SMALL_CORPUS)
+    assert result.status == "aborted"
+    assert result.poisoned_at == (1, 0)
+    assert result.best_epoch == 0
+    assert [row["epoch"] for row in result.log] == [0]
+    assert np.all(np.isfinite(result.net.flatten_parameters()))
 
 
 def test_spectral_training_returns_certified_feasible_net():
