@@ -43,9 +43,10 @@ class ConfigError(ValueError):
     """A configuration document failed schema validation."""
 
 
-def check_field_types(config, integers=(), numbers=()) -> None:
+def check_field_types(config, integers=(), numbers=(), pairs=()) -> None:
     """Raise DomainError unless each field of ``config`` named in ``integers``
-    holds an integer and each named in ``numbers`` a real number.
+    holds an integer, each named in ``numbers`` a real number, and each
+    named in ``pairs`` a tuple or list of two real numbers.
 
     numpy scalars count; a bool is neither, so a flag cannot pass for a
     count or a knob.  Range checks stay with each config.
@@ -53,5 +54,14 @@ def check_field_types(config, integers=(), numbers=()) -> None:
     for names, kind, what in ((integers, Integral, "an integer"), (numbers, Real, "a number")):
         for name in names:
             value = getattr(config, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if not _is_a(value, kind):
                 raise DomainError(f"{name} must be {what}, got {value!r}")
+    for name in pairs:
+        value = getattr(config, name)
+        if not (isinstance(value, (tuple, list)) and len(value) == 2
+                and all(_is_a(v, Real) for v in value)):
+            raise DomainError(f"{name} must be a pair of numbers, got {value!r}")
+
+
+def _is_a(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)

@@ -222,16 +222,17 @@ class ModifierFamily:
             raise DomainError("parameter_count must be nonnegative")
 
 
-def conv2d_family(
-    kind: str,
-    scale: float = 1.0,
-    constrained: Optional[bool] = None,
-    hidden_channels: tuple = (3, 3),
-    kernel_size: int = 3,
-    input_shape: tuple = (4, 4),
-) -> ModifierFamily:
+# The bound-validation geometry of ``conv2d_family``.
+CONV2D_CHANNELS = (1, 3, 3, 1)
+CONV2D_KERNEL = (3, 3)
+CONV2D_INPUT_SHAPE = (4, 4)
+
+
+def conv2d_family(kind: str, scale: float = 1.0, constrained: Optional[bool] = None) -> ModifierFamily:
     """Small 2-D convolutional inner nets on single-channel magnitude patches.
 
+    The geometry is fixed: ``CONV2D_CHANNELS`` (1 -> 3 -> 3 -> 1) with
+    ``CONV2D_KERNEL`` (3x3) kernels on ``CONV2D_INPUT_SHAPE`` (4x4) patches.
     Hidden layers are SoftPlus, the final layer is linear, and ``scale``
     multiplies the net output.  Constrained families (the default for
     safeguarded kinds) project every layer onto the unit operator-norm ball,
@@ -246,18 +247,13 @@ def conv2d_family(
         constrained = kind in SAFEGUARDED_KINDS
     if scale <= 0.0:
         raise DomainError("scale must be positive")
-    spatial = tuple(int(s) for s in input_shape)
-    if len(spatial) != 2:
-        raise ShapeError("conv2d_family expects a 2-D input_shape")
 
-    chain = (1,) + tuple(int(c) for c in hidden_channels) + (1,)
+    chain = CONV2D_CHANNELS
     layers = []
     for index, (c_in, c_out) in enumerate(zip(chain, chain[1:])):
         act = IDENTITY if index == len(chain) - 2 else SOFTPLUS
         bias = None if constrained else np.zeros(c_out)
-        layers.append(
-            ConvLayer(np.zeros((c_out, c_in, kernel_size, kernel_size)), bias, activation=act)
-        )
+        layers.append(ConvLayer(np.zeros((c_out, c_in) + CONV2D_KERNEL), bias, activation=act))
     template = ConvNet(tuple(layers), scale=scale)
 
     def sample_parameters(rng: np.random.Generator) -> np.ndarray:
@@ -276,12 +272,13 @@ def conv2d_family(
     if constrained:
 
         def project(theta: np.ndarray) -> np.ndarray:
-            return project_unit_ball(template.with_parameters(theta), spatial).flatten_parameters()
+            net = template.with_parameters(theta)
+            return project_unit_ball(net, CONV2D_INPUT_SHAPE).flatten_parameters()
 
     certified = safeguard_bound(kind, scale) if constrained and kind in SAFEGUARDED_KINDS else None
 
     return ModifierFamily(
-        input_shape=spatial,
+        input_shape=CONV2D_INPUT_SHAPE,
         parameter_count=template.parameter_count,
         sample_parameters=sample_parameters,
         build=build,

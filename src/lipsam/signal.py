@@ -25,6 +25,7 @@ from .errors import (
     InvalidWindowError,
     ShapeError,
     UndefinedMetricError,
+    check_field_types,
 )
 
 SNR_CAP_DB = 300.0
@@ -110,6 +111,7 @@ class StftConfig:
     synthesis_scale: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_field_types(self, ("window_length", "hop"))
         if self.window_length <= 0 or self.hop <= 0:
             raise InvalidWindowError("window_length and hop must be positive")
         if self.window_length % self.hop != 0:
@@ -337,19 +339,13 @@ def read_wav(path) -> TimeSignal:
     return TimeSignal(samples, rate)
 
 
-def write_wav(path, signal: TimeSignal, encoding: str = "float32") -> None:
-    """Write a mono WAV file. ``encoding`` is 'float32' or 'pcm16'."""
-    if encoding == "float32":
-        # A diverged solver iterate can exceed the float32 range; the cast
-        # saturating to inf is the faithful post-mortem record, so only the
-        # overflow warning is suppressed.
-        with np.errstate(over="ignore"):
-            data = signal.samples.astype(np.float32)
-    elif encoding == "pcm16":
-        clipped = np.clip(signal.samples, -1.0, 1.0)
-        data = np.round(clipped * 32767.0).astype(np.int16)
-    else:
-        raise FormatError(f"unknown WAV encoding {encoding!r}")
+def write_wav(path, signal: TimeSignal) -> None:
+    """Write a mono 32-bit float WAV file."""
+    # A diverged solver iterate can exceed the float32 range; the cast
+    # saturating to inf is the faithful post-mortem record, so only the
+    # overflow warning is suppressed.
+    with np.errstate(over="ignore"):
+        data = signal.samples.astype(np.float32)
     import scipy.io.wavfile
 
     scipy.io.wavfile.write(path, signal.sample_rate, data)

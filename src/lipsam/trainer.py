@@ -43,9 +43,12 @@ from .signal import StftConfig, TimeSignal, add_scaled_noise, analysis, si_snr, 
 LOSS_EPSILON = 1e-12
 
 # The corpus generator's fixed settings: sample rate (Hz), the range of the
-# harmonic count, and the gap ramps (attack back in, decay out), in seconds.
+# fundamental (Hz) and of the harmonic count, the chance of each of up to
+# three silent gaps, and the gap ramps (attack back in, decay out), in seconds.
 CORPUS_RATE = 8000
+F0_RANGE = (80.0, 300.0)
 HARMONIC_RANGE = (3, 8)
+SILENCE_PROBABILITY = 0.3
 ATTACK_SECONDS = 0.015
 DECAY_SECONDS = 0.03
 
@@ -64,22 +67,19 @@ class SynthCorpusConfig:
     """Generative parameters for the speech-like corpus.
 
     Items are deterministic per ``(seed, index)`` and sampled at
-    ``CORPUS_RATE``; the harmonic count and the gap ramps are the fixed
-    ``HARMONIC_RANGE``, ``ATTACK_SECONDS`` and ``DECAY_SECONDS``.  The
+    ``CORPUS_RATE``; the fundamental, the harmonic count, the gap chance and
+    the gap ramps are the fixed ``F0_RANGE``, ``HARMONIC_RANGE``,
+    ``SILENCE_PROBABILITY``, ``ATTACK_SECONDS`` and ``DECAY_SECONDS``.  The
     defaults give 8192 samples, which is exactly 32 analysis frames at hop
     256.  A duration must round to at least one sample.
     """
 
     item_count: int = 64
     duration_seconds: float = 1.024
-    f0_range: tuple = (80.0, 300.0)
-    silence_probability: float = 0.3
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_field_types(
-            self, ("item_count", "seed"), ("duration_seconds", "silence_probability")
-        )
+        check_field_types(self, ("item_count", "seed"), ("duration_seconds",))
         if self.item_count <= 0:
             raise DomainError("item_count must be positive")
         if not 0.0 < self.duration_seconds < np.inf:
@@ -88,16 +88,8 @@ class SynthCorpusConfig:
             raise DomainError(
                 f"duration {self.duration_seconds!r} s is under one sample at {CORPUS_RATE} Hz"
             )
-        f_low, f_high = self.f0_range
-        if not (0.0 < f_low <= f_high):
-            raise DomainError("f0_range must satisfy 0 < low <= high")
-        if f_high >= CORPUS_RATE / 2.0:
-            raise DomainError("f0_range must lie below the Nyquist frequency")
-        if not 0.0 <= self.silence_probability <= 1.0:
-            raise DomainError("silence_probability must lie in [0, 1]")
         if self.seed < 0:
             raise DomainError("seed must be a nonnegative integer")
-        object.__setattr__(self, "f0_range", (float(f_low), float(f_high)))
 
     @property
     def num_samples(self) -> int:
@@ -110,7 +102,7 @@ def _voiced_draw(rng: np.random.Generator, config: SynthCorpusConfig) -> np.ndar
     rate = CORPUS_RATE
     time = np.arange(n) / rate
 
-    f0 = rng.uniform(*config.f0_range)
+    f0 = rng.uniform(*F0_RANGE)
     harmonics = int(rng.integers(HARMONIC_RANGE[0], HARMONIC_RANGE[1] + 1))
     # Relative drift of 3e-4 keeps k*f0 within one FFT bin over one second.
     drift_depth = 3e-4
@@ -138,14 +130,14 @@ def _voiced_draw(rng: np.random.Generator, config: SynthCorpusConfig) -> np.ndar
     return x * envelope
 
 
-def _carve_gaps(x: np.ndarray, rng: np.random.Generator, config: SynthCorpusConfig) -> np.ndarray:
+def _carve_gaps(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Zero out up to three gaps with linear decay/attack ramps at the edges."""
     n = x.size
     decay = max(1, int(round(DECAY_SECONDS * CORPUS_RATE)))
     attack = max(1, int(round(ATTACK_SECONDS * CORPUS_RATE)))
     mask = np.ones(n)
     for _ in range(3):
-        if rng.uniform() >= config.silence_probability:
+        if rng.uniform() >= SILENCE_PROBABILITY:
             continue
         gap = int(round(n * rng.uniform(0.05, 0.15)))
         start = int(rng.integers(0, max(1, n - gap)))
@@ -172,9 +164,9 @@ def synth_speechlike(config: SynthCorpusConfig, index: int) -> TimeSignal:
     for attempt in range(64):
         x = _voiced_draw(rng, config)
         # After repeated rejections, drop the gaps: a gapless draw always
-        # passes the guard, which bounds the loop for silence_probability 1.
+        # passes the guard, which bounds the loop.
         if attempt < 8:
-            x = _carve_gaps(x, rng, config)
+            x = _carve_gaps(x, rng)
         peak = float(np.max(np.abs(x)))
         if peak == 0.0:
             continue
@@ -258,6 +250,7 @@ class TrainConfig:
             self,
             ("epochs", "batch_size", "frames", "channel_width", "kernel_size", "seed"),
             ("learning_rate",),
+            ("snr_range",),
         )
         if not 0 <= self.epochs <= 20:
             raise DomainError("epochs must lie in [0, 20]")
@@ -407,11 +400,7 @@ def _corpus_segments(corpus: SynthCorpusConfig, needed: int) -> np.ndarray:
     return np.stack(items)
 
 
-def train_denoiser(
-    train_config: TrainConfig,
-    corpus_config: SynthCorpusConfig | None = None,
-    initial_net: ConvNet | None = None,
-) -> TrainResult:
+def train_denoiser(train_config: TrainConfig, corpus_config: SynthCorpusConfig) -> TrainResult:
     """Train an amplitude-modifier denoiser on the Gaussian denoising task.
 
     Items whose training segment is silent are skipped.  10% of the rest (at
@@ -422,14 +411,7 @@ def train_denoiser(
     pass, aborts the run at that step (the epoch's last step for the
     validation pass) and returns the best checkpoint seen so far.  Identical
     configurations reproduce bitwise-identical results.
-
-    ``initial_net`` warm-starts from existing weights instead of a fresh
-    initialization; with ``epochs = 0`` the net comes back unchanged.
     """
-    if corpus_config is None:
-        corpus_config = SynthCorpusConfig(seed=train_config.seed)
-    if corpus_config.item_count < 2:
-        raise DomainError("training needs at least two corpus items (one is held out)")
     needed = train_config.segment_samples
     items = _corpus_segments(corpus_config, needed)
 
@@ -446,12 +428,7 @@ def train_denoiser(
         ]
     )
 
-    if initial_net is None:
-        net = build_denoiser_net(train_config)
-    else:
-        if initial_net.is_2d or initial_net.in_channels != train_config.stft.num_bins:
-            raise ShapeError("initial net must be 1-D with one channel per frequency bin")
-        net = initial_net
+    net = build_denoiser_net(train_config)
     kind = train_config.modifier_kind
     theta = net.flatten_parameters()
     state = AdamState.init(theta, learning_rate=train_config.learning_rate)
@@ -522,7 +499,7 @@ def evaluate_denoiser(
     arch: ModifierArchitecture,
     items,
     snr_levels,
-    stft_config: StftConfig | None = None,
+    stft_config: StftConfig,
     seed: int = 0,
 ):
     """Mean output SNR and SI-SNR per input-SNR level.
@@ -531,8 +508,6 @@ def evaluate_denoiser(
     Returns one dict per level with keys input_snr_db, mean_snr_db,
     mean_si_snr_db.
     """
-    if stft_config is None:
-        stft_config = StftConfig()
     items = list(items)
     if not items:
         raise DomainError("evaluation needs at least one item")

@@ -63,6 +63,14 @@ def test_stft_config_rejects_non_dividing_hop():
         StftConfig(window_length=512, hop=100)
 
 
+@pytest.mark.parametrize(
+    "window_length, hop", [(64.0, 32), ("64", 32), (True, 1), (64, 32.0), (64, True), (None, 32)]
+)
+def test_stft_config_requires_integer_geometry(window_length, hop):
+    with pytest.raises(DomainError, match="window_length|hop"):
+        StftConfig(window_length, hop)
+
+
 def test_stft_config_window_is_the_tight_hann():
     config = StftConfig(window_length=16, hop=4)
     want = make_tight_window(hann_window(16), hop=4)
@@ -388,22 +396,33 @@ def test_wav_round_trip_float32(tmp_path):
     rng = np.random.default_rng(12)
     sig = TimeSignal(np.clip(rng.standard_normal(800) * 0.2, -1, 1))
     path = tmp_path / "f32.wav"
-    write_wav(path, sig, encoding="float32")
+    write_wav(path, sig)
     back = read_wav(path)
     assert back.sample_rate == sig.sample_rate
     np.testing.assert_allclose(back.samples, sig.samples, atol=1e-6)
 
 
 def test_wav_round_trip_pcm16(tmp_path):
-    rng = np.random.default_rng(13)
-    sig = TimeSignal(np.clip(rng.standard_normal(800) * 0.2, -1, 1), sample_rate=16000)
+    # lipsam writes float32 only; a 16-bit PCM file from another writer
+    # reads back scaled by 1/32768
+    import scipy.io.wavfile
+
+    data = np.array([0, 1, -1, 16384, -16384, 32767, -32768], dtype=np.int16)
     path = tmp_path / "p16.wav"
-    write_wav(path, sig, encoding="pcm16")
+    scipy.io.wavfile.write(path, 16000, data)
     back = read_wav(path)
     assert back.sample_rate == 16000
-    np.testing.assert_allclose(back.samples, sig.samples, atol=1e-4)
+    assert back.samples.tobytes() == (data.astype(np.float64) / 32768.0).tobytes()
 
 
 def test_wav_rejects_unknown_encoding(tmp_path):
-    with pytest.raises(FormatError):
-        write_wav(tmp_path / "x.wav", TimeSignal(np.zeros(8)), encoding="pcm24")
+    import scipy.io.wavfile
+
+    stereo = tmp_path / "stereo.wav"
+    scipy.io.wavfile.write(stereo, 8000, np.zeros((8, 2), dtype=np.float32))
+    with pytest.raises(FormatError, match="only mono"):
+        read_wav(stereo)
+    wide = tmp_path / "int32.wav"
+    scipy.io.wavfile.write(wide, 8000, np.zeros(8, dtype=np.int32))
+    with pytest.raises(FormatError, match="unsupported WAV sample format int32"):
+        read_wav(wide)

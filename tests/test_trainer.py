@@ -9,13 +9,16 @@ import pytest
 from lipsam.errors import DomainError, ShapeError, UndefinedMetricError
 from lipsam.modifier import IdentityMap, ModifierArchitecture, NetMap, ZeroMap
 from lipsam.network import forward
-from lipsam.signal import StftConfig, TimeSignal, stft
+from lipsam import trainer
+from lipsam.signal import StftConfig, TimeSignal, add_scaled_noise, stft
 from lipsam.trainer import (
     CORPUS_RATE,
     SynthCorpusConfig,
     TrainConfig,
     _batch_loss_and_grads,
+    _corpus_segments,
     _neg_snr_loss,
+    _validation_loss,
     build_denoiser_net,
     certify_denoiser_net,
     evaluate_denoiser,
@@ -85,12 +88,12 @@ def test_speechlike_peak_normalized_and_voiced():
         assert float(np.sqrt(np.mean(s * s))) > 0.01
 
 
-def test_speechlike_fft_peak_lands_on_a_harmonic():
+def test_speechlike_fft_peak_lands_on_a_harmonic(monkeypatch):
     # A point f0 range pins the fundamental, so the strongest FFT bin must
     # sit within one bin of some harmonic of 200 Hz despite drift/envelopes.
-    config = SynthCorpusConfig(
-        item_count=1, f0_range=(200.0, 200.0), silence_probability=0.0, seed=3
-    )
+    monkeypatch.setattr(trainer, "F0_RANGE", (200.0, 200.0))
+    monkeypatch.setattr(trainer, "SILENCE_PROBABILITY", 0.0)
+    config = SynthCorpusConfig(item_count=1, seed=3)
     n = config.num_samples
     bin_hz = CORPUS_RATE / n
     for index in range(5):
@@ -102,8 +105,11 @@ def test_speechlike_fft_peak_lands_on_a_harmonic():
         assert abs(peak_hz - harmonic * 200.0) <= bin_hz
 
 
-def test_speechlike_silence_guard_keeps_items_voiced():
-    config = SynthCorpusConfig(item_count=1, duration_seconds=0.128, silence_probability=1.0, seed=11)
+def test_speechlike_silence_guard_keeps_items_voiced(monkeypatch):
+    # every draw carves three gaps, so the gapless fallback after 8
+    # rejected draws is what keeps some items voiced
+    monkeypatch.setattr(trainer, "SILENCE_PROBABILITY", 1.0)
+    config = SynthCorpusConfig(item_count=1, duration_seconds=0.128, seed=11)
     saw_gap = False
     for index in range(8):
         s = synth_speechlike(config, index).samples
@@ -121,12 +127,6 @@ def test_speechlike_silence_guard_keeps_items_voiced():
 def test_corpus_config_validation():
     with pytest.raises(DomainError):
         SynthCorpusConfig(item_count=0)
-    with pytest.raises(DomainError):
-        SynthCorpusConfig(f0_range=(100.0, 4000.0))
-    with pytest.raises(DomainError):
-        SynthCorpusConfig(f0_range=(0.0, 100.0))
-    with pytest.raises(DomainError):
-        SynthCorpusConfig(silence_probability=1.5)
     with pytest.raises(DomainError):
         SynthCorpusConfig(duration_seconds=0.0)
     # a duration that rounds to no sample at all
@@ -283,6 +283,12 @@ def test_train_config_validation():
         ("kernel_size", 3.0),
         ("learning_rate", True),
         ("seed", True),
+        ("snr_range", ("20", 40.0)),
+        ("snr_range", (20.0, "40")),
+        ("snr_range", (20, 40, 60)),
+        ("snr_range", (20.0,)),
+        ("snr_range", 20.0),
+        ("snr_range", (True, 40.0)),
     ],
 )
 def test_train_config_requires_typed_fields(field, value):
@@ -296,7 +302,6 @@ def test_train_config_requires_typed_fields(field, value):
         ("item_count", 8.5),
         ("item_count", True),
         ("duration_seconds", True),
-        ("silence_probability", True),
         ("seed", True),
     ],
 )
@@ -437,16 +442,18 @@ def test_validation_selection_invariant():
 
 def test_identity_task_keeps_zero_residual_net_at_floor():
     # A zero residual net is already the identity denoiser, so on nearly
-    # noise-free input the epoch-0 checkpoint stays the best one.
-    config = small_train_config(epochs=1, learning_rate=1e-4, snr_range=(290.0, 300.0))
-    zero_net = build_denoiser_net(config).with_parameters(
-        np.zeros(build_denoiser_net(config).parameter_count)
+    # noise-free input its validation loss sits at the SNR floor.
+    config = small_train_config(snr_range=(290.0, 300.0))
+    assert config.modifier_kind == "am_re"
+    net = build_denoiser_net(config)
+    zero_net = net.with_parameters(np.zeros(net.parameter_count))
+    clean = _corpus_segments(SMALL_CORPUS, config.segment_samples)
+    rng = np.random.default_rng(0)
+    noisy = np.stack(
+        [add_scaled_noise(c, rng.uniform(*config.snr_range), rng.standard_normal(c.size))
+         for c in clean]
     )
-    result = train_denoiser(config, SMALL_CORPUS, initial_net=zero_net)
-    assert result.log[0]["val_loss"] < -120.0
-    assert result.best_epoch == 0
-    assert result.best_val_loss == result.log[0]["val_loss"]
-    assert np.all(result.net.flatten_parameters() == 0.0)
+    assert _validation_loss(zero_net, config.modifier_kind, clean, noisy, config) < -120.0
 
 
 def test_training_aborts_on_poisoned_loss_with_last_good_checkpoint():
@@ -519,8 +526,6 @@ def test_training_skips_silent_segments():
 
 
 def test_training_rejects_corpora_with_fewer_than_two_voiced_segments(monkeypatch):
-    import lipsam.trainer as trainer_module
-
     config = small_train_config(frames=4)
     needed = config.segment_samples
 
@@ -530,27 +535,9 @@ def test_training_rejects_corpora_with_fewer_than_two_voiced_segments(monkeypatc
             samples[:needed] = 0.0
         return TimeSignal(samples, RATE)
 
-    monkeypatch.setattr(trainer_module, "synth_speechlike", mostly_silent)
+    monkeypatch.setattr(trainer, "synth_speechlike", mostly_silent)
     with pytest.raises(DomainError):
         train_denoiser(config, SynthCorpusConfig(item_count=4, seed=0))
-
-
-def test_warm_start_rejects_mismatched_nets():
-    config = small_train_config()
-    wrong_bins = TrainConfig(
-        epochs=2,
-        batch_size=4,
-        learning_rate=1e-2,
-        frames=32,
-        arch="re",
-        channel_width=16,
-        kernel_size=5,
-        seed=0,
-        stft=StftConfig(window_length=32, hop=16),
-    )
-    net = build_denoiser_net(wrong_bins)
-    with pytest.raises(ShapeError):
-        train_denoiser(config, SMALL_CORPUS, initial_net=net)
 
 
 # ---------------------------------------------------------------------------
