@@ -170,10 +170,6 @@ class LipschitzEstimate:
     records: tuple
 
     @property
-    def trials(self) -> int:
-        return len(self.records)
-
-    @property
     def total_iterations(self) -> int:
         return sum(r.iterations for r in self.records)
 

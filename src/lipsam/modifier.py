@@ -289,14 +289,9 @@ class ModifierArchitecture:
         return self.kind in SAFEGUARDED_KINDS
 
 
-def complex_sign(z: np.ndarray) -> np.ndarray:
-    """z / |z| elementwise, with sign(0) = 0."""
-    z = np.asarray(z, dtype=np.complex128)
-    return _sign_from(z, np.abs(z))
-
-
 def _sign_from(z: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
-    """``complex_sign(z)`` from a complex128 ``z`` and its ``magnitude`` |z|."""
+    """The phase z / |z| of a complex128 ``z`` from its ``magnitude`` |z|,
+    elementwise, with sign(0) = 0."""
     out = np.zeros_like(z)
     nonzero = magnitude > 0.0
     np.divide(z, magnitude, out=out, where=nonzero)

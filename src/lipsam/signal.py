@@ -10,11 +10,12 @@ Tightness is obtained in two steps.  The window prototype is normalized so
 its squared hop-shifted copies sum to one at every sample, and the DFT is
 scaled unitarily with sqrt(2) weights on the interior bins so that one-sided
 storage of a real input loses no energy.  The synthesis path applies the
-exact adjoint, so ``istft(stft(x)) == x`` with no further correction.
+exact adjoint, so ``synthesis(analysis(x)) == x`` with no further correction.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,30 +148,6 @@ class StftConfig:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrogram:
-    """Complex STFT coefficients, one-sided, shape [num_bins, num_frames]."""
-
-    values: np.ndarray
-    config: StftConfig | None = None
-
-    def __post_init__(self) -> None:
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
-        if values.ndim != 2 or values.size == 0:
-            raise ShapeError(f"expected a 2-D coefficient matrix, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("spectrogram values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def num_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[1]
-
-
 def analysis(x: np.ndarray, config: StftConfig) -> np.ndarray:
     """Tight-frame analysis of [..., samples] to [..., num_bins, num_frames].
 
@@ -214,34 +191,6 @@ def synthesis(values: np.ndarray, config: StftConfig) -> np.ndarray:
         out[..., j:, :] += blocks[..., : count - j, j, :]
         out[..., :j, :] += blocks[..., count - j :, j, :]
     return out.reshape(out.shape[:-2] + (count * hop,))
-
-
-def stft(signal: TimeSignal, config: StftConfig) -> Spectrogram:
-    """Analyze a signal into tight-frame STFT coefficients.
-
-    The signal length must be a multiple of the hop and cover one window.
-    Frames wrap around the signal end, so every sample is covered the same
-    number of times and the analysis operator is a linear isometry.
-    """
-    return Spectrogram(analysis(signal.samples, config), config)
-
-
-def istft(spec: Spectrogram, config: StftConfig, sample_rate: int = 8000) -> TimeSignal:
-    """Apply the exact adjoint of :func:`stft` (synthesis).
-
-    Because the frame is Parseval tight, this inverts ``stft`` on its range;
-    on arbitrary coefficient matrices it computes the adjoint, which composes
-    with analysis to the orthogonal projection onto the range.
-    """
-    if spec.config is not None and spec.config != config:
-        raise ShapeError("spectrogram was produced with a different STFT configuration")
-    values = spec.values
-    if values.shape[0] != config.num_bins:
-        raise ShapeError(
-            f"expected {config.num_bins} frequency bins, got {values.shape[0]}"
-        )
-    config.check_length(values.shape[1] * config.hop, "spectrogram")
-    return TimeSignal(synthesis(values, config), sample_rate)
 
 
 def circular_convolve(x: TimeSignal, h: TimeSignal) -> TimeSignal:
@@ -327,7 +276,11 @@ def read_wav(path) -> TimeSignal:
     """Read a mono WAV file (16-bit PCM or 32-bit float) as float64 in [-1, 1]."""
     import scipy.io.wavfile  # here, not at module level: only WAV I/O needs scipy.io
 
-    rate, data = scipy.io.wavfile.read(path)
+    try:
+        rate, data = scipy.io.wavfile.read(path)
+    except (ValueError, struct.error) as exc:
+        # what scipy raises on a file that is not a WAV or is cut short
+        raise FormatError(f"cannot read {path} as a WAV file: {exc}") from exc
     if data.ndim != 1:
         raise FormatError("only mono WAV files are supported")
     if data.dtype == np.int16:

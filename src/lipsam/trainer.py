@@ -350,9 +350,9 @@ class TrainResult:
 def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
     """Mean negative-SNR loss over a batch and its flat parameter gradient.
 
-    The chain is stft -> modifier -> istft -> loss.  Synthesis is the exact
-    adjoint of analysis, so the coefficient gradient is the stft of the
-    time-domain gradient.  The phase sign(z) does not depend on the weights,
+    The chain is analysis -> modifier -> synthesis -> loss.  Synthesis is the
+    exact adjoint of analysis, so the coefficient gradient is the analysis of
+    the time-domain gradient.  The phase sign(z) does not depend on the weights,
     so ``amplitude_backward`` carries Re(conj(grad) * sign(z)) to them; the
     noisy coefficients are data, so no input gradient is formed.
     """
@@ -477,7 +477,7 @@ def train_denoiser(train_config: TrainConfig, corpus_config: SynthCorpusConfig) 
         if val < best_val:
             best_net, best_epoch, best_val = net, epoch, val
 
-    if train_config.lipschitz == "spectral" and train_config.epochs > 0:
+    if train_config.lipschitz == "spectral":
         best_net = certify_denoiser_net(best_net, train_config.frames)
     return TrainResult(
         net=best_net,

@@ -53,10 +53,10 @@ from lipsam.pnp import (
 from lipsam.signal import (
     StftConfig,
     TimeSignal,
+    analysis,
     circular_convolve,
-    istft,
     si_snr,
-    stft,
+    synthesis,
 )
 from lipsam.trainer import (
     SynthCorpusConfig,
@@ -252,12 +252,12 @@ def test_criterion_06_tight_frame_at_full_scale(report):
     worst_round = 0.0
     worst_energy = 0.0
     for _ in range(200):
-        signal = TimeSignal(rng.standard_normal(4096), RATE)
-        spec = stft(signal, config)
-        back = istft(spec, config, RATE)
-        worst_round = max(worst_round, float(np.max(np.abs(back.samples - signal.samples))))
-        energy_time = float(np.sum(signal.samples**2))
-        energy_spec = float(np.sum(np.abs(spec.values) ** 2))
+        signal = rng.standard_normal(4096)
+        spec = analysis(signal, config)
+        back = synthesis(spec, config)
+        worst_round = max(worst_round, float(np.max(np.abs(back - signal))))
+        energy_time = float(np.sum(signal**2))
+        energy_spec = float(np.sum(np.abs(spec) ** 2))
         worst_energy = max(worst_energy, abs(energy_spec - energy_time) / energy_time)
     ok = worst_round < 1e-10 and worst_energy <= 1e-9
     report(
@@ -279,7 +279,7 @@ def _dense_analysis(config, length):
     for i in range(length):
         e = np.zeros(length)
         e[i] = 1.0
-        columns.append(realify(stft(TimeSignal(e, RATE), config).values))
+        columns.append(realify(analysis(e, config)))
     return np.stack(columns, axis=1)
 
 
@@ -446,7 +446,7 @@ def test_criterion_10_drop_in_wrapper(report):
     corpus = SynthCorpusConfig(item_count=1, duration_seconds=0.128, seed=0)
     clean = synth_speechlike(corpus, 0).samples
     noisy = clean + 0.3 * rng.standard_normal(clean.shape)
-    x = np.abs(stft(TimeSignal(noisy, RATE), SOLVER_STFT).values)
+    x = np.abs(analysis(noisy, SOLVER_STFT))
     for _ in range(50):
         s, _ = forward(net, x)
         if float(np.max(s - x)) < -0.05:
@@ -511,7 +511,7 @@ def _e2e_case(seed, kind):
         [synth_speechlike(corpus, i).samples[: config.segment_samples] for i in range(2)]
     )
     noisy = clean + 0.01 * np.random.default_rng([7, seed]).standard_normal(clean.shape)
-    mags = np.stack([np.abs(stft(TimeSignal(n, RATE), SOLVER_STFT).values) for n in noisy])
+    mags = np.stack([np.abs(analysis(n, SOLVER_STFT)) for n in noisy])
     return config, net, clean, noisy, _wrapper_margin(kind, net, mags)
 
 

@@ -352,6 +352,24 @@ def test_dereverb_rejects_reference_at_another_rate(workdir, capsys):
     assert not (workdir / "dereverbed.wav").exists()
 
 
+def test_dereverb_rejects_an_input_that_is_not_a_wav(workdir, capsys):
+    paths = make_wav_fixtures(workdir)
+    (workdir / "notes.wav").write_text("not a wav\n")
+    denoiser = write_json(
+        workdir / "soft.json",
+        {"kind": "lipsam_re", "inner": {"variant": "soft_thresh", "tau": 0.05}},
+    )
+    code = main([
+        "dereverb", "--input", str(workdir / "notes.wav"), "--rir", paths["rir"],
+        "--denoiser", denoiser, "--iters", "5", "--out", "dereverbed.wav",
+        "--out-dir", str(workdir),
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: cannot read ") and "Traceback" not in err
+    assert not (workdir / "dereverbed.wav").exists()
+
+
 def test_dereverb_without_reference_omits_si_snr_column(workdir):
     paths = make_wav_fixtures(workdir)
     solver = write_json(workdir / "solver.json", SOLVER_KEYS)

@@ -733,7 +733,7 @@ def test_estimate_dataclasses():
         witness_trial=0,
         records=(record,),
     )
-    assert est.trials == 1
+    assert len(est.records) == 1
     assert est.total_iterations == 3
     assert est.violates_bound(0.01)
     assert not est.violates_bound(0.2)

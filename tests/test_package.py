@@ -51,6 +51,75 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+ROOT = PACKAGE.parents[1]
+# production callers: the package, minus the re-exports of its __init__,
+# plus the scripts and the benchmark harness
+CALLERS = MODULES + sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+
+
+def public_definitions(source: str) -> list:
+    """``(name, is_member)`` for each public top-level function and class,
+    and for each public method or property of a public class."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, False))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (f"{node.name}.{member.name}", True)
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                )
+    return found
+
+
+def uncalled_public_names(modules, callers) -> list:
+    """Public names of ``modules`` that no source in ``callers`` reads.
+
+    A function or class counts as read when a name, an attribute or an
+    ``import`` refers to it; a method or property only when an attribute
+    does."""
+    names, attributes = set(), set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.split(".")[-1] for alias in node.names)
+    uncalled = []
+    for path in modules:
+        for qualified, is_member in public_definitions(path.read_text()):
+            name = qualified.rsplit(".", 1)[-1]
+            read = name in attributes or (not is_member and name in names)
+            if not read:
+                uncalled.append(f"{path.stem}.{qualified}")
+    return sorted(uncalled)
+
+
+def test_caller_scan_tells_members_from_top_level_names(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def used(): pass\n"
+        "def imported(): pass\n"
+        "def unused(): pass\n"
+        "def _private(): pass\n"
+        "class Box:\n"
+        "    def read(self): pass\n"
+        "    @property\n"
+        "    def size(self): pass\n"
+        "    def _hidden(self): pass\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("from mod import imported\nsize = used(Box().read)\n")
+    assert uncalled_public_names([module], [module, caller]) == ["mod.Box.size", "mod.unused"]
+
+
+def test_every_public_name_has_a_production_caller():
+    assert uncalled_public_names(MODULES, CALLERS) == []
+
+
 # pytest itself imports scipy, so the import is checked in a fresh interpreter
 IMPORT_PROBE = """
 import json, os, sys, tempfile

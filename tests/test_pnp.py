@@ -29,9 +29,9 @@ from lipsam.signal import (
     StftConfig,
     TimeSignal,
     add_noise_at_snr,
+    analysis,
     circular_convolve,
     si_snr,
-    stft,
 )
 
 from oracles import quick_train, realify, standard_instance, time_domain_admm_run, unrealify
@@ -102,7 +102,7 @@ def dense_analysis_matrix(config, length):
     for i in range(length):
         e = np.zeros(length)
         e[i] = 1.0
-        columns.append(realify(stft(TimeSignal(e, RATE), config).values))
+        columns.append(realify(analysis(e, config)))
     return np.stack(columns, axis=1)
 
 
@@ -291,7 +291,7 @@ def test_v_update_identity_denoiser_passthrough():
     obs = random_observation(12)
     state = random_state(13, obs)
     new = iterate(state, obs, identity_denoiser())
-    want = stft(TimeSignal(new.x, RATE), SMALL).values + state.xi2
+    want = analysis(new.x, SMALL) + state.xi2
     assert np.allclose(new.v, want, atol=1e-15)
 
 
@@ -300,7 +300,7 @@ def test_v_update_matches_scalar_soft_threshold():
     state = random_state(15, obs)
     tau = 0.1
     new = iterate(state, obs, soft_thresh_denoiser(tau))
-    z = stft(TimeSignal(new.x, RATE), SMALL).values + state.xi2
+    z = analysis(new.x, SMALL) + state.xi2
     mags = np.abs(z)
     want = np.where(mags > 0, np.maximum(mags - tau, 0.0) * np.divide(z, np.where(mags > 0, mags, 1.0)), 0.0)
     assert np.allclose(new.v, want, atol=1e-12)
@@ -324,7 +324,7 @@ def test_dual_update_fixed_point_unchanged():
     x = rng.standard_normal(64)
     hx = convolve(x, h)
     obs = Observation(TimeSignal(hx, RATE), h)
-    gx = stft(TimeSignal(x, RATE), SMALL).values
+    gx = analysis(x, SMALL)
     zero_spec = np.zeros_like(gx)
     state = AdmmState(
         x=x, u_spectrum=np.fft.rfft(hx), v=gx, xi1_spectrum=np.zeros(33, complex), xi2=zero_spec
@@ -344,7 +344,7 @@ def test_dual_update_from_warm_start():
     # from u = y and xi1 = 0, the first dual is the scaled data residual
     residual = convolve(new.x, obs.h) - obs.y.samples
     assert np.allclose(samples(new.xi1_spectrum), residual / (1.0 + lam), atol=1e-12)
-    gx = stft(TimeSignal(new.x, RATE), SMALL).values
+    gx = analysis(new.x, SMALL)
     assert np.allclose(new.xi2, gx - new.v, atol=1e-12)
 
 

@@ -10,7 +10,7 @@ from lipsam.errors import DomainError, ShapeError, UndefinedMetricError
 from lipsam.modifier import IdentityMap, ModifierArchitecture, NetMap, ZeroMap
 from lipsam.network import forward
 from lipsam import trainer
-from lipsam.signal import StftConfig, TimeSignal, add_scaled_noise, stft
+from lipsam.signal import StftConfig, TimeSignal, add_scaled_noise, analysis
 from lipsam.trainer import (
     CORPUS_RATE,
     SynthCorpusConfig,
@@ -503,6 +503,17 @@ def test_spectral_training_returns_certified_feasible_net():
         assert layer.norm_certificate <= 1.0
 
 
+def test_zero_epoch_spectral_run_is_certified():
+    # the net is projected when it is built, so it is certified without a step
+    from lipsam.network import circulant_operator_norm
+
+    config = small_train_config(epochs=0, lipschitz="spectral")
+    result = train_denoiser(config, SMALL_CORPUS)
+    for layer in result.net.layers:
+        assert layer.norm_certificate == circulant_operator_norm(layer, (config.frames,))
+        assert layer.norm_certificate <= 1.0
+
+
 def test_training_rejects_tiny_or_short_corpora():
     with pytest.raises(DomainError):
         train_denoiser(small_train_config(), SynthCorpusConfig(item_count=1))
@@ -552,7 +563,7 @@ def _training_batch(count=4):
 
 
 def _batch_magnitudes(batch):
-    z = np.stack([stft(TimeSignal(row, RATE), SMALL_STFT).values for row in batch])
+    z = np.stack([analysis(row, SMALL_STFT) for row in batch])
     return np.abs(z)
 
 
