@@ -81,11 +81,11 @@ def write_csv(path, header, rows) -> None:
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(document, dict):
         raise ConfigError("config document must be a JSON object")

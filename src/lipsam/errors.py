@@ -36,7 +36,7 @@ class NonFiniteError(ArithmeticError):
 
 
 class FormatError(ValueError):
-    """A serialized blob is corrupt, truncated, or of an unknown version."""
+    """A file is corrupt, truncated, or not in the expected format."""
 
 
 class ConfigError(ValueError):

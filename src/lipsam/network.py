@@ -41,8 +41,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import struct
-import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -668,127 +666,59 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState):
 
 # ------------------------------------------------------------ serialization
 
-_MAGIC = b"LSAMNET1"
-_VERSION = 1
-_ACT_CODES = {"identity": 0, "leaky_relu": 1, "softplus": 2}
-_ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
-
-
-def save_weights(net: ConvNet) -> bytes:
-    """Serialize a network to a versioned, checksummed byte string."""
-    if net.stacked:
-        raise ShapeError("a stacked net is search state; save each trial's net instead")
-    chunks = [struct.pack("<dI", net.scale, len(net.layers))]
-    for layer in net.layers:
-        header = struct.pack(
-            "<BBdBBd",
-            layer.weights.ndim,
-            _ACT_CODES[layer.activation.kind],
-            layer.activation.slope,
-            1 if layer.bias is not None else 0,
-            1 if layer.norm_certificate is not None else 0,
-            layer.norm_certificate if layer.norm_certificate is not None else 0.0,
-        )
-        shape = struct.pack(f"<{layer.weights.ndim}I", *layer.weights.shape)
-        chunks.append(header)
-        chunks.append(shape)
-        chunks.append(np.ascontiguousarray(layer.weights).tobytes())
-        if layer.bias is not None:
-            chunks.append(np.ascontiguousarray(layer.bias).tobytes())
-    payload = b"".join(chunks)
-    return (
-        _MAGIC
-        + struct.pack("<I", _VERSION)
-        + payload
-        + struct.pack("<I", zlib.crc32(payload))
-    )
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, count: int) -> bytes:
-        if self.offset + count > len(self.data):
-            raise FormatError("truncated weight stream")
-        chunk = self.data[self.offset : self.offset + count]
-        self.offset += count
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def load_weights(data: bytes) -> ConvNet:
-    """Parse bytes produced by :func:`save_weights`, validating the checksum."""
-    if len(data) < len(_MAGIC) + 8 or data[: len(_MAGIC)] != _MAGIC:
-        raise FormatError("not a serialized network (bad magic)")
-    (version,) = struct.unpack("<I", data[len(_MAGIC) : len(_MAGIC) + 4])
-    if version != _VERSION:
-        raise FormatError(f"unsupported weight format version {version}")
-    payload = data[len(_MAGIC) + 4 : -4]
-    (crc,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(payload) != crc:
-        raise FormatError("weight stream checksum mismatch")
-    reader = _Reader(payload)
-    scale, layer_count = reader.unpack("<dI")
-    layers = []
-    for _ in range(layer_count):
-        ndim, act_code, slope, has_bias, has_cert, cert = reader.unpack("<BBdBBd")
-        if ndim not in (3, 4):
-            raise FormatError(f"invalid layer rank {ndim}")
-        if act_code not in _ACT_NAMES:
-            raise FormatError(f"unknown activation code {act_code}")
-        if not np.isfinite(slope):
-            raise FormatError(f"non-finite activation slope {slope}")
-        if has_cert and not (np.isfinite(cert) and cert >= 0.0):
-            raise FormatError(f"invalid norm certificate {cert}")
-        shape = reader.unpack(f"<{ndim}I")
-        size = math.prod(shape)  # exact, so a crafted shape fails in take(), not reshape
-        weights = np.frombuffer(reader.take(size * 8), dtype=np.float64).reshape(shape)
-        bias = None
-        if has_bias:
-            bias = np.frombuffer(reader.take(shape[0] * 8), dtype=np.float64)
-        layers.append(
-            ConvLayer(
-                weights.copy(),
-                bias.copy() if bias is not None else None,
-                activation=Activation(_ACT_NAMES[act_code], slope),
-                norm_certificate=float(cert) if has_cert else None,
-            )
-        )
-    if reader.offset != len(payload):
-        raise FormatError("trailing bytes after final layer")
-    return ConvNet(tuple(layers), scale)
-
 
 def save_net(path, net: ConvNet, metadata: dict | None = None) -> None:
-    """Write weight bytes plus a JSON sidecar describing the architecture."""
-    path = str(path)
-    with open(path, "wb") as fh:
-        fh.write(save_weights(net))
-    sidecar = {
-        "format_version": _VERSION,
-        "scale": net.scale,
-        "layers": [
-            {
-                "shape": list(layer.weights.shape),
-                "activation": layer.activation.kind,
-                "slope": layer.activation.slope,
-                "bias": layer.bias is not None,
-                "norm_certificate": layer.norm_certificate,
-            }
-            for layer in net.layers
-        ],
-    }
-    if metadata:
-        sidecar.update(metadata)
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``net`` as an uncompressed ``np.savez`` archive and ``metadata``
+    as the sidecar ``<path>.json``.  Layer i is ``weights_i``, ``activation_i``
+    (a plain string), ``slope_i`` and, if present, ``bias_i`` and
+    ``certificate_i``; ``scale`` goes last, as a damaged zip directory can
+    hide a tail of the members."""
+    if net.stacked:
+        raise ShapeError("a stacked net is search state; save each trial's net instead")
+    members = {}
+    for i, layer in enumerate(net.layers):
+        members[f"weights_{i}"] = layer.weights
+        members[f"activation_{i}"] = np.str_(layer.activation.kind)
+        members[f"slope_{i}"] = np.float64(layer.activation.slope)
+        if layer.bias is not None:
+            members[f"bias_{i}"] = layer.bias
+        if layer.norm_certificate is not None:
+            members[f"certificate_{i}"] = np.float64(layer.norm_certificate)
+    members["scale"] = np.float64(net.scale)
+    with open(path, "wb") as handle:  # given a name, np.savez would append ".npz"
+        np.savez(handle, **members)
+    with open(f"{path}.json", "w", encoding="utf-8") as handle:
+        json.dump(metadata or {}, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def load_net(path) -> ConvNet:
-    with open(str(path), "rb") as fh:
-        return load_weights(fh.read())
+    """Read a network written by :func:`save_net`.  Any defect raises
+    FormatError: a damaged or foreign file, a failed member CRC, a missing,
+    non-float64 numeric or unread member, or a value the layers reject."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            if archive.zip.testzip() is not None:
+                raise FormatError("a member fails its CRC check")
+            members = {name: archive[name] for name in archive.files}
+
+        def number(name):
+            value = np.asarray(members.pop(name))
+            if value.dtype != np.float64:
+                raise FormatError(f"member {name} holds {value.dtype}, not float64")
+            return value
+
+        layers = []
+        while f"weights_{len(layers)}" in members:
+            i = len(layers)
+            bias = number(f"bias_{i}") if f"bias_{i}" in members else None
+            cert = float(number(f"certificate_{i}")) if f"certificate_{i}" in members else None
+            activation = Activation(str(members.pop(f"activation_{i}")), float(number(f"slope_{i}")))
+            layers.append(ConvLayer(number(f"weights_{i}"), bias, activation, cert))
+        net = ConvNet(tuple(layers), float(number("scale")))
+        if members:
+            raise FormatError(f"members {sorted(members)} belong to no layer")
+    # zipfile and numpy raise many undocumented types on damaged bytes, the layers their own
+    except Exception as exc:
+        raise FormatError(f"cannot load a network from {path}: {exc}") from exc
+    return net

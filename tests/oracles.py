@@ -5,9 +5,7 @@ quantity the package computes faster, or a set-up helper that only tests
 need.
 """
 
-import struct
 import time
-import zlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -317,22 +315,23 @@ def certify_layer(layer: ConvLayer, input_shape: tuple, target: float = 1.0) -> 
     )
 
 
-def rewrite_first_layer_header(blob: bytes, slope=None, certificate=None, shape=None) -> bytes:
-    """A ``save_weights`` blob whose first layer stores a different activation
-    slope, norm certificate and/or weight shape (same rank), re-checksummed so
-    that only the value checks in ``load_weights`` can reject it.
-    """
-    # blob: magic (8) + version (4) | payload | crc32 (4); the payload opens
-    # with scale <d and layer count <I, then the first header <BBdBBd and
-    # its shape, one <I per dim
-    payload = bytearray(blob[12:-4])
-    if slope is not None:
-        struct.pack_into("<d", payload, 14, slope)
-    if certificate is not None:
-        struct.pack_into("<Bd", payload, 23, 1, certificate)
-    if shape is not None:
-        struct.pack_into(f"<{len(shape)}I", payload, 32, *shape)
-    return blob[:12] + bytes(payload) + struct.pack("<I", zlib.crc32(payload))
+def rewrite_member(path, name: str, value) -> None:
+    """Store ``value`` as member ``name`` of the ``save_net`` archive at
+    ``path``, keeping the other members, so that only the value checks in
+    ``load_net`` can reject it.  ``np.savez`` writes fresh CRCs."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = dict(archive)
+    members[name] = value
+    with open(path, "wb") as handle:
+        np.savez(handle, **members)
+
+
+def saved_form(net) -> tuple:
+    """What a weight file records of ``net``, comparable with ``==``: the
+    flat parameter bytes, the scale, and each layer's shape, activation and
+    certificate."""
+    layers = [(layer.weights.shape, layer.activation, layer.norm_certificate) for layer in net.layers]
+    return net.flatten_parameters().tobytes(), net.scale, layers
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from lipsam.network import (
     backward,
     circulant_operator_norm,
     forward,
-    save_weights,
 )
 from lipsam.pnp import (
     AdmmState,
@@ -66,7 +65,7 @@ from lipsam.trainer import (
     synth_speechlike,
 )
 
-from oracles import quick_train, realify, standard_instance, unrealify
+from oracles import quick_train, realify, saved_form, standard_instance, unrealify
 
 RATE = 8000
 SOLVER_STFT = StftConfig(window_length=64, hop=32)
@@ -437,7 +436,7 @@ def test_criterion_10_drop_in_wrapper(report):
     net = quick_train("se", "spectral")
     plain = ModifierArchitecture("am_se", NetMap(net))
     wrapped = ModifierArchitecture("lipsam_se", NetMap(net))
-    same_bytes = save_weights(plain.inner.net) == save_weights(wrapped.inner.net)
+    same_bytes = saved_form(plain.inner.net) == saved_form(wrapped.inner.net)
 
     # Construct a batch on which the estimator stays strictly below the
     # input magnitude: raise exactly the violated coordinates until the

@@ -16,10 +16,10 @@ from lipsam.cli import CONFIG_KEYS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, EXIT_VIO
 from lipsam.cli import build_parser, main, parse_lambda_grid
 from lipsam.errors import ConfigError
 from lipsam.modifier import BiasAdd, architecture_from_config
-from lipsam.network import IDENTITY, ConvLayer, ConvNet, load_net, save_net, save_weights
+from lipsam.network import IDENTITY, ConvLayer, ConvNet, load_net, save_net
 from lipsam.signal import TimeSignal, circular_convolve, add_noise_at_snr, read_wav, write_wav
-from lipsam.trainer import SynthCorpusConfig, synth_rir, synth_speechlike
-from oracles import rewrite_first_layer_header
+from lipsam.trainer import SynthCorpusConfig, synth_rir, synth_speechlike, train_denoiser
+from oracles import rewrite_member
 
 RATE = 8000
 
@@ -197,6 +197,22 @@ def test_unknown_config_keys_are_a_usage_error(workdir, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate-bounds", "certify"])
+def test_a_config_that_is_not_utf8_is_a_config_error(workdir, capsys, command):
+    if command == "validate-bounds":
+        path = workdir / "bounds.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with its byte order mark
+        argv = ["validate-bounds", "--config", str(path)]
+    else:
+        # the weight file passed where its .deploy.json belongs
+        path = workdir / "denoiser.npz"
+        save_net(path, ConvNet((ConvLayer(np.ones((1, 1, 3))),)))
+        argv = ["certify", "--modifier", str(path), "--restarts", "1"]
+    assert main(argv + ["--out-dir", str(workdir)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -242,7 +258,14 @@ def test_train_rejects_a_segment_shorter_than_one_window(workdir, capsys):
     assert not (workdir / "denoiser.npz").exists()
 
 
-def test_train_writes_weights_and_log(workdir, capsys):
+def test_train_writes_weights_and_log(workdir, capsys, monkeypatch):
+    results = []
+
+    def recording_train(*configs):
+        results.append(train_denoiser(*configs))
+        return results[-1]
+
+    monkeypatch.setattr("lipsam.cli.train_denoiser", recording_train)
     config = write_json(workdir / "train.json", TRAIN_CONFIG)
     assert main(train_args(workdir, config)) == EXIT_OK
     out = capsys.readouterr().out
@@ -251,8 +274,15 @@ def test_train_writes_weights_and_log(workdir, capsys):
     net = load_net(workdir / "denoiser.npz")
     assert net.in_channels == 33
     sidecar = json.loads((workdir / "denoiser.npz.json").read_text())
-    assert sidecar["kind"] == "am_re"
-    assert sidecar["lipschitz"] == "none"
+    assert sidecar == {"kind": "am_re", "arch": "re", "lipschitz": "none", "window_length": 64,
+                       "hop": 32, "best_epoch": results[0].best_epoch}
+
+    # the weight file is a plain npz: numpy alone reads the trained parameters
+    with np.load(workdir / "denoiser.npz", allow_pickle=False) as archive:
+        members = [archive[name] for name in archive.files
+                   if name.startswith(("weights_", "bias_"))]
+    flat = np.concatenate([member.reshape(-1) for member in members])
+    assert flat.tobytes() == results[0].net.flatten_parameters().tobytes()
 
     rows = read_rows(workdir / "train_log.csv")
     assert rows[0] == ["epoch", "train_loss", "val_loss"]
@@ -525,11 +555,11 @@ def test_certify_catches_a_lying_certificate(workdir, capsys):
 
 @pytest.mark.parametrize("certificate", [float("nan"), -1.0])
 def test_certify_rejects_a_corrupt_stored_certificate(workdir, capsys, certificate):
-    # A checksum-valid file whose certificate is NaN or negative must stop
+    # A CRC-valid archive whose certificate is NaN or negative must stop
     # the run with a usage error, not print "no certified bound" or a traceback.
     net = ConvNet((ConvLayer(np.ones((1, 1, 3)), activation=IDENTITY, norm_certificate=0.5),))
-    blob = rewrite_first_layer_header(save_weights(net), certificate=certificate)
-    (workdir / "corrupt.npz").write_bytes(blob)
+    save_net(workdir / "corrupt.npz", net)
+    rewrite_member(workdir / "corrupt.npz", "certificate_0", np.float64(certificate))
     denoiser = write_json(
         workdir / "corrupt.json",
         {"kind": "lipsam_se", "inner": {"variant": "net", "file": "corrupt.npz"}},
@@ -544,8 +574,24 @@ def test_certify_rejects_a_corrupt_stored_certificate(workdir, capsys, certifica
     assert "no certified bound" not in captured.out
 
 
+@pytest.mark.parametrize("damage", ["truncated", "empty"])
+def test_certify_rejects_a_damaged_weight_file(workdir, capsys, damage):
+    save_net(workdir / "damaged.npz", ConvNet((ConvLayer(np.ones((1, 1, 3))),)))
+    blob = (workdir / "damaged.npz").read_bytes()
+    (workdir / "damaged.npz").write_bytes(blob[: len(blob) // 2] if damage == "truncated" else b"")
+    denoiser = write_json(
+        workdir / "damaged.json",
+        {"kind": "lipsam_re", "inner": {"variant": "net", "file": "damaged.npz"}},
+    )
+    code = main(["certify", "--modifier", denoiser, "--restarts", "1", "--out-dir", str(workdir)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "cannot load a network" in err
+    assert "Traceback" not in err
+
+
 def test_certify_rejects_a_zero_width_layer(workdir, capsys):
-    # a checksum-valid file whose hidden layer has no channels: the run must
+    # a CRC-valid archive whose hidden layer has no channels: the run must
     # stop with an error, not a traceback from deep inside the search
     layers = (ConvLayer(np.ones((1, 4, 3))), ConvLayer(np.ones((4, 1, 3))))
     object.__setattr__(layers[0], "weights", np.ones((0, 4, 3)))

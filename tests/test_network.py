@@ -28,10 +28,8 @@ from lipsam.network import (
     jvp,
     lipschitz_upper_bound,
     load_net,
-    load_weights,
     project_unit_ball,
     save_net,
-    save_weights,
 )
 from oracles import (
     ReferenceAdamState,
@@ -39,7 +37,7 @@ from oracles import (
     eigvalsh_operator_norm,
     full_spectrum_operator_norm,
     reference_adam_step,
-    rewrite_first_layer_header,
+    rewrite_member,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -836,41 +834,112 @@ def test_flat_adam_matches_the_per_array_reference_bit_for_bit():
 # ---------------------------------------------------------------- weights io
 
 
-def test_save_load_round_trip_bitwise():
+def saved(tmp_path, net):
+    path = tmp_path / "weights.bin"
+    save_net(path, net)
+    return path
+
+
+def assert_same_net(a, b):
+    assert a.scale == b.scale
+    assert len(a.layers) == len(b.layers)
+    for x, y in zip(a.layers, b.layers):
+        assert x.weights.shape == y.weights.shape
+        assert x.weights.tobytes() == y.weights.tobytes()
+        assert (x.bias is None) == (y.bias is None)
+        assert x.bias is None or x.bias.tobytes() == y.bias.tobytes()
+        assert x.activation == y.activation
+        assert x.norm_certificate == y.norm_certificate
+
+
+def test_save_load_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(17)
     net = make_net_1d(rng, channels=(3, 5, 2), activation=LEAKY_RELU, scale=0.9)
-    blob = save_weights(net)
-    loaded = load_weights(blob)
-    assert loaded.scale == net.scale
-    assert len(loaded.layers) == len(net.layers)
-    for a, b in zip(net.layers, loaded.layers):
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.bias, b.bias)
-        assert a.activation == b.activation
-        assert a.norm_certificate == b.norm_certificate
-    assert save_weights(loaded) == blob
+    path = saved(tmp_path, net)
+    loaded = load_net(path)
+    assert_same_net(net, loaded)
+    save_net(tmp_path / "again.bin", loaded)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
-def test_save_load_preserves_certificates():
+def test_save_load_round_trips_every_layer_kind(tmp_path):
+    # 2-D layers, every activation, a slope off the default, with and
+    # without bias and certificate, and a negative scale
+    rng = np.random.default_rng(26)
+    layers = (
+        ConvLayer(rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2),
+                  activation=Activation("leaky_relu", -0.3), norm_certificate=2.5),
+        ConvLayer(rng.standard_normal((3, 2, 1, 5)), activation=SOFTPLUS),
+        ConvLayer(rng.standard_normal((1, 3, 3, 1)), rng.standard_normal(1),
+                  activation=IDENTITY, norm_certificate=0.0),
+    )
+    net = ConvNet(layers, scale=-1.25)
+    assert_same_net(net, load_net(saved(tmp_path, net)))
+
+
+def test_save_load_preserves_certificates(tmp_path):
     layer = certify_layer(ConvLayer(np.ones((1, 1, 3))), (8,), target=1.0)
     net = ConvNet((layer,))
-    loaded = load_weights(save_weights(net))
+    loaded = load_net(saved(tmp_path, net))
     assert loaded.layers[0].norm_certificate == 1.0
 
 
-def test_load_rejects_truncated_stream():
+def test_load_rejects_truncated_stream(tmp_path):
     rng = np.random.default_rng(18)
-    blob = save_weights(make_net_1d(rng))
+    path = saved(tmp_path, make_net_1d(rng))
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     with pytest.raises(FormatError):
-        load_weights(blob[: len(blob) // 2])
+        load_net(path)
 
 
-def test_load_rejects_corrupted_payload():
+def test_load_rejects_corrupted_payload(tmp_path):
     rng = np.random.default_rng(19)
-    blob = bytearray(save_weights(make_net_1d(rng)))
-    blob[30] ^= 0xFF
+    net = make_net_1d(rng)
+    path = saved(tmp_path, net)
+    blob = bytearray(path.read_bytes())
+    blob[blob.find(net.layers[0].weights.tobytes()) + 5] ^= 0xFF
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="CRC"):
+        load_net(path)
+
+
+def test_every_flipped_byte_is_caught_or_harmless(tmp_path):
+    # a flip in the zip bookkeeping (a member's date, say) may leave the net
+    # intact; any flip that would change the net must raise
+    net = ConvNet((ConvLayer(np.ones((2, 2, 3)), np.zeros(2), norm_certificate=1.0),))
+    blob = saved(tmp_path, net).read_bytes()
+    path = tmp_path / "flipped.bin"
+    for i in range(len(blob)):
+        path.write_bytes(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1 :])
+        try:
+            loaded = load_net(path)
+        except FormatError:
+            continue
+        assert_same_net(net, loaded)
+
+
+def test_load_rejects_a_damaged_shape_in_a_large_member(tmp_path):
+    # numpy reads only the bytes the (damaged) header promises, so zipfile
+    # never reaches the member's end to check its CRC during that read
+    net = ConvNet((ConvLayer(np.ones((64, 33, 5))),))
+    path = saved(tmp_path, net)
+    blob = path.read_bytes()
+    at = blob.index(b"(64, 33, 5)") + len(b"(64, 33, ")
+    path.write_bytes(blob[:at] + b"3" + blob[at + 1 :])
+    with pytest.raises(FormatError, match="CRC"):
+        load_net(path)
+
+
+@pytest.mark.parametrize("contents", [
+    b"",
+    b"LSAMNET1\x01\x00\x00\x00" + bytes(32),  # a file of the retired hand-rolled format
+    b"XXXXXXXX" + bytes(32),
+], ids=["empty", "old-format", "foreign"])
+def test_load_rejects_an_empty_or_foreign_file(tmp_path, contents):
+    path = tmp_path / "weights.bin"
+    path.write_bytes(contents)
     with pytest.raises(FormatError):
-        load_weights(bytes(blob))
+        load_net(path)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -880,25 +949,49 @@ def test_load_rejects_corrupted_payload():
     ("slope", float("nan")),
     ("slope", float("inf")),
 ])
-def test_load_rejects_invalid_certificate_or_slope(field, value):
+def test_load_rejects_invalid_certificate_or_slope(tmp_path, field, value):
     rng = np.random.default_rng(23)
-    blob = save_weights(make_net_1d(rng, activation=LEAKY_RELU))
+    path = saved(tmp_path, make_net_1d(rng, activation=LEAKY_RELU))
+    rewrite_member(path, f"{field}_0", np.float64(value))
     with pytest.raises(FormatError):
-        load_weights(rewrite_first_layer_header(blob, **{field: value}))
+        load_net(path)
 
 
-def test_load_rejects_shape_beyond_stream():
-    # the element count of this shape wraps around in int64
+@pytest.mark.parametrize("name,value", [
+    ("weights_0", np.ones((4, 3))),
+    ("weights_0", np.ones((4, 3, 3), dtype=complex)),  # ConvLayer alone would drop the imaginary part
+    ("slope_0", np.float32(0.1)),
+    ("activation_0", np.str_("tanh")),
+    ("scale", np.ones(2)),
+    ("bias_2", np.ones(2)),  # a member no layer reads
+], ids=["rank-2-weights", "complex-weights", "float32-slope", "unknown-activation",
+        "vector-scale", "unread-member"])
+def test_load_rejects_a_bad_or_unread_member(tmp_path, name, value):
     rng = np.random.default_rng(23)
-    blob = save_weights(make_net_1d(rng, activation=LEAKY_RELU))
+    path = saved(tmp_path, make_net_1d(rng, activation=LEAKY_RELU))
+    rewrite_member(path, name, value)
     with pytest.raises(FormatError):
-        load_weights(rewrite_first_layer_header(blob, shape=(2**32 - 1, 2**32 - 1, 1)))
+        load_net(path)
 
 
-def test_load_accepts_rechecksummed_valid_header():
+@pytest.mark.parametrize("name", ["scale", "weights_0", "slope_1", "activation_1"])
+def test_load_rejects_a_missing_member(tmp_path, name):
     rng = np.random.default_rng(23)
-    blob = save_weights(make_net_1d(rng, activation=LEAKY_RELU))
-    loaded = load_weights(rewrite_first_layer_header(blob, slope=0.2, certificate=0.5))
+    path = saved(tmp_path, make_net_1d(rng))
+    with np.load(path, allow_pickle=False) as archive:
+        members = {key: archive[key] for key in archive.files if key != name}
+    with open(path, "wb") as handle:
+        np.savez(handle, **members)
+    with pytest.raises(FormatError):
+        load_net(path)
+
+
+def test_load_accepts_rechecksummed_valid_header(tmp_path):
+    rng = np.random.default_rng(23)
+    path = saved(tmp_path, make_net_1d(rng, activation=LEAKY_RELU))
+    rewrite_member(path, "slope_0", np.float64(0.2))
+    rewrite_member(path, "certificate_0", np.float64(0.5))
+    loaded = load_net(path)
     assert loaded.layers[0].activation.slope == 0.2
     assert loaded.layers[0].norm_certificate == 0.5
 
@@ -925,21 +1018,12 @@ def test_layer_rejects_non_finite_certificate_and_slope():
         Activation("leaky_relu", float("nan"))
 
 
-def test_load_rejects_bad_magic_and_version():
-    rng = np.random.default_rng(20)
-    blob = save_weights(make_net_1d(rng))
-    with pytest.raises(FormatError):
-        load_weights(b"XXXXXXXX" + blob[8:])
-    tampered = blob[:8] + b"\x09\x00\x00\x00" + blob[12:]
-    with pytest.raises(FormatError):
-        load_weights(tampered)
-
-
 def test_save_net_writes_sidecar(tmp_path):
     rng = np.random.default_rng(21)
     net = make_net_1d(rng)
     path = tmp_path / "weights.bin"
-    save_net(path, net, metadata={"kind": "am_se"})
+    save_net(path, net, metadata={"kind": "am_se", "hop": 32})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["weights.bin", "weights.bin.json"]
     loaded = load_net(path)
     out_a, _ = forward(net, np.ones((3, 6)))
     out_b, _ = forward(loaded, np.ones((3, 6)))
@@ -947,8 +1031,9 @@ def test_save_net_writes_sidecar(tmp_path):
     import json
 
     sidecar = json.loads((tmp_path / "weights.bin.json").read_text())
-    assert sidecar["kind"] == "am_se"
-    assert len(sidecar["layers"]) == 2
+    assert sidecar == {"kind": "am_se", "hop": 32}
+    with np.load(path, allow_pickle=False) as archive:
+        assert archive.files[-1] == "scale"
 
 
 def test_flatten_with_parameters_round_trip():
@@ -1055,7 +1140,7 @@ def test_jvp_is_the_adjoint_of_backward(rank, spatial):
         jvp(_stack_template(rank), cache, tangents)
 
 
-def test_stacked_layer_takes_its_trial_axis_from_the_flag():
+def test_stacked_layer_takes_its_trial_axis_from_the_flag(tmp_path):
     w = np.zeros((2, 3, 3, 5))  # one 2-D layer, or two stacked 1-D layers
     assert ConvLayer(w).is_2d and ConvLayer(w).in_channels == 3
     layer = ConvLayer(w, np.zeros((2, 3)), stacked=True)
@@ -1067,7 +1152,7 @@ def test_stacked_layer_takes_its_trial_axis_from_the_flag():
     with pytest.raises(ShapeError):
         forward(net, np.zeros((3, 3, 4)))
     with pytest.raises(ShapeError):
-        save_weights(net)
+        save_net(tmp_path / "stacked.bin", net)
     with pytest.raises(ShapeError):
         net.with_parameters(net.flatten_parameters())
     with pytest.raises(ShapeError):

@@ -27,7 +27,7 @@ from lipsam.trainer import (
     train_denoiser,
 )
 
-from oracles import eigvalsh_operator_norm, neg_snr_loss_row
+from oracles import eigvalsh_operator_norm, neg_snr_loss_row, saved_form
 
 RATE = 8000
 SMALL_STFT = StftConfig(window_length=64, hop=32)
@@ -379,7 +379,6 @@ def test_spectral_training_with_the_eigvalsh_norm_gives_the_same_bytes(monkeypat
     # norm screens its Grams; swapping in one eigvalsh per frequency must
     # change no weight and no certificate
     from lipsam import network, trainer
-    from lipsam.network import save_weights
 
     config = TrainConfig(epochs=1, batch_size=4, lipschitz="spectral", seed=5)
     corpus = SynthCorpusConfig(item_count=9, seed=5)
@@ -389,7 +388,7 @@ def test_spectral_training_with_the_eigvalsh_norm_gives_the_same_bytes(monkeypat
     solved = train_denoiser(config, corpus)
     assert screened.status == solved.status == "completed"
     assert all(layer.norm_certificate is not None for layer in screened.net.layers)
-    assert save_weights(screened.net) == save_weights(solved.net)
+    assert saved_form(screened.net) == saved_form(solved.net)
     assert repr(screened.log) == repr(solved.log)  # NaN-safe, exact for floats
 
 
