@@ -15,7 +15,10 @@ search must reproduce a trial batched with others bit for bit.  Any
 larger grid (training at 32 frames, the solver at 128) is lowered to im2col
 columns (Chellapilla et al. 2006): one strided view of the wrap-extended
 input, copied once into [in·taps, cells], and one GEMM per sample with the
-[out, in·taps] weights, with fewer flops than the dense matrix.
+[out, in·taps] weights, with fewer flops than the dense matrix.  A net
+derives each layer's operand for a grid (the dense matrix or the weight
+rows) and its broadcast bias on its first pass over that grid and keeps
+them, so ``forward`` and ``jvp`` at one point build each operator once.
 
 A stacked layer or net (``stacked=True``) holds one layer or net per search
 trial: its weights carry a leading trial axis, [trials, out, in, *kernel],
@@ -41,6 +44,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -231,6 +235,37 @@ def _dense_operator(weights: np.ndarray, sizes: tuple, lead: int) -> np.ndarray:
     return op.reshape(trials + (out * cells, inp * cells))
 
 
+def _linear_operand(weights: np.ndarray, sizes: tuple, lead: int) -> np.ndarray:
+    """What :func:`_apply_linear` multiplies a layer's input by on a grid of
+    ``sizes``: on a dense-form grid the transposed dense operator
+    [*trials, in·P, out·P], on any other the [*trials, out, in·taps] weight
+    rows that multiply the im2col columns."""
+    if _dense_form(weights.shape[2 + lead :], sizes):
+        return _dense_operator(weights, sizes, lead).swapaxes(-1, -2)
+    return weights.reshape(weights.shape[: lead + 1] + (-1,))
+
+
+def _over_batch(array: np.ndarray, lead: int, batch: int) -> np.ndarray:
+    """``array`` with ``batch`` unit axes after its ``lead`` trial axes, so
+    that a trial's slice broadcasts over that trial's samples."""
+    return array.reshape(array.shape[:lead] + (1,) * batch + array.shape[lead:])
+
+
+def _apply_linear(
+    operand: np.ndarray, kernel_shape: tuple, x: np.ndarray, lead: int
+) -> np.ndarray:
+    """The linear part of a layer from its :func:`_linear_operand` on x's
+    grid; x may carry leading batch axes after ``lead`` trial axes."""
+    n = len(kernel_shape)
+    sizes = x.shape[-n:]
+    operand = _over_batch(operand, lead, x.ndim - n - 1 - lead)
+    if _dense_form(kernel_shape, sizes):
+        out = x.reshape(x.shape[: -n - 1] + (1, -1)) @ operand
+        return out.reshape(x.shape[: -n - 1] + (-1,) + sizes)
+    out = operand @ _columns(x, kernel_shape, -n - 1)
+    return out.reshape(out.shape[:-1] + sizes)
+
+
 def _conv_linear(weights: np.ndarray, x: np.ndarray, stacked: bool = False) -> np.ndarray:
     """Apply the linear part of a layer; x may carry leading batch axes.
 
@@ -243,19 +278,9 @@ def _conv_linear(weights: np.ndarray, x: np.ndarray, stacked: bool = False) -> n
     share the call.
     """
     lead = int(stacked)
-    n = weights.ndim - 2 - lead
-    sizes = x.shape[-n:]
-    if _dense_form(weights.shape[2 + lead :], sizes):
-        op_t = _dense_operator(weights, sizes, lead).swapaxes(-1, -2)
-        # a trial's operator broadcasts over that trial's samples
-        op_t = op_t.reshape(op_t.shape[:lead] + (1,) * (x.ndim - n - 1 - lead) + op_t.shape[lead:])
-        out = x.reshape(x.shape[: -n - 1] + (1, -1)) @ op_t
-        return out.reshape(x.shape[: -n - 1] + (weights.shape[lead],) + sizes)
-    # a trial's weights broadcast over that trial's samples, one GEMM each
-    batch = (1,) * (x.ndim - n - 1 - lead)
-    rows = weights.reshape(weights.shape[:lead] + batch + (weights.shape[lead], -1))
-    out = rows @ _columns(x, weights.shape[2 + lead :], -n - 1)
-    return out.reshape(out.shape[:-1] + sizes)
+    kernel_shape = weights.shape[2 + lead :]
+    operand = _linear_operand(weights, x.shape[-len(kernel_shape) :], lead)
+    return _apply_linear(operand, kernel_shape, x, lead)
 
 
 def _conv_linear_transpose(
@@ -296,6 +321,7 @@ class ConvNet:
             raise NonFiniteError("scale must be finite")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "_operands", {})
 
     @property
     def is_2d(self) -> bool:
@@ -312,6 +338,22 @@ class ConvNet:
     @property
     def out_channels(self) -> int:
         return self.layers[-1].out_channels
+
+    def _layer_operands(self, sizes: tuple) -> tuple:
+        """Each layer's :func:`_linear_operand` and bias, shaped to broadcast
+        over its output channels, on a grid of ``sizes``; derived on the
+        first call for that grid, so ``forward`` and ``jvp`` share them.
+        Layers are values: nothing writes to their weights in place."""
+        if sizes not in self._operands:
+            lead, ones = int(self.stacked), (1,) * len(sizes)
+            self._operands[sizes] = tuple(
+                (
+                    _linear_operand(layer.weights, sizes, lead),
+                    None if layer.bias is None else layer.bias.reshape(layer.bias.shape + ones),
+                )
+                for layer in self.layers
+            )
+        return self._operands[sizes]
 
     def parameters(self) -> list:
         """Weights and biases in layer order, biases after their weights."""
@@ -383,12 +425,12 @@ def forward(net: ConvNet, x: np.ndarray):
         raise ShapeError(f"input shape {x.shape} does not lead with the trial stack {lead}")
     inputs = []
     preactivations = []
-    for layer in net.layers:
+    batch = x.ndim - len(lead) - spatial
+    for layer, (operand, bias) in zip(net.layers, net._layer_operands(x.shape[1 - spatial :])):
         inputs.append(x)
-        z = _conv_linear(layer.weights, x, net.stacked)
-        if layer.bias is not None:
-            batch = (1,) * (z.ndim - len(lead) - spatial)
-            z += layer.bias.reshape(lead + batch + (-1,) + (1,) * (spatial - 1))
+        z = _apply_linear(operand, layer.weights.shape[1 - spatial :], x, len(lead))
+        if bias is not None:
+            z += _over_batch(bias, len(lead), batch)
         preactivations.append(z)
         x = layer.activation(z)
     return net.scale * x, ForwardCache(net, inputs, preactivations)
@@ -443,8 +485,10 @@ def jvp(net: ConvNet, cache: ForwardCache, tangents: np.ndarray) -> np.ndarray:
     x = cache.inputs[0]
     if d.ndim != x.ndim + 1 or d.shape[: -rank - 1] + d.shape[-rank:] != x.shape:
         raise ShapeError(f"tangents {d.shape} do not carry one axis ahead of input {x.shape}")
-    for layer, z in zip(net.layers, cache.preactivations):
-        d = _conv_linear(layer.weights, d, net.stacked)
+    lead = int(net.stacked)
+    operands = net._layer_operands(x.shape[1 - rank :])
+    for layer, (operand, _), z in zip(net.layers, operands, cache.preactivations):
+        d = _apply_linear(operand, layer.weights.shape[1 - rank :], d, lead)
         d *= np.expand_dims(layer.activation.derivative(z), -rank - 1)
     return net.scale * d
 
@@ -697,6 +741,9 @@ def load_net(path) -> ConvNet:
     FormatError: a damaged or foreign file, a failed member CRC, a missing,
     non-float64 numeric or unread member, or a value the layers reject."""
     try:
+        # np.load reads any other file as npy or pickle, and says so
+        if not zipfile.is_zipfile(path):
+            raise FormatError("not an npz archive written by save_net")
         with np.load(path, allow_pickle=False) as archive:
             if archive.zip.testzip() is not None:
                 raise FormatError("a member fails its CRC check")

@@ -16,8 +16,9 @@ in the frequency domain.  u and xi1 enter the recursion only linearly and
 only through H, so a solve carries them (and y) as rfft spectra U, Xi1, Y
 and forms HX = X * rfft(h) in the spectrum; x stays in the time domain for
 the STFT.  One iteration is then one rfft of G^H (v - xi2), one irfft of
-X, one STFT and one ISTFT: four FFTs.  The iteration works on plain arrays;
-signal types appear only where a solve starts and ends.
+X, one STFT and one ISTFT (two more FFTs, or two GEMMs at a short window).
+The iteration works on plain arrays; signal types appear only where a solve
+starts and ends.
 
 Divergence is contained, not fatal: after each iteration one finiteness
 check on the two duals ends the run with a diverged status; the estimate,

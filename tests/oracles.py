@@ -5,8 +5,12 @@ quantity the package computes faster, or a set-up helper that only tests
 need.
 """
 
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -536,3 +540,23 @@ def reference_adam_step(params, grads, state: ReferenceAdamState):
         new_v.append(v)
     return new_params, replace(state, first_moment=tuple(new_m), second_moment=tuple(new_v),
                                step_count=t)
+
+
+# ---------------------------------------------------------------------------
+# runs at a given BLAS thread count
+
+
+def output_at_blas_threads(code: str, threads: int) -> str:
+    """What ``code`` prints when run in a fresh interpreter whose BLAS is
+    held to ``threads`` threads, with ``src`` and ``tests`` importable.  The
+    thread count is read when numpy loads, so it takes a new process."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[variable] = str(threads)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -17,6 +17,7 @@ from lipsam.network import (
     _conv_linear,
     _conv_linear_transpose,
     _dense_form,
+    _dense_operator,
     _phase_table,
     _tap_table,
     _weight_gradient,
@@ -942,6 +943,25 @@ def test_load_rejects_an_empty_or_foreign_file(tmp_path, contents):
         load_net(path)
 
 
+def write_npy(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.ones(3))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_bytes(b"LSAMNET1"),
+    lambda path: path.write_text("not a weight file\n"),
+    write_npy,
+], ids=["old-format-magic", "text", "bare-npy"])
+def test_load_names_a_file_that_is_no_npz_archive(tmp_path, write):
+    # numpy's own message for such a file advises loading it with pickle
+    path = tmp_path / "weights.bin"
+    write(path)
+    with pytest.raises(FormatError, match="not an npz archive written by save_net") as caught:
+        load_net(path)
+    assert "pickle" not in str(caught.value)
+
+
 @pytest.mark.parametrize("field,value", [
     ("certificate", float("nan")),
     ("certificate", float("inf")),
@@ -1117,6 +1137,31 @@ def test_stacked_jvp_matches_each_trial_bit_for_bit(rank, spatial):
         assert out[r].tobytes() == jvp(net, cache_r, tangents[r]).tobytes()
         _, cache_0 = forward(shared, x[r])
         assert shared_out[r].tobytes() == jvp(shared, cache_0, tangents[r]).tobytes()
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_forward_and_jvp_build_each_dense_operator_once(stacked, monkeypatch):
+    # the bound search's objective runs forward, then jvp, on every net it
+    # builds; on its 4x4 grid every layer goes through the dense operator
+    import lipsam.network as network
+
+    builds = []
+
+    def counting(*args):
+        builds.append(args[1])
+        return _dense_operator(*args)
+
+    monkeypatch.setattr(network, "_dense_operator", counting)
+    rng = np.random.default_rng(39)
+    shapes = ((3, 1, 3, 3), (3, 3, 3, 3), (1, 3, 3, 3))  # the bound search's net
+    template = ConvNet(tuple(ConvLayer(np.zeros(shape), np.zeros(shape[0])) for shape in shapes))
+    thetas = rng.standard_normal((2, template.parameter_count))
+    net = template.with_parameters(thetas if stacked else thetas[0])
+    x = rng.standard_normal(((2,) if stacked else ()) + (template.in_channels, 4, 4))
+    _, cache = forward(net, x)
+    jvp(net, cache, np.expand_dims(x, -4))
+    forward(net, x)
+    assert builds == [(4, 4)] * len(net.layers)
 
 
 @pytest.mark.parametrize("rank, spatial", [(1, (6,)), (2, (4, 5))])

@@ -34,7 +34,14 @@ from lipsam.signal import (
     si_snr,
 )
 
-from oracles import quick_train, realify, standard_instance, time_domain_admm_run, unrealify
+from oracles import (
+    output_at_blas_threads,
+    quick_train,
+    realify,
+    standard_instance,
+    time_domain_admm_run,
+    unrealify,
+)
 
 RATE = 8000
 SMALL = StftConfig(window_length=16, hop=8)
@@ -632,3 +639,25 @@ def test_lambda_sweep_rejects_empty_grid():
     config = SolverConfig(lam=1.0, max_iterations=5, stft=SMALL)
     with pytest.raises(DomainError):
         lambda_sweep(obs, identity_denoiser(), [], config)
+
+
+SOLVE_DIGEST = """
+import hashlib
+from lipsam import pnp
+from lipsam.modifier import ModifierArchitecture, NetMap
+from lipsam.signal import StftConfig
+from oracles import quick_train, standard_instance
+_, observation = standard_instance()
+denoiser = ModifierArchitecture("lipsam_re", NetMap(quick_train("re", "spectral")))
+config = pnp.SolverConfig(lam=0.1, max_iterations=50, stft=StftConfig(window_length=64, hop=32))
+result = pnp.run(observation, denoiser, config)
+assert result.status == "completed"
+print(hashlib.sha256(result.x_hat.samples.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.bitwise
+def test_solve_does_not_depend_on_the_blas_thread_count():
+    # the short-window STFT and the network's convolutions are GEMMs whose
+    # work OpenBLAS may split across threads
+    assert output_at_blas_threads(SOLVE_DIGEST, 1) == output_at_blas_threads(SOLVE_DIGEST, 2)

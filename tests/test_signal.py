@@ -11,6 +11,7 @@ from lipsam.errors import (
     UndefinedMetricError,
 )
 from lipsam.signal import (
+    GEMM_MAX_WINDOW,
     StftConfig,
     TimeSignal,
     add_noise_at_snr,
@@ -195,6 +196,51 @@ def assert_core_matches(got, want, config):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def frame_index(config, frames):
+    """[frames, window_length] indices of each frame's samples, wrapping."""
+    starts = np.arange(frames)[:, None] * config.hop
+    return (starts + np.arange(config.window_length)) % (frames * config.hop)
+
+
+def analysis_mass(x, config):
+    """scale_k Σₙ |wₙ xₙ| for every bin k of every frame: [bins, frames]."""
+    frames = np.abs(x[frame_index(config, x.size // config.hop)])
+    return np.outer(config.analysis_scale, frames @ config.window)
+
+
+def synthesis_mass(v, config):
+    """For each output sample, the sum over the frame samples n landing on
+    it of wₙ Σ_k scale_k (|Re v_k| + |Im v_k|) of their frame: [samples]."""
+    per_frame = config.analysis_scale @ (np.abs(v.real) + np.abs(v.imag))
+    mass = np.zeros(v.shape[1] * config.hop)
+    np.add.at(mass, frame_index(config, v.shape[1]), np.outer(per_frame, config.window))
+    return mass
+
+
+def assert_within_gemm_rounding(got, want, mass, window_length):
+    """|got - want| <= 2·L·u·mass entrywise, real and imaginary parts apart,
+    u = 2⁻⁵³ the unit roundoff and L the window length.
+
+    A short window's STFT entry is one GEMM entry, a sum of m products: m = L
+    for an analysis bin, m = 2·bins = L + 2 for a synthesis frame sample.  A
+    floating-point sum of m products is off by at most γ_m Σ|products|,
+    γ_m = m·u / (1 - m·u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, §3.1), and each matrix entry scale_k·wₙ·cos θ carries at most
+    about 4u relative error of its own (the cosine and two products), so the
+    GEMM is within (L + 6)·u·mass of the exact value.  For analysis bin k of
+    a frame the mass is scale_k Σₙ|wₙxₙ|; for a synthesis sample it is the
+    sum, over the frame samples that the overlap-add lands on it, of wₙ
+    Σ_k scale_k (|Re v_k| + |Im v_k|), and the overlap-add's L/hop additions
+    add at most (L/hop)·u·mass.  The roll oracle's FFT is within about
+    log₂L·u·mass of the exact value, so the two differ by at most
+    (L + 6 + L/hop + log₂L)·u·mass, below 2·L·u·mass for L >= 16 and
+    L/hop <= 4, as in every geometry here.
+    """
+    bound = 2.0 * window_length * 2.0**-53 * mass
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(want)) <= bound)
+
+
 @pytest.mark.parametrize("geometry", [(64, 32), (16, 8), (512, 256), (16, 4), (64, 16)])
 @pytest.mark.parametrize("batch_shape", [(3,), (2, 3)])
 def test_stft_core_matches_roll_oracles_and_per_row_calls(geometry, batch_shape):
@@ -209,9 +255,19 @@ def test_stft_core_matches_roll_oracles_and_per_row_calls(geometry, batch_shape)
     back = synthesis(v, config)
     assert values.shape == shape and back.shape == x.shape
     for index in np.ndindex(batch_shape):
-        assert_core_matches(values[index], roll_stft(x[index], config), config)
+        if window_length <= GEMM_MAX_WINDOW:
+            assert_within_gemm_rounding(
+                values[index], roll_stft(x[index], config), analysis_mass(x[index], config),
+                window_length,
+            )
+            assert_within_gemm_rounding(
+                back[index], roll_istft(v[index], config), synthesis_mass(v[index], config),
+                window_length,
+            )
+        else:
+            assert_core_matches(values[index], roll_stft(x[index], config), config)
+            assert_core_matches(back[index], roll_istft(v[index], config), config)
         assert_core_matches(values[index], analysis(x[index], config), config)
-        assert_core_matches(back[index], roll_istft(v[index], config), config)
         assert_core_matches(back[index], synthesis(v[index], config), config)
 
 
