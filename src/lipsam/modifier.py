@@ -241,19 +241,19 @@ class NetMap(AmplitudeMap):
 
     def backward(self, cache, grad):
         if self.net.is_2d:
-            grad_theta, gx = net_backward(self.net, cache, np.expand_dims(grad, -3))
+            grad_theta, gx = net_backward(cache, np.expand_dims(grad, -3))
             return grad_theta, np.squeeze(gx, -3)
-        return net_backward(self.net, cache, grad)
+        return net_backward(cache, grad)
 
     def parameter_gradient(self, cache, grad):
         if self.net.is_2d:
             grad = np.expand_dims(grad, -3)
-        return net_backward(self.net, cache, grad, input_gradient=False)[0]
+        return net_backward(cache, grad, input_gradient=False)[0]
 
     def jvp(self, cache, tangents):
         if self.net.is_2d:
-            return np.squeeze(net_jvp(self.net, cache, np.expand_dims(tangents, -3)), -3)
-        return net_jvp(self.net, cache, tangents)
+            return np.squeeze(net_jvp(cache, np.expand_dims(tangents, -3)), -3)
+        return net_jvp(cache, tangents)
 
     def to_config(self, net_file: str | None = None) -> dict:
         if net_file is None:

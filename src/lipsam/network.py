@@ -18,7 +18,8 @@ input, copied once into [in·taps, cells], and one GEMM per sample with the
 [out, in·taps] weights, with fewer flops than the dense matrix.  A net
 derives each layer's operand for a grid (the dense matrix or the weight
 rows) and its broadcast bias on its first pass over that grid and keeps
-them, so ``forward`` and ``jvp`` at one point build each operator once.
+them.  ``forward``, ``jvp`` and the adjoint in ``backward`` all start from
+them, so the three passes at one point build each operator once.
 
 A stacked layer or net (``stacked=True``) holds one layer or net per search
 trial: its weights carry a leading trial axis, [trials, out, in, *kernel],
@@ -245,6 +246,18 @@ def _linear_operand(weights: np.ndarray, sizes: tuple, lead: int) -> np.ndarray:
     return weights.reshape(weights.shape[: lead + 1] + (-1,))
 
 
+def _adjoint_operand(weights: np.ndarray, operand: np.ndarray, sizes: tuple, lead: int):
+    """The :func:`_apply_linear` operand of the adjoint of the layer whose
+    :func:`_linear_operand` on ``sizes`` is ``operand``: on a dense-form grid
+    the dense operator, copied into the layout ``operand`` has; on any other
+    the rows of the flipped, channel-swapped kernel, whose correlation is
+    the adjoint of the odd, centred kernel's."""
+    if _dense_form(weights.shape[2 + lead :], sizes):
+        return np.ascontiguousarray(operand).swapaxes(-1, -2)
+    flipped = np.flip(weights, tuple(range(2 + lead, weights.ndim))).swapaxes(lead, lead + 1)
+    return flipped.reshape(flipped.shape[: lead + 1] + (-1,))
+
+
 def _over_batch(array: np.ndarray, lead: int, batch: int) -> np.ndarray:
     """``array`` with ``batch`` unit axes after its ``lead`` trial axes, so
     that a trial's slice broadcasts over that trial's samples."""
@@ -255,7 +268,9 @@ def _apply_linear(
     operand: np.ndarray, kernel_shape: tuple, x: np.ndarray, lead: int
 ) -> np.ndarray:
     """The linear part of a layer from its :func:`_linear_operand` on x's
-    grid; x may carry leading batch axes after ``lead`` trial axes."""
+    grid, or its adjoint from its :func:`_adjoint_operand`; x may carry
+    leading batch axes after ``lead`` trial axes.  Each sample is its own
+    matmul, so its bits do not depend on how many samples share the call."""
     n = len(kernel_shape)
     sizes = x.shape[-n:]
     operand = _over_batch(operand, lead, x.ndim - n - 1 - lead)
@@ -264,36 +279,6 @@ def _apply_linear(
         return out.reshape(x.shape[: -n - 1] + (-1,) + sizes)
     out = operand @ _columns(x, kernel_shape, -n - 1)
     return out.reshape(out.shape[:-1] + sizes)
-
-
-def _conv_linear(weights: np.ndarray, x: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """Apply the linear part of a layer; x may carry leading batch axes.
-
-    Stacked weights [trials, out, in, *k] map an x whose leading axis is the
-    trial axis; each trial's slice is computed exactly as the unstacked
-    layer computes it.  A small grid (``_dense_form``) goes through the
-    dense operator one sample row per matmul; any other grid through one
-    [out, in·taps] by [in·taps, cells] GEMM per sample on its im2col
-    columns.  Either way a sample's bits do not depend on how many samples
-    share the call.
-    """
-    lead = int(stacked)
-    kernel_shape = weights.shape[2 + lead :]
-    operand = _linear_operand(weights, x.shape[-len(kernel_shape) :], lead)
-    return _apply_linear(operand, kernel_shape, x, lead)
-
-
-def _conv_linear_transpose(
-    weights: np.ndarray, g: np.ndarray, stacked: bool = False
-) -> np.ndarray:
-    """Adjoint of :func:`_conv_linear` in the same geometry.
-
-    Kernels are odd and centred, so the adjoint of the correlation is the
-    correlation with the spatially flipped, channel-swapped kernel.
-    """
-    lead = int(stacked)
-    spatial_axes = tuple(range(2 + lead, weights.ndim))
-    return _conv_linear(np.flip(weights, spatial_axes).swapaxes(lead, lead + 1), g, stacked)
 
 
 def _flatten(arrays: list, lead: tuple) -> np.ndarray:
@@ -342,8 +327,8 @@ class ConvNet:
     def _layer_operands(self, sizes: tuple) -> tuple:
         """Each layer's :func:`_linear_operand` and bias, shaped to broadcast
         over its output channels, on a grid of ``sizes``; derived on the
-        first call for that grid, so ``forward`` and ``jvp`` share them.
-        Layers are values: nothing writes to their weights in place."""
+        first call for that grid, so ``forward``, ``jvp`` and ``backward``
+        share them.  Layers are values: nothing writes to their weights in place."""
         if sizes not in self._operands:
             lead, ones = int(self.stacked), (1,) * len(sizes)
             self._operands[sizes] = tuple(
@@ -400,7 +385,8 @@ class ConvNet:
 
 @dataclass
 class ForwardCache:
-    """Intermediate values retained by forward for the matching backward."""
+    """What forward keeps for backward and jvp: its net, whose per-grid
+    operands they reuse, and each layer's input and pre-activation."""
 
     net: ConvNet
     inputs: list
@@ -436,25 +422,26 @@ def forward(net: ConvNet, x: np.ndarray):
     return net.scale * x, ForwardCache(net, inputs, preactivations)
 
 
-def backward(
-    net: ConvNet, cache: ForwardCache, upstream: np.ndarray, input_gradient: bool = True
-):
-    """Backpropagate; returns (parameter gradient, input gradient).
+def backward(cache: ForwardCache, upstream: np.ndarray, input_gradient: bool = True):
+    """Backpropagate through the net that produced ``cache``; returns
+    (parameter gradient, input gradient).
 
     The parameter gradient is laid out exactly like
     ``net.flatten_parameters()``: [P], or [trials, P] for a stacked net.
-    Batch axes in the cache are summed into it.  With ``input_gradient``
-    False the first layer's adjoint is skipped and the input gradient comes
-    back as None; the parameter gradient keeps its bits.
+    Batch axes in the cache are summed into it.  Each layer's adjoint is
+    derived from the operand forward used.  With ``input_gradient`` False
+    the first layer's adjoint is skipped and the input gradient comes back
+    as None; the parameter gradient keeps its bits.
     """
-    if cache.net is not net:
-        raise ValueError("cache was produced by a different network instance")
+    net = cache.net
     lead = net.layers[0].weights.shape[: int(net.stacked)]
-    spatial = net.layers[0].weights.ndim - 1 - len(lead)
+    spatial = net.layers[0].weights.ndim - 1 - len(lead)  # the channel axis too
+    sizes = cache.inputs[0].shape[1 - spatial :]
     g = np.asarray(upstream, dtype=np.float64) * net.scale
     grads = []  # in reverse parameter order
     depth = len(net.layers)
-    for layer, x_in, z in zip(net.layers[::-1], cache.inputs[::-1], cache.preactivations[::-1]):
+    steps = zip(net.layers, net._layer_operands(sizes), cache.inputs, cache.preactivations)
+    for layer, (operand, _), x_in, z in list(steps)[::-1]:
         dz = g * layer.activation.derivative(z)
         if layer.bias is not None:
             axes = tuple(i for i in range(len(lead), dz.ndim) if i != dz.ndim - spatial)
@@ -462,24 +449,25 @@ def backward(
         grads.append(_weight_gradient(layer.weights, x_in, dz, net.stacked))
         depth -= 1
         if depth or input_gradient:
-            g = _conv_linear_transpose(layer.weights, dz, net.stacked)
+            adjoint = _adjoint_operand(layer.weights, operand, sizes, len(lead))
+            g = _apply_linear(adjoint, layer.weights.shape[1 - spatial :], dz, len(lead))
         else:
             g = None
     return _flatten(grads[::-1], lead), g
 
 
-def jvp(net: ConvNet, cache: ForwardCache, tangents: np.ndarray) -> np.ndarray:
-    """Jacobian-vector products of the network at the cached input.
+def jvp(cache: ForwardCache, tangents: np.ndarray) -> np.ndarray:
+    """Jacobian-vector products, at the cached input, of the net that
+    produced ``cache``.
 
     For a forward input [..., in_channels, *spatial], ``tangents`` carries
     one more axis in front of the channel axis, [..., k, in_channels,
     *spatial], and the result is the k output tangents [..., k,
-    out_channels, *spatial].  Each tangent goes through ``_conv_linear`` and
-    the activation derivatives as one more sample row, so a stacked net's
-    trial slice is exactly what that trial's own net computes.
+    out_channels, *spatial].  Each tangent goes through forward's operands
+    and the activation derivatives as one more sample row, so a stacked
+    net's trial slice is exactly what that trial's own net computes.
     """
-    if cache.net is not net:
-        raise ValueError("cache was produced by a different network instance")
+    net = cache.net
     rank = net.layers[0].weights.ndim - 1 - int(net.stacked)
     d = np.asarray(tangents, dtype=np.float64)
     x = cache.inputs[0]

@@ -32,11 +32,11 @@ from lipsam.modifier import (
     apply_to_values,
 )
 from lipsam.network import (
+    IDENTITY,
     LEAKY_RELU,
     SOFTPLUS,
     ConvLayer,
     ConvNet,
-    _conv_linear,
     backward,
     circulant_operator_norm,
     forward,
@@ -590,7 +590,7 @@ def test_criterion_11_gradients_match_finite_differences(report):
         if margin <= 1e-4:
             continue
         accepted += 1
-        grad_flat, grad_x = backward(net, cache, c)
+        grad_flat, grad_x = backward(cache, c)
         flat = net.flatten_parameters()
 
         def value_at(vector):
@@ -633,15 +633,12 @@ def test_criterion_11_gradients_match_finite_differences(report):
 
 
 def _materialize_layer(layer, spatial):
+    """The layer's linear part as a dense matrix: a one-layer, bias-free,
+    identity-activation net maps every basis vector as one batch."""
     in_dim = layer.in_channels * int(np.prod(spatial))
-    columns = []
-    for j in range(in_dim):
-        basis = np.zeros(in_dim)
-        basis[j] = 1.0
-        columns.append(
-            _conv_linear(layer.weights, basis.reshape((layer.in_channels,) + spatial)).reshape(-1)
-        )
-    return np.stack(columns, axis=1)
+    linear = ConvNet((ConvLayer(layer.weights, activation=IDENTITY),))
+    images, _ = forward(linear, np.eye(in_dim).reshape((in_dim, layer.in_channels) + spatial))
+    return images.reshape(in_dim, -1).T
 
 
 LAYER_SPECS = (

@@ -513,6 +513,23 @@ def test_zero_epoch_spectral_run_is_certified():
         assert layer.norm_certificate <= 1.0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_certificates_bound_the_norm_at_every_frame_count():
+    # a certificate is measured on the training grid alone, but the solver
+    # runs the net at the observation's frame count; layer 0 of this net has
+    # 1.0325 times its certificate at 32 and 128 frames, 1.0327 at 4096
+    from lipsam.network import circulant_operator_norm
+
+    config = TrainConfig(
+        epochs=0, frames=8, channel_width=16, lipschitz="spectral", stft=StftConfig(64, 32)
+    )
+    result = train_denoiser(config, SynthCorpusConfig(item_count=8, duration_seconds=0.032, seed=0))
+    for layer in result.net.layers:
+        for width in (8, 32, 128, 4096):
+            norm = circulant_operator_norm(layer, (width,))
+            assert norm <= layer.norm_certificate * (1.0 + 1e-12), f"{width} frames"
+
+
 def test_training_rejects_tiny_or_short_corpora():
     with pytest.raises(DomainError):
         train_denoiser(small_train_config(), SynthCorpusConfig(item_count=1))
