@@ -12,7 +12,7 @@ verdict on a start or a step, and every trial still follows exactly the
 path it would follow alone.
 
 The Jacobians are exact and use the polar structure of the modifier,
-D(z) = A(|z|) sign(z): at x = |z| the realified Jacobian is the amplitude
+D(z) = A(|z|) z/|z|: at x = |z| the realified Jacobian is the amplitude
 Jacobian J_A(x) on the radial directions and diag(A/x) on the tangential
 ones, so ‖J_D(z)‖ = max(‖J_A(x)‖, maxᵢ Aᵢ(x)/xᵢ), the two terms of the
 paper's sufficient condition (A Lipschitz on the nonnegative orthant, and

@@ -1,9 +1,10 @@
 """Amplitude modifiers: phase-preserving nonlinear maps on complex spectra.
 
 An amplitude modifier rewrites the magnitude of every coefficient while
-keeping its phase: D(z) = A(|z|) * sign(z), with the complex sign defined as
-z/|z| and 0 at 0.  The effective amplitude map A is assembled from an inner
-map (a network or an analytic rule) in one of four ways:
+keeping its phase: D(z) = A(|z|) z/|z|, with the phase z/|z| taken as 0 at
+0, so that D(0) = 0 for a finite A and NaN for a non-finite one.  The
+effective amplitude map A is assembled from an inner map (a network or an
+analytic rule) in one of four ways:
 
     am_se       relu(S(x))                spectral estimation, unguarded
     am_re       relu(x - R(x))            residual estimation, unguarded
@@ -22,8 +23,10 @@ Every inner map owns its rules: ``forward`` returns its output and a cache,
 gradient), ``parameter_gradient`` gives the first of the two alone, ``jvp``
 pushes input tangents through the map, and ``variant`` names its JSON form,
 whose fields are the map's dataclass fields.
-``modifier_forward`` is the forward pass of D itself, which training
-differentiates through ``amplitude_backward`` and the cached phase.  The
+``modifier_forward`` is the forward pass of D itself; training holds the
+phase fixed and passes the radial part Re(conj(g)·z)/|z| of a coefficient
+gradient g to ``amplitude_backward``.  ``apply_to_values`` and the solver
+run D through the inner map's cache-free pass instead.  The
 bound search works on magnitudes alone, through ``amplitude_forward``,
 ``amplitude_backward`` and ``amplitude_jacobian``, the exact Jacobian of A,
 which shares its kink rules with ``amplitude_backward``.
@@ -45,7 +48,7 @@ from .errors import (
     UncertifiedError,
 )
 from .network import ConvNet, backward as net_backward, forward as net_forward, jvp as net_jvp
-from .network import lipschitz_upper_bound, load_net
+from .network import _apply as net_apply, lipschitz_upper_bound, load_net
 
 KINDS = ("am_se", "am_re", "lipsam_se", "lipsam_re")
 SAFEGUARDED_KINDS = ("lipsam_se", "lipsam_re")
@@ -67,6 +70,11 @@ class AmplitudeMap:
     def forward(self, x):
         """(output, cache for ``backward``)."""
         return self(x), None
+
+    def _infer(self, x, out):
+        """``self(x)`` with no cache, in ``out`` where the map can write
+        there (a net) and otherwise in a fresh array."""
+        return self(x)
 
     def backward(self, cache, grad):
         """(flat parameter gradient or None, input gradient) from the output gradient."""
@@ -239,6 +247,13 @@ class NetMap(AmplitudeMap):
             return np.squeeze(out, -3), cache
         return net_forward(self.net, x)
 
+    def _infer(self, x, out):
+        if self.net.is_2d:
+            net_apply(self.net, np.expand_dims(x, -3), np.expand_dims(out, -3))
+        else:
+            net_apply(self.net, x, out)
+        return out
+
     def backward(self, cache, grad):
         if self.net.is_2d:
             grad_theta, gx = net_backward(cache, np.expand_dims(grad, -3))
@@ -283,31 +298,23 @@ class ModifierArchitecture:
             raise DomainError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not isinstance(self.inner, AmplitudeMap):
             raise ShapeError("inner must implement AmplitudeMap")
+        # (shape, |z|, A) of the last :func:`_denoise` call
+        object.__setattr__(self, "_scratch", (None, None, None))
 
     @property
     def is_safeguarded(self) -> bool:
         return self.kind in SAFEGUARDED_KINDS
 
 
-def _sign_from(z: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
-    """The phase z / |z| of a complex128 ``z`` from its ``magnitude`` |z|,
-    elementwise, with sign(0) = 0."""
-    out = np.zeros_like(z)
-    nonzero = magnitude > 0.0
-    np.divide(z, magnitude, out=out, where=nonzero)
-    return out
-
-
 @dataclass
 class ModifierCache:
-    """What the backward passes need; ``modifier_forward`` adds ``sign``."""
+    """What the backward passes need."""
 
     arch: ModifierArchitecture
     x: np.ndarray
     inner_out: np.ndarray
     inner_cache: object
     a: np.ndarray
-    sign: np.ndarray | None = None
 
 
 def amplitude_forward(arch: ModifierArchitecture, x: np.ndarray):
@@ -321,15 +328,23 @@ def amplitude_forward(arch: ModifierArchitecture, x: np.ndarray):
 def _amplitude_forward(arch: ModifierArchitecture, x: np.ndarray):
     """``amplitude_forward`` on a float64 ``x`` known to be nonnegative."""
     inner_out, inner_cache = arch.inner.forward(x)
-    if arch.kind == "am_se":
-        a = np.maximum(inner_out, 0.0)
-    elif arch.kind == "lipsam_se":
-        a = np.maximum(np.minimum(inner_out, x), 0.0)
-    elif arch.kind == "am_re":
-        a = np.maximum(x - inner_out, 0.0)
-    else:  # lipsam_re
-        a = np.maximum(x - np.maximum(inner_out, 0.0), 0.0)
+    a = _amplitude(arch.kind, x, inner_out, None)
     return a, ModifierCache(arch, x, inner_out, inner_cache, a)
+
+
+def _amplitude(kind: str, x: np.ndarray, inner_out: np.ndarray, out: np.ndarray | None):
+    """A(x) from the inner map's output, written into ``out`` (a fresh
+    array if None), which may be ``inner_out`` itself."""
+    if kind == "am_se":
+        return np.maximum(inner_out, 0.0, out=out)
+    if kind == "lipsam_se":
+        a = np.minimum(inner_out, x, out=out)
+    elif kind == "am_re":
+        a = np.subtract(x, inner_out, out=out)
+    else:  # lipsam_re
+        a = np.maximum(inner_out, 0.0, out=out)
+        np.subtract(x, a, out=a)
+    return np.maximum(a, 0.0, out=a)
 
 
 def _kink_masks(cache: ModifierCache):
@@ -400,21 +415,54 @@ def amplitude_jacobian(cache: ModifierCache) -> np.ndarray:
 
 
 def modifier_forward(arch: ModifierArchitecture, z: np.ndarray):
-    """D(z) = A(|z|) * sign(z) on a complex array of any shape, plus its cache.
-    Unlike ``apply_to_values`` it does not check that A is finite."""
+    """D(z) = A(|z|) z/|z| on a complex array of any shape, plus its cache
+    (:func:`_phase_times`).  Unlike ``apply_to_values`` it does not check
+    that A is finite."""
     z = np.asarray(z, dtype=np.complex128)
     x = np.abs(z)
-    s = _sign_from(z, x)
     # |z| is nonnegative, so the public entry's domain check is skipped
     a, cache = _amplitude_forward(arch, x)
-    cache.sign = s
-    return a * s, cache
+    return _phase_times(z, np.maximum(x, _SMALLEST), a, np.empty_like(z)), cache
+
+
+# the smallest positive float64: max(|z|, it) is |z| wherever z != 0
+_SMALLEST = np.nextafter(0.0, 1.0)
+
+
+def _phase_times(z: np.ndarray, divisor: np.ndarray, a: np.ndarray, out: np.ndarray):
+    """A (z/|z|) into the complex ``out``, from the amplitudes ``a`` and
+    ``divisor`` = max(|z|, ``_SMALLEST``).
+
+    The phase divides the real and imaginary parts of z apart, so no
+    complex division runs, and is 0/divisor = 0 at z = 0: D(0) = 0·A is 0
+    for a finite A and NaN for a non-finite one.  Neither part of the
+    phase exceeds 1 in magnitude, so D is finite wherever A is, which a
+    ratio A/|z| would not be where it overflows.
+    """
+    np.divide(z.real, divisor, out=out.real)
+    np.divide(z.imag, divisor, out=out.imag)
+    return np.multiply(out, a, out=out)
+
+
+def _denoise(arch: ModifierArchitecture, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """D(z) into ``out`` with :func:`modifier_forward`'s bits, for a
+    complex128 ``z``, through the inner map's cache-free pass.  |z| and A
+    live in scratch that ``arch`` keeps for the last shape of ``z``, which
+    makes concurrent calls on one ``arch`` unsafe.  Returns A."""
+    if arch._scratch[0] != z.shape:
+        object.__setattr__(arch, "_scratch", (z.shape, np.empty(z.shape), np.empty(z.shape)))
+    _, x, a = arch._scratch
+    np.abs(z, out=x)
+    _amplitude(arch.kind, x, arch.inner._infer(x, a), a)
+    _phase_times(z, np.maximum(x, _SMALLEST, out=x), a, out)
+    return a
 
 
 def apply_to_values(arch: ModifierArchitecture, values: np.ndarray) -> np.ndarray:
     """Apply the modifier to a complex coefficient array of any shape."""
-    out, cache = modifier_forward(arch, values)
-    if not np.all(np.isfinite(cache.a)):
+    z = np.asarray(values, dtype=np.complex128)
+    out = np.empty_like(z)
+    if not np.all(np.isfinite(_denoise(arch, z, out))):
         raise NonFiniteError("inner amplitude map produced non-finite values")
     return out
 

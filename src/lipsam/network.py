@@ -19,7 +19,10 @@ input, copied once into [in·taps, cells], and one GEMM per sample with the
 derives each layer's operand for a grid (the dense matrix or the weight
 rows) and its broadcast bias on its first pass over that grid and keeps
 them.  ``forward``, ``jvp`` and the adjoint in ``backward`` all start from
-them, so the three passes at one point build each operator once.
+them, so the three passes at one point build each operator once.  Inference
+that needs no backward pass (the solver's denoiser) takes ``forward``'s
+arithmetic without its cache, on buffers the net keeps for the last input
+shape (``_apply``).
 
 A stacked layer or net (``stacked=True``) holds one layer or net per search
 trial: its weights carry a leading trial axis, [trials, out, in, *kernel],
@@ -47,6 +50,7 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,16 +73,23 @@ class Activation:
             raise NonFiniteError("activation slope must be finite")
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        return self._into(v, None)
+
+    def _into(self, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """``self(v)`` written into ``out`` (a fresh array if None); the
+        identity returns ``v`` itself."""
         if self.kind == "identity":
             return v
         if self.kind == "leaky_relu":
+            scaled = np.multiply(v, self.slope, out=out)
             if 0.0 < self.slope <= 1.0:
                 # for such a slope, v >= slope * v exactly when v >= 0, so
-                # this picks the np.where form's bits, signed zeros,
+                # this picks the masked form's bits, signed zeros,
                 # infinities and NaN included (slope 0 would turn +inf to NaN)
-                return np.maximum(v, self.slope * v)
-            return np.where(v > 0.0, v, self.slope * v)
-        return np.logaddexp(0.0, v)
+                return np.maximum(v, scaled, out=scaled)
+            np.copyto(scaled, v, where=v > 0.0)
+            return scaled
+        return np.logaddexp(0.0, v, out=out)
 
     def derivative(self, v: np.ndarray) -> np.ndarray:
         if self.kind == "identity":
@@ -214,15 +225,22 @@ def _columns(x: np.ndarray, kernel_shape: tuple, channel_axis: int) -> np.ndarra
     ext = x
     for axis, k in zip(range(x.ndim - n, x.ndim), kernel_shape):
         ext = np.take(ext, _wrap_index(k, x.shape[axis]), axis=axis)
-    # a view on the fresh contiguous extension, built with less call
-    # overhead than as_strided
-    view = np.ndarray(
-        ext.shape[: c + 1] + kernel_shape + x.shape[c + 1 :],
+    view = _tap_view(ext, x.shape, kernel_shape, c)
+    return view.reshape(x.shape[:c] + (x.shape[c] * math.prod(kernel_shape), -1))
+
+
+def _tap_view(ext: np.ndarray, shape: tuple, kernel_shape: tuple, c: int) -> np.ndarray:
+    """The [..., in, *kernel, *rest] view of the contiguous wrap extension
+    ``ext`` of an input of ``shape`` whose channel axis is ``c``: tap s of
+    channel i reads that channel shifted by s."""
+    n = len(kernel_shape)
+    # built with less call overhead than as_strided
+    return np.ndarray(
+        ext.shape[: c + 1] + kernel_shape + shape[c + 1 :],
         ext.dtype,
         buffer=ext,
         strides=ext.strides[: c + 1] + ext.strides[-n:] + ext.strides[c + 1 :],
     )
-    return view.reshape(x.shape[:c] + (x.shape[c] * math.prod(kernel_shape), -1))
 
 
 def _dense_operator(weights: np.ndarray, sizes: tuple, lead: int) -> np.ndarray:
@@ -307,6 +325,8 @@ class ConvNet:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "_operands", {})
+        # (input shape, per-layer buffers) of the last :func:`_apply` call
+        object.__setattr__(self, "_scratch", (None, ()))
 
     @property
     def is_2d(self) -> bool:
@@ -393,13 +413,10 @@ class ForwardCache:
     preactivations: list
 
 
-def forward(net: ConvNet, x: np.ndarray):
-    """Run the network; returns (output, cache).
-
-    ``x`` is [in_channels, width] or [in_channels, height, width], with any
-    number of leading batch axes allowed; a stacked net needs the trial axis
-    first.
-    """
+def _checked_input(net: ConvNet, x: np.ndarray):
+    """``x`` as float64 once it is shown to feed ``net``; with the net's
+    trial stack and the count of axes a sample spans, its channel axis
+    included."""
     x = np.asarray(x, dtype=np.float64)
     lead = net.layers[0].weights.shape[: int(net.stacked)]
     spatial = net.layers[0].weights.ndim - 1 - len(lead)
@@ -409,6 +426,17 @@ def forward(net: ConvNet, x: np.ndarray):
         )
     if x.shape[: len(lead)] != lead:
         raise ShapeError(f"input shape {x.shape} does not lead with the trial stack {lead}")
+    return x, lead, spatial
+
+
+def forward(net: ConvNet, x: np.ndarray):
+    """Run the network; returns (output, cache).
+
+    ``x`` is [in_channels, width] or [in_channels, height, width], with any
+    number of leading batch axes allowed; a stacked net needs the trial axis
+    first.
+    """
+    x, lead, spatial = _checked_input(net, x)
     inputs = []
     preactivations = []
     batch = x.ndim - len(lead) - spatial
@@ -420,6 +448,86 @@ def forward(net: ConvNet, x: np.ndarray):
         preactivations.append(z)
         x = layer.activation(z)
     return net.scale * x, ForwardCache(net, inputs, preactivations)
+
+
+def _apply(net: ConvNet, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``forward(net, x)[0]`` bit for bit, written into ``out``, with no cache
+    for the backward passes.
+
+    Each layer's wrap extensions, im2col columns, GEMM product and
+    activation go into buffers the net keeps, with their views, for the last
+    input shape it saw (:func:`_inference_plan`), so repeated calls on one
+    geometry (an ADMM solve) allocate nothing, and a new shape replaces
+    them.  The buffers make concurrent calls on one net unsafe.
+    """
+    x, _, _ = _checked_input(net, x)
+    if net._scratch[0] != x.shape:
+        object.__setattr__(net, "_scratch", (x.shape, _inference_plan(net, x.shape)))
+    for layer, step in zip(net.layers, net._scratch[1]):
+        if step.columns is None:
+            np.matmul(x.reshape(step.rows), step.operand, out=step.flat)
+        else:
+            for index, axis, extension in step.wraps:
+                x = np.take(x, index, axis=axis, out=extension, mode="clip")
+            np.copyto(step.columns, step.taps)
+            np.matmul(step.operand, step.rows, out=step.flat)
+        if step.bias is not None:
+            np.add(step.product, step.bias, out=step.product)
+        x = layer.activation._into(step.product, step.post)
+    return np.multiply(x, net.scale, out=out)
+
+
+class _InferenceStep(NamedTuple):
+    """One layer of :func:`_apply` on one input shape.  ``operand`` and
+    ``bias`` broadcast over the batch.  On a dense-form grid ``rows`` is the
+    shape the input takes as GEMM rows and the column fields are None;
+    otherwise ``wraps`` holds (indices, axis, buffer) for each wrap
+    extension, ``taps`` is the strided view of the last one that
+    ``columns`` copies, and ``rows`` the columns as GEMM operand.  ``flat``
+    is ``product`` shaped as the GEMM output; ``post`` holds the
+    activation's output (None for the identity)."""
+
+    operand: np.ndarray
+    bias: np.ndarray | None
+    wraps: tuple
+    taps: np.ndarray | None
+    columns: np.ndarray | None
+    rows: object
+    flat: np.ndarray
+    product: np.ndarray
+    post: np.ndarray | None
+
+
+def _inference_plan(net: ConvNet, shape: tuple) -> list:
+    """The :class:`_InferenceStep` of each layer of ``net`` on inputs of
+    ``shape``, with its buffers allocated and its views built."""
+    lead = int(net.stacked)
+    rank = net.layers[0].weights.ndim - 2 - lead
+    front, sizes = shape[: -rank - 1], shape[-rank:]
+    plan = []
+    for layer, (operand, bias) in zip(net.layers, net._layer_operands(sizes)):
+        kernel_shape = layer.weights.shape[-rank:]
+        operand = _over_batch(operand, lead, len(front) - lead)
+        bias = None if bias is None else _over_batch(bias, lead, len(front) - lead)
+        product = np.empty(front + (layer.out_channels,) + sizes)
+        post = None if layer.activation.kind == "identity" else np.empty_like(product)
+        if _dense_form(kernel_shape, sizes):
+            rows = front + (1, -1)
+            step = (operand, bias, (), None, None, rows, product.reshape(rows), product, post)
+        else:
+            in_shape = front + (layer.in_channels,) + sizes
+            extended, wraps = list(in_shape), []
+            for axis, k in zip(range(len(front) + 1, len(in_shape)), kernel_shape):
+                index = _wrap_index(k, in_shape[axis])
+                extended[axis] = index.size
+                wraps.append((index, axis, np.empty(extended)))
+            taps = _tap_view(wraps[-1][2], in_shape, kernel_shape, len(front))
+            columns = np.empty(taps.shape)
+            rows = columns.reshape(front + (-1, math.prod(sizes)))
+            flat = product.reshape(front + (layer.out_channels, -1))
+            step = (operand, bias, tuple(wraps), taps, columns, rows, flat, product, post)
+        plan.append(_InferenceStep(*step))
+    return plan
 
 
 def backward(cache: ForwardCache, upstream: np.ndarray, input_gradient: bool = True):
@@ -608,7 +716,10 @@ def circulant_operator_norm(layer: ConvLayer, input_shape: tuple):
         # a 1×1 Hermitian Gram is its own real eigenvalue
         top = np.max(re[..., 0], axis=-1)
     else:
-        grams = (re + 1j * im).reshape(trials + (-1, m, m))
+        # filled part by part: no complex temporary beside the stack
+        grams = np.empty(re.shape, dtype=np.complex128)
+        grams.real, grams.imag = re, im
+        grams = grams.reshape(trials + (-1, m, m))
         if layer.stacked or m < _SCREEN_MIN_SIDE:
             top = np.max(np.linalg.eigvalsh(grams)[..., -1], axis=-1)
         else:

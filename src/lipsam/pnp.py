@@ -20,12 +20,17 @@ X, one STFT and one ISTFT (two more FFTs, or two GEMMs at a short window).
 The iteration works on plain arrays; signal types appear only where a solve
 starts and ends.
 
+A solve keeps two sets of iterate arrays and writes iterate k+1 over
+iterate k-1, so after its first iterations it allocates only inside the
+FFTs, the STFT pair and the traces; the denoiser reuses its own scratch.
+
 Divergence is contained, not fatal: after each iteration one finiteness
 check on the two duals ends the run with a diverged status; the estimate,
 the state and the traces are those of the last completed iteration.
 Finite duals mean a finite iteration.  A non-finite x reaches every bin of
-Gx and so xi2 = (Gx + xi2) - v, and a non-finite v reaches xi2 directly;
-a non-finite denoiser amplitude A makes v = A sign(z) non-finite, as
+Gx and so xi2 = (Gx + xi2) - v, and a non-finite v reaches xi2 directly.
+The denoiser forms v = A p with the phase p = z/|z| taken as 0 at z = 0,
+so a non-finite amplitude A makes v non-finite in its bin even there, as
 inf * 0 is NaN.  In the spectrum, a non-finite bin of X makes that bin of
 W = HX + Xi1 non-finite (an infinite X times a zero bin of rfft(h) is
 NaN); U = c (W - Y) + Y with c = lam / (1 + lam) in (0, 1) is then
@@ -40,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ShapeError, UndefinedMetricError, check_field_types
-from .modifier import ModifierArchitecture, modifier_forward
+from .modifier import ModifierArchitecture, _denoise
 from .signal import StftConfig, TimeSignal, analysis, si_snr_values, synthesis
 
 
@@ -105,7 +110,9 @@ class AdmmState:
 class AdmmOperators:
     """What a solve holds fixed: y and its spectrum rfft(y), the spectrum
     rfft(h) of the padded impulse response, the x-update filter
-    1 / (|rfft(h)|^2 + 1) and the STFT.
+    1 / (|rfft(h)|^2 + 1) and the STFT.  ``filtered_adjoint``, the
+    product conj(rfft(h)) * filter that H^T and the filter make, is
+    derived from them.
 
     The filter is real in (0, 1]; the +1 from the tight STFT branch keeps
     its denominator away from zero, so no regularization knob is needed.
@@ -116,6 +123,11 @@ class AdmmOperators:
     h_spectrum: np.ndarray
     inverse_filter: np.ndarray
     stft: StftConfig
+    filtered_adjoint: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        adjoint = np.conj(self.h_spectrum) * self.inverse_filter
+        object.__setattr__(self, "filtered_adjoint", adjoint)
 
 
 def admm_operators(observation: Observation, stft_config: StftConfig) -> AdmmOperators:
@@ -150,19 +162,44 @@ def admm_iteration(
     Hx + xi1, i.e. multiplication of the residual Hx + xi1 - y by
     lam/(1+lam), taken in the spectrum.  A non-finite denoiser output
     reaches v and xi2 and raises nothing; the caller's dual check sees it.
+    The new state's arrays are fresh; ``run`` takes the same step on
+    reused ones.
     """
-    # H^T a is a multiplication by conj(rfft(h)) in the frequency domain.
-    rhs = (state.u_spectrum - state.xi1_spectrum) * np.conj(ops.h_spectrum) + np.fft.rfft(
-        synthesis(state.v - state.xi2, ops.stft)
-    )
-    x_spectrum = rhs * ops.inverse_filter
+    return _step(state, ops, denoiser, lam, _outputs_like(state))
+
+
+def _outputs_like(state: AdmmState) -> AdmmState:
+    """Empty u, v and dual arrays shaped like ``state``'s, for :func:`_step`
+    to write over; x is None."""
+    arrays = (state.u_spectrum, state.v, state.xi1_spectrum, state.xi2)
+    return AdmmState(None, *(np.empty(a.shape, np.complex128) for a in arrays))
+
+
+def _step(
+    state: AdmmState, ops: AdmmOperators, denoiser: ModifierArchitecture, lam: float, into
+) -> AdmmState:
+    """:func:`admm_iteration` written over the u, v and dual arrays of the
+    state ``into`` (complex128 arrays that share no memory with ``state``;
+    its x is ignored); the new x is fresh."""
+    # X = (U - Xi1) conj(H) F + rfft(G^H (v - xi2)) F, held in into's U
+    x_spectrum = np.subtract(state.u_spectrum, state.xi1_spectrum, out=into.u_spectrum)
+    x_spectrum *= ops.filtered_adjoint
+    frames = np.fft.rfft(synthesis(np.subtract(state.v, state.xi2, out=into.v), ops.stft))
+    frames *= ops.inverse_filter
+    x_spectrum += frames
     x = np.fft.irfft(x_spectrum, n=ops.y.size)
     # HX + Xi1 and Gx + xi2 feed both the primal update and the dual
-    hx_xi1 = x_spectrum * ops.h_spectrum + state.xi1_spectrum
-    gx_xi2 = analysis(x, ops.stft) + state.xi2
-    u = (lam / (1.0 + lam)) * (hx_xi1 - ops.y_spectrum) + ops.y_spectrum
-    v = modifier_forward(denoiser, gx_xi2)[0]
-    return AdmmState(x, u, v, hx_xi1 - u, gx_xi2 - v)
+    hx_xi1 = np.multiply(x_spectrum, ops.h_spectrum, out=into.xi1_spectrum)
+    hx_xi1 += state.xi1_spectrum
+    gx_xi2 = np.add(analysis(x, ops.stft), state.xi2, out=into.xi2)
+    u = np.subtract(hx_xi1, ops.y_spectrum, out=into.u_spectrum)
+    u *= lam / (1.0 + lam)
+    u += ops.y_spectrum
+    v = into.v
+    _denoise(denoiser, gx_xi2, v)
+    hx_xi1 -= u
+    gx_xi2 -= v
+    return AdmmState(x, u, v, hx_xi1, gx_xi2)
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -208,7 +245,8 @@ def run(
     iteration.  The first iteration that produces a non-finite value stops
     the run with status ``diverged`` at that iteration.  ``x_hat``, ``state``
     and the traces then hold the last completed iteration, whichever update
-    failed.
+    failed.  Each iteration takes :func:`admm_iteration`'s step, on arrays
+    that the run reuses.
     """
     rate = observation.y.sample_rate
     if reference is not None:
@@ -220,12 +258,15 @@ def run(
             raise UndefinedMetricError("reference signal is identically zero")
     ops = admm_operators(observation, config.stft)
     state = initial_state(ops)
+    # iterate k is written over iterate k - 2, never over the start, whose
+    # arrays alias y's spectrum and each other
+    outputs = (_outputs_like(state), _outputs_like(state))
     delta_x, si_snr_trace = [], []
     status = "completed"
     diverged_at = None
     with np.errstate(all="ignore"):
         for k in range(1, config.max_iterations + 1):
-            new = admm_iteration(state, ops, denoiser, config.lam)
+            new = _step(state, ops, denoiser, config.lam, outputs[k % 2])
             # finite duals mean a finite iteration (see the module docstring)
             if not (_all_finite(new.xi1_spectrum) and _all_finite(new.xi2)):
                 status = "diverged"

@@ -8,8 +8,8 @@ run an amplitude-modifier architecture, synthesize, and minimize negative
 time-domain SNR against the clean signal.
 
 Gradients come from ``modifier_forward`` and ``amplitude_backward``, the
-amplitude half of the VJP the bound search uses: sign(z) does not depend on
-the weights, so they flow through the amplitude path alone.  Synthesis is
+amplitude half of the VJP the bound search uses: the phase z/|z| does not
+depend on the weights, so they flow through the amplitude path alone.  Synthesis is
 the exact adjoint of analysis, and relu/min kinks use the zero subgradient
 on their inactive side.  The plain AM wrappers are the trained objects; the
 safeguarded variants reuse the same weights post hoc.
@@ -352,12 +352,14 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
 
     The chain is analysis -> modifier -> synthesis -> loss.  Synthesis is the
     exact adjoint of analysis, so the coefficient gradient is the analysis of
-    the time-domain gradient.  The phase sign(z) does not depend on the weights,
-    so ``amplitude_backward`` carries Re(conj(grad) * sign(z)) to them; the
-    noisy coefficients are data, so no input gradient is formed.
+    the time-domain gradient.  The phase z/|z| does not depend on the weights,
+    so ``amplitude_backward`` carries the radial part Re(conj(grad)·z)/|z|
+    to them, 0 where z = 0; the noisy coefficients are data, so no input
+    gradient is formed.
     """
     arch = ModifierArchitecture(kind, NetMap(net))
-    values, cache = modifier_forward(arch, analysis(noisy, config.stft))
+    z = analysis(noisy, config.stft)
+    values, cache = modifier_forward(arch, z)
     estimates = synthesis(values, config.stft)
     del values  # free each batch-sized array once it is dead
 
@@ -365,11 +367,10 @@ def _batch_loss_and_grads(net, kind, clean, noisy, config: TrainConfig):
     del estimates
     grad_values = analysis(grad_time / clean.shape[0], config.stft)
     del grad_time
-    # Re(conj(grad) * sign) in place, so only its real part is alive below
-    np.conjugate(grad_values, out=grad_values)
-    grad_values *= cache.sign
-    grad_a = grad_values.real.copy()
-    del grad_values
+    grad_a = grad_values.real * z.real
+    grad_a += grad_values.imag * z.imag
+    del grad_values, z
+    np.divide(grad_a, cache.x, out=grad_a, where=cache.x > 0.0)
     grad_theta, _ = amplitude_backward(cache, grad_a, input_gradient=False)
     return float(np.mean(losses)), grad_theta
 

@@ -107,8 +107,10 @@ def polar_jacobian(arch: ModifierArchitecture, z: np.ndarray) -> np.ndarray:
     is i s_i, so a coefficient at exactly 0 contributes no column and its
     0/0 ratio is never formed.
     """
+    z = np.asarray(z, dtype=np.complex128)
     _, cache = modifier_forward(arch, z[None])
-    x, a, s = cache.x.reshape(-1), cache.a.reshape(-1), cache.sign.reshape(-1)
+    x, a = cache.x.reshape(-1), cache.a.reshape(-1)
+    s = np.divide(z.reshape(-1), x, out=np.zeros_like(z.reshape(-1)), where=x > 0.0)
     radial = np.zeros((2 * s.size, s.size))
     tangential = np.zeros_like(radial)
     radial[0::2], radial[1::2] = np.diag(s.real), np.diag(s.imag)

@@ -27,7 +27,7 @@ from lipsam.modifier import (
     amplitude_jacobian,
     apply_to_values,
     architecture_from_config,
-    _sign_from,
+    _phase_times,
     architecture_to_config,
     modifier_forward,
     theoretical_bound,
@@ -67,9 +67,15 @@ def certified_net(rng, channels=(4, 3, 4), scale=1.0):
 # ---------------------------------------------------------------- sign
 
 
+def unit_phase(z):
+    """D(z) = A z/|z| with A = 1: the phase alone, 0 at 0."""
+    return _phase_times(z, np.maximum(np.abs(z), np.nextafter(0.0, 1.0)), np.ones(z.shape),
+                        np.empty_like(z))
+
+
 def test_complex_sign_basics():
     z = np.array([3.0 + 4.0j, 0.0 + 0.0j, -2.0 + 0.0j])
-    s = _sign_from(z, np.abs(z))
+    s = unit_phase(z)
     np.testing.assert_allclose(s[0], 0.6 + 0.8j, atol=1e-15)
     assert s[1] == 0.0
     np.testing.assert_allclose(s[2], -1.0 + 0.0j, atol=1e-15)
@@ -81,7 +87,9 @@ def test_complex_sign_unit_modulus_off_zero(seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     z = z[np.abs(z) > 1e-6]
-    np.testing.assert_allclose(np.abs(_sign_from(z, np.abs(z))), 1.0, atol=1e-12)
+    s = unit_phase(z)
+    np.testing.assert_allclose(np.abs(s), 1.0, atol=1e-12)
+    np.testing.assert_allclose(s * np.abs(z), z, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- apply
@@ -99,7 +107,7 @@ def test_apply_safeguarded_residual_matches_soft_threshold_oracle():
     tau = 0.7
     arch = ModifierArchitecture("lipsam_re", SoftThreshConstant(tau))
     got = apply_to_values(arch, z)
-    want = np.maximum(np.abs(z) - tau, 0.0) * _sign_from(z, np.abs(z))
+    want = np.maximum(np.abs(z) - tau, 0.0) * (z / np.abs(z))
     np.testing.assert_allclose(got, want, atol=1e-12)
     also = apply_to_values(ModifierArchitecture("am_re", SoftThreshConstant(tau)), z)
     np.testing.assert_allclose(got, also, atol=1e-15)
@@ -136,9 +144,42 @@ def test_apply_zero_coordinates_stay_exactly_zero(kind):
     z = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     z[1, 2] = 0.0
     z[3, 0] = 0.0
-    out = apply_to_values(arch, z)
+    # a finite map raises no floating-point warning on exact zeros
+    with np.errstate(all="raise"):
+        out = apply_to_values(arch, z)
     assert out[1, 2] == 0.0
     assert out[3, 0] == 0.0
+
+
+class _NonFiniteAtZero(AmplitudeMap):
+    """The identity, except ``value`` where the magnitude is exactly 0."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, x):
+        return np.where(x == 0.0, self.value, x)
+
+
+# +inf survives only am_se's relu; the other kinds map it to A = 0
+@pytest.mark.parametrize(
+    "kind, value", [(kind, np.nan) for kind in KINDS] + [("am_se", np.inf)]
+)
+def test_non_finite_amplitude_at_a_zero_coefficient_is_not_lost(kind, value):
+    # the solver's containment needs a non-finite A to reach D(z) even
+    # where z = 0, as NaN·0 and inf·0 are NaN
+    rng = np.random.default_rng(4)
+    arch = ModifierArchitecture(kind, _NonFiniteAtZero(value))
+    z = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    z[1, 2] = 0.0
+    z[3, 0] = 0.0
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            apply_to_values(arch, z)
+        values = modifier_forward(arch, z)[0]
+    zero = z == 0.0
+    assert not np.any(np.isfinite(values[zero]))
+    assert np.all(np.isfinite(values[~zero]))
 
 
 @pytest.mark.parametrize("kind", KINDS)

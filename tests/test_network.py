@@ -14,6 +14,7 @@ from lipsam.network import (
     ConvLayer,
     ConvNet,
     _adjoint_operand,
+    _apply,
     _apply_linear,
     _columns,
     _dense_form,
@@ -38,6 +39,7 @@ from oracles import (
     certify_layer,
     eigvalsh_operator_norm,
     full_spectrum_operator_norm,
+    quick_train,
     reference_adam_step,
     rewrite_member,
 )
@@ -1214,3 +1216,30 @@ def test_stacked_layer_takes_its_trial_axis_from_the_flag(tmp_path):
         net.with_parameters(net.flatten_parameters())
     with pytest.raises(ShapeError):
         ConvNet((layer, ConvLayer(np.zeros((3, 3, 5)))))
+
+
+@pytest.mark.bitwise
+def test_inference_pass_equals_the_differentiable_forward():
+    # the solver's unbatched 33×128, a [6, 257, 32] validation batch of the
+    # CLI-default spectral net, and the bound search's stacked 1→3→3→1 net
+    # on 4×4 (dense form)
+    from lipsam.lipschitz import conv2d_family
+    from lipsam.trainer import TrainConfig, build_denoiser_net
+
+    rng = np.random.default_rng(61)
+    family = conv2d_family("am_se")
+    stacked = family.build(np.stack([family.sample_parameters(rng) for _ in range(3)])).inner.net
+    cases = [
+        (quick_train("re", "spectral"), (33, 128), (33, 96)),
+        (build_denoiser_net(TrainConfig(lipschitz="spectral")), (6, 257, 32), (2, 257, 32)),
+        (stacked, (3, 1, 4, 4), (3, 5, 1, 4, 4)),
+    ]
+    for net, shape, other in cases:
+        # two inputs of one shape and one of another, interleaved on one net,
+        # so that nothing one call leaves in the net's buffers reaches the next
+        for input_shape in (shape, other, shape, shape):
+            x = np.abs(rng.standard_normal(input_shape))
+            want = forward(net, x)[0]
+            out = np.empty_like(want)
+            assert _apply(net, x, out) is out
+            assert out.tobytes() == want.tobytes()
