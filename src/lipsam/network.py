@@ -325,7 +325,7 @@ class ConvNet:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "_operands", {})
-        # (input shape, per-layer buffers) of the last :func:`_apply` call
+        # (input shape, :func:`_inference_plan`) of the last :func:`_apply` call
         object.__setattr__(self, "_scratch", (None, ()))
 
     @property
